@@ -294,9 +294,10 @@ ShrimpNi::emitPacket(NodeId dst, Addr dst_addr,
     // incarnation bump, and a pre-assigned stamp would enter the fresh
     // window as an orphan of the previous life -- a sequence the
     // receiver (resynchronized to expect 0) can never ACK. tryInject()
-    // stamps and re-seals at the moment the packet actually enters the
-    // retransmit window.
-    pkt.sealCrc();
+    // stamps and seals it at the moment the packet actually enters the
+    // retransmit window; only unreliable packets are sealed here.
+    if (!pkt.reliable)
+        pkt.sealCrc();
     pkt.injectedAt = curTick();
     pkt.seq = _nextSeq++;
 

@@ -1,5 +1,7 @@
 #include "sim/event_queue.hh"
 
+#include <memory>
+
 #include "sim/logging.hh"
 
 namespace shrimp
@@ -21,15 +23,17 @@ Event::~Event()
 
 EventQueue::~EventQueue()
 {
-    // Reclaim one-shot events that never fired. Embedded events have
-    // either fired or cancelled themselves via ~Event(); their heap
-    // entries may dangle, so the heap itself is not walked.
-    for (Event *ev : _liveOneShots) {
-        ev->_scheduled = false;     // bypass the dtor's queue access
-        ev->_queue = nullptr;
-        // The queue owns unfired one-shots (autoDelete() contract).
-        // NOLINTNEXTLINE(shrimp-ownership-raw-new): queue-owned event
-        delete ev;
+    // Reclaim one-shot events that never fired; their heap entries own
+    // them. Entries of embedded events may dangle (the event has fired,
+    // been cancelled or destroyed), so only owned entries are followed.
+    while (!_queue.empty()) {
+        const QueueEntry &top = _queue.top();
+        if (top.owned) {
+            top.ev->_scheduled = false;     // bypass the dtor's queue access
+            // NOLINTNEXTLINE(shrimp-ownership-raw-new): queue-owned event
+            delete top.ev;
+        }
+        _queue.pop();
     }
 }
 
@@ -42,15 +46,20 @@ EventQueue::schedule(Event *ev, Tick when, int priority)
     SHRIMP_ASSERT(when >= _curTick, "schedule in the past: ", when,
                   " < ", _curTick, " for '", ev->description(), "'");
 
+    push(ev, when, priority, false);
+}
+
+void
+EventQueue::push(Event *ev, Tick when, int priority, bool owned)
+{
     ev->_when = when;
     ev->_priority = priority;
     ev->_stamp = _nextStamp++;
     ev->_scheduled = true;
     ev->_queue = this;
-    _queue.push(QueueEntry{when, priority, _nextSeq++, ev->_stamp, ev});
+    _queue.push(
+        QueueEntry{when, priority, owned, _nextSeq++, ev->_stamp, ev});
     ++_liveCount;
-    if (ev->autoDelete())
-        _liveOneShots.push_back(ev);
 }
 
 void
@@ -59,18 +68,14 @@ EventQueue::deschedule(Event *ev)
     SHRIMP_ASSERT(ev != nullptr, "null event");
     SHRIMP_ASSERT(ev->_scheduled,
                   "deschedule of unscheduled '", ev->description(), "'");
+    SHRIMP_ASSERT(!ev->_oneShot,
+                  "deschedule of one-shot '", ev->description(), "'");
 
     // Lazy removal: invalidate the stamp; the heap entry is skipped when
     // it reaches the top.
     ev->_stamp = 0;
     ev->_scheduled = false;
     --_liveCount;
-    if (ev->autoDelete()) {
-        forgetOneShot(ev);
-        // autoDelete() hands cancelled one-shots to the queue.
-        // NOLINTNEXTLINE(shrimp-ownership-raw-new): queue-owned event
-        delete ev;
-    }
 }
 
 void
@@ -85,18 +90,12 @@ void
 EventQueue::scheduleFn(std::function<void()> fn, Tick when, int priority,
                        const char *desc)
 {
-    // Wrapper that deletes itself after firing.
-    class OneShot : public EventFunctionWrapper
-    {
-      public:
-        using EventFunctionWrapper::EventFunctionWrapper;
-        bool autoDelete() const override { return true; }
-    };
-
-    // Ownership passes to the queue, which reclaims the event when
-    // it fires (autoDelete() contract).
+    // Ownership passes to the event's heap entry; runOne() or
+    // ~EventQueue reclaims it.
     // NOLINTNEXTLINE(shrimp-ownership-raw-new): queue-owned event
-    schedule(new OneShot(std::move(fn), desc), when, priority);
+    auto *ev = new EventFunctionWrapper(std::move(fn), desc);
+    ev->_oneShot = true;
+    push(ev, when, priority, true);
 }
 
 void
@@ -128,30 +127,12 @@ EventQueue::runOne()
     --_liveCount;
     ++_numProcessed;
 
-    bool auto_delete = ev->autoDelete();
+    // A fired one-shot is reclaimed here, even if its callback throws.
+    // Embedded events may reschedule themselves inside process(); a
+    // one-shot cannot, since no caller holds a pointer to it.
+    std::unique_ptr<Event> owner(entry.owned ? ev : nullptr);
     ev->process();
-    // `ev` may have rescheduled itself inside process(); only reclaim
-    // one-shot events, which by contract never reschedule.
-    if (auto_delete) {
-        forgetOneShot(ev);
-        // Fired one-shots are queue-owned (autoDelete() contract).
-        // NOLINTNEXTLINE(shrimp-ownership-raw-new): queue-owned event
-        delete ev;
-    }
     return true;
-}
-
-void
-EventQueue::forgetOneShot(Event *ev)
-{
-    for (auto it = _liveOneShots.begin(); it != _liveOneShots.end();
-         ++it) {
-        if (*it == ev) {
-            *it = _liveOneShots.back();
-            _liveOneShots.pop_back();
-            return;
-        }
-    }
 }
 
 std::uint64_t

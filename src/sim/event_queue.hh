@@ -44,12 +44,6 @@ class Event
     /** Human-readable description for traces. */
     virtual const char *description() const { return "generic event"; }
 
-    /**
-     * Whether the event queue should delete this event after it fires or
-     * is descheduled. Used by one-shot heap-allocated events.
-     */
-    virtual bool autoDelete() const { return false; }
-
     bool scheduled() const { return _scheduled; }
     Tick when() const { return _when; }
 
@@ -60,6 +54,7 @@ class Event
     int _priority = 0;
     std::uint64_t _stamp = 0;   //!< matches queue entry; bumped to cancel
     bool _scheduled = false;
+    bool _oneShot = false;      //!< queue-owned scheduleFn() wrapper
     EventQueue *_queue = nullptr;   //!< queue holding us while scheduled
 };
 
@@ -120,7 +115,7 @@ class EventQueue
     void schedule(Event *ev, Tick when,
                   int priority = EventPriority::DEFAULT);
 
-    /** Remove a scheduled event from the queue. */
+    /** Remove a scheduled event from the queue (never a one-shot). */
     void deschedule(Event *ev);
 
     /** Move an already (or not) scheduled event to a new time. */
@@ -128,8 +123,10 @@ class EventQueue
                     int priority = EventPriority::DEFAULT);
 
     /**
-     * Schedule a one-shot callback; the wrapper event is heap-allocated
-     * and deleted after it fires.
+     * Schedule a one-shot callback. The wrapper event is heap-allocated
+     * and owned by its single heap entry: it is deleted after it fires,
+     * or by ~EventQueue if it never does. Callers never see it, so it
+     * cannot be descheduled.
      */
     void scheduleFn(std::function<void()> fn, Tick when,
                     int priority = EventPriority::DEFAULT,
@@ -165,6 +162,7 @@ class EventQueue
     {
         Tick when;
         int priority;
+        bool owned;             //!< entry owns ev (one-shot)
         std::uint64_t seq;      //!< global insertion order (FIFO tiebreak)
         std::uint64_t stamp;    //!< must match ev->_stamp to be live
         Event *ev;
@@ -185,18 +183,17 @@ class EventQueue
 
     friend class Event;
 
+    /** Push the heap entry for @p ev; @p owned hands it to the queue. */
+    void push(Event *ev, Tick when, int priority, bool owned);
+
     /** Pop dead (cancelled/rescheduled) entries off the heap top. */
     void skipDead();
 
     /** An embedded event died while scheduled (component teardown). */
     void noteDead() { --_liveCount; }
 
-    /** Remove @p ev from the live one-shot registry. */
-    void forgetOneShot(Event *ev);
-
     std::priority_queue<QueueEntry, std::vector<QueueEntry>, EntryCompare>
         _queue;
-    std::vector<Event *> _liveOneShots;  //!< auto-delete events pending
     trace::Tracer *_tracer = nullptr;
     Tick _curTick = 0;
     std::uint64_t _nextSeq = 0;

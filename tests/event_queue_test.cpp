@@ -6,6 +6,8 @@
 
 #include <gtest/gtest.h>
 
+#include <memory>
+#include <stdexcept>
 #include <vector>
 
 #include "sim/event_queue.hh"
@@ -45,6 +47,28 @@ TEST(EventQueue, SameTickFifoWithinPriority)
     eq.run();
     for (int i = 0; i < 8; ++i)
         EXPECT_EQ(order[i], i);
+}
+
+TEST(EventQueue, ManySameTickOneShotsKeepInsertionOrder)
+{
+    EventQueue eq;
+    std::vector<int> order;
+    for (int i = 0; i < 1000; ++i) {
+        // Interleave with one-shots at other ticks and at a later
+        // priority, so the same-tick run is spread through the heap.
+        eq.scheduleFn([&order, i] { order.push_back(i); }, 50);
+        eq.scheduleFn([] {}, i % 2 ? 10 : 90);
+        eq.scheduleFn([&order, i] { order.push_back(-1 - i); }, 50,
+                      EventPriority::STAT);
+    }
+    eq.run();
+    std::vector<int> expected;
+    for (int i = 0; i < 1000; ++i)
+        expected.push_back(i);
+    for (int i = 0; i < 1000; ++i)
+        expected.push_back(-1 - i);
+    EXPECT_EQ(order, expected);
+    EXPECT_EQ(eq.numProcessed(), 3000u);
 }
 
 TEST(EventQueue, PriorityOrdersWithinTick)
@@ -144,6 +168,40 @@ TEST(EventQueue, DoubleSchedulePanics)
     eq.schedule(&ev, 100);
     EXPECT_THROW(eq.schedule(&ev, 200), std::logic_error);
     eq.deschedule(&ev);
+}
+
+TEST(EventQueue, TeardownReclaimsUnfiredOneShots)
+{
+    // Each one-shot holds a token reference; reclaiming the one-shot
+    // releases it.
+    auto token = std::make_shared<int>(0);
+    auto eq = std::make_unique<EventQueue>();
+    {
+        EventFunctionWrapper embedded([] {}, "embedded");
+        eq->schedule(&embedded, 150);
+        for (int i = 0; i < 5; ++i)
+            eq->scheduleFn([token] { ++*token; }, 100 + 100 * i);
+        EXPECT_TRUE(eq->runOne());
+        EXPECT_EQ(*token, 1);
+        // `embedded` dies still scheduled: its heap entry now dangles
+        // and teardown must not follow it.
+    }
+    EXPECT_EQ(eq->size(), 4u);
+    EXPECT_EQ(token.use_count(), 5);
+    eq.reset();
+    EXPECT_EQ(token.use_count(), 1);
+    EXPECT_EQ(*token, 1);
+}
+
+TEST(EventQueue, ThrowingOneShotIsReclaimed)
+{
+    auto token = std::make_shared<int>(0);
+    EventQueue eq;
+    eq.scheduleFn(
+        [token] { throw std::runtime_error("callback failed"); }, 10);
+    EXPECT_THROW(eq.run(), std::runtime_error);
+    EXPECT_EQ(token.use_count(), 1);
+    EXPECT_TRUE(eq.empty());
 }
 
 TEST(ClockedObject, EdgeAlignment)
