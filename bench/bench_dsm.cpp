@@ -82,12 +82,12 @@ faultPercentileUs(ShrimpSystem &sys, double q)
 void
 collect(ShrimpSystem &sys, DsmResult &r)
 {
-    for (NodeId id = 0; id < sys.numNodes(); ++id) {
-        Dsm &d = *sys.kernel(id).dsm();
-        r.faults += static_cast<double>(d.faults());
-        r.fetches += static_cast<double>(d.fetches());
-        r.invalidations += static_cast<double>(d.invalidations());
-    }
+    stats::Snapshot snap = sys.snapshot();
+    r.faults = static_cast<double>(snap.sum("node*.kernel.dsm.dsmFaults"));
+    r.fetches =
+        static_cast<double>(snap.sum("node*.kernel.dsm.dsmFetches"));
+    r.invalidations = static_cast<double>(
+        snap.sum("node*.kernel.dsm.dsmInvalidations"));
     r.faultP50Us = faultPercentileUs(sys, 0.50);
     r.faultP99Us = faultPercentileUs(sys, 0.99);
 }

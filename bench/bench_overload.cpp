@@ -53,22 +53,21 @@ overloadConfig()
     return cfg;
 }
 
-/** Roll the overload counters out of a finished system. */
+/** Read the overload counters off a finished system's stat paths. */
 void
-collectCounters(ShrimpSystem &sys, OverloadResult &r)
+collectCounters(const ShrimpSystem &sys, OverloadResult &r)
 {
-    for (NodeId id = 0; id < sys.numNodes(); ++id) {
-        ShrimpNi &ni = sys.node(id).ni;
-        RetransmitBuffer &rb = ni.retransmitBuffer();
-        r.retransmits += static_cast<double>(rb.timeoutRetransmits() +
-                                             rb.nackRetransmits());
-        r.pacedRetransmits +=
-            static_cast<double>(rb.pacedRetransmits());
-        r.ecnMarks += static_cast<double>(ni.ecnMarksSeen());
-        r.ecnEchoes += static_cast<double>(ni.ecnEchoesSent());
-        r.sendDrops += static_cast<double>(ni.sendOverflowDrops());
-        r.watchdogStalls += static_cast<double>(ni.watchdogStalls());
-    }
+    stats::Snapshot snap = sys.snapshot();
+    auto sum = [&snap](const char *pattern) {
+        return static_cast<double>(snap.sum(pattern));
+    };
+    r.retransmits = sum("node*.ni.retx.retxTimeout") +
+                    sum("node*.ni.retx.retxNack");
+    r.pacedRetransmits = sum("node*.ni.retx.retxPaced");
+    r.ecnMarks = sum("node*.ni.ecnMarksSeen");
+    r.ecnEchoes = sum("node*.ni.ecnEchoesSent");
+    r.sendDrops = sum("node*.ni.sendOverflowDrops");
+    r.watchdogStalls = sum("node*.ni.watchdogStalls");
 }
 
 /**

@@ -167,16 +167,14 @@ runPartition(Tick partition_ticks)
     if (!refaulted)
         r.fail("refault");
 
-    for (NodeId id = 0; id < n; ++id) {
-        r.staleEpochRejects += static_cast<double>(
-            sys.kernel(id).health()->staleEpochRejects());
-        r.niStaleDrops += static_cast<double>(
-            sys.node(id).ni.staleEpochDrops());
-        r.fencedWritebacks += static_cast<double>(
-            sys.kernel(id).dsm()->fencedWritebacks());
-        r.rehomes +=
-            static_cast<double>(sys.kernel(id).dsm()->rehomes());
-    }
+    stats::Snapshot snap = sys.snapshot();
+    auto sum = [&snap](const char *pattern) {
+        return static_cast<double>(snap.sum(pattern));
+    };
+    r.staleEpochRejects = sum("node*.kernel.health.staleEpochRejects");
+    r.niStaleDrops = sum("node*.ni.staleEpochDrops");
+    r.fencedWritebacks = sum("node*.kernel.dsm.dsmFencedWritebacks");
+    r.rehomes = sum("node*.kernel.dsm.dsmRehomes");
     return r;
 }
 

@@ -99,12 +99,11 @@ main()
     std::uint32_t counter = peekDsm(sys, 0, counter_off);
     std::uint32_t ticket = peekDsm(sys, 0, ticket_off);
 
-    std::uint64_t faults = 0, fetches = 0, invals = 0;
-    for (NodeId id = 0; id < n; ++id) {
-        faults += sys.kernel(id).dsm()->faults();
-        fetches += sys.kernel(id).dsm()->fetches();
-        invals += sys.kernel(id).dsm()->invalidations();
-    }
+    // Machine-wide totals, summed across nodes by stat path.
+    stats::Snapshot snap = sys.snapshot();
+    std::uint64_t faults = snap.sum("node*.kernel.dsm.dsmFaults");
+    std::uint64_t fetches = snap.sum("node*.kernel.dsm.dsmFetches");
+    std::uint64_t invals = snap.sum("node*.kernel.dsm.dsmInvalidations");
 
     std::printf("migratory counter: %u nodes x %u laps over DSM\n", n,
                 kRounds);

@@ -136,11 +136,10 @@ main()
         }
     }
 
-    std::uint64_t faults = 0, invals = 0;
-    for (NodeId id = 0; id < sys.numNodes(); ++id) {
-        faults += sys.kernel(id).dsm()->faults();
-        invals += sys.kernel(id).dsm()->invalidations();
-    }
+    // Machine-wide totals, summed across nodes by stat path.
+    stats::Snapshot snap = sys.snapshot();
+    std::uint64_t faults = snap.sum("node*.kernel.dsm.dsmFaults");
+    std::uint64_t invals = snap.sum("node*.kernel.dsm.dsmInvalidations");
 
     std::printf("odd-even relaxation, %u cells x %u rounds over DSM\n",
                 kCells, kRounds);

@@ -153,9 +153,7 @@ main()
         }
     }
 
-    std::uint64_t packets = 0;
-    for (unsigned i = 0; i < kNodes; ++i)
-        packets += sys.node(i).ni.packetsSent();
+    std::uint64_t packets = sys.snapshot().sum("node*.ni.pktsSent");
 
     std::printf("ring exchange on %u nodes, %u iterations\n", kNodes,
                 kIters);

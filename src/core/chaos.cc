@@ -1,10 +1,12 @@
 #include "core/chaos.hh"
 
+#include <cstdio>
 #include <sstream>
 
 #include "core/system.hh"
 #include "os/dsm.hh"
 #include "os/map_manager.hh"
+#include "sim/json.hh"
 #include "sim/logging.hh"
 #include "sim/random.hh"
 
@@ -29,9 +31,40 @@ fnv1a(const std::string &s)
 void
 fail(ChaosReport &report, std::string msg)
 {
-    report.ok = false;
     report.violations.push_back(std::move(msg));
 }
+
+/** The harness's own counters, reported as the `chaos.*` stat group
+ *  (kept out of the machine's stats dump and so its fingerprint). */
+struct HarnessStats
+{
+    stats::Group group{"chaos"};
+    stats::Counter writesIssued{"writesIssued", "stores issued"};
+    stats::Counter crashesInjected{"crashesInjected", "node crashes"};
+    stats::Counter linkFlapsInjected{"linkFlapsInjected", "link outages"};
+    stats::Counter overloadBurstsInjected{"overloadBurstsInjected",
+                                          "incast bursts"};
+    stats::Counter partitionsInjected{"partitionsInjected",
+                                      "partition cuts"};
+    stats::Counter healsInjected{"healsInjected", "partition heals"};
+    stats::Counter pairsVerifiedExact{"pairsVerifiedExact",
+                                      "pairs checked for exact contents"};
+    stats::Counter dsmOpsIssued{"dsmOpsIssued", "DSM acquires issued"};
+    stats::Counter dsmOpsHostdown{"dsmOpsHostdown",
+                                  "DSM acquires failed with HOSTDOWN"};
+    stats::Counter endTick{"endTick", "tick at which the run quiesced"};
+
+    HarnessStats()
+    {
+        for (stats::Counter *c :
+             {&writesIssued, &crashesInjected, &linkFlapsInjected,
+              &overloadBurstsInjected, &partitionsInjected, &healsInjected,
+              &pairsVerifiedExact, &dsmOpsIssued, &dsmOpsHostdown,
+              &endTick}) {
+            group.addStat(c);
+        }
+    }
+};
 
 Router::Port
 oppositeOf(Router::Port p)
@@ -51,6 +84,7 @@ ChaosReport
 runChaos(const ChaosParams &p)
 {
     ChaosReport report;
+    HarnessStats hs;
     const unsigned n = p.meshWidth * p.meshHeight;
     SHRIMP_ASSERT(n >= 2, "chaos soak needs at least two nodes");
     const unsigned slots = ChaosParams::slots;
@@ -300,10 +334,10 @@ runChaos(const ChaosParams &p)
         std::uint32_t value = w.value;
         bool dma = deliberate(s, d);
         eq.scheduleFn(
-            [&sys, s, d, paddr, value, dma, &report]() {
+            [&sys, s, d, paddr, value, dma, &hs]() {
                 if (sys.kernel(s).crashed())
                     return;     // a dead CPU stores nothing
-                ++report.writesIssued;
+                ++hs.writesIssued;
                 if (dma) {
                     // Deliberate update: store locally, then claim the
                     // DMA engine for the whole slot region (a busy
@@ -324,17 +358,16 @@ runChaos(const ChaosParams &p)
     }
     for (const CrashEv &c : crashes) {
         NodeId victim = c.node;
-        eq.scheduleFn([&sys, victim,
-                       &report]() {
+        eq.scheduleFn([&sys, victim, &hs]() {
             if (!sys.nodeCrashed(victim))
-                ++report.crashesInjected;
+                ++hs.crashesInjected;
             sys.crashNode(victim);
         }, c.down, EventPriority::DEFAULT, "chaos crash");
         eq.scheduleFn([&sys, victim]() { sys.restartNode(victim); },
                       c.up, EventPriority::DEFAULT, "chaos restart");
     }
     for (const BurstEv &b : bursts) {
-        eq.scheduleFn([&report]() { ++report.overloadBurstsInjected; },
+        eq.scheduleFn([&hs]() { ++hs.overloadBurstsInjected; },
                       b.at, EventPriority::DEFAULT, "chaos burst");
     }
     for (const DsmEv &o : dsmOps) {
@@ -342,14 +375,14 @@ runChaos(const ChaosParams &p)
         std::uint32_t page = o.page;
         bool write = o.write;
         eq.scheduleFn(
-            [&sys, node, page, write, &report]() {
+            [&sys, node, page, write, &hs]() {
                 if (sys.kernel(node).crashed())
                     return;     // a dead CPU faults on nothing
-                ++report.dsmOpsIssued;
+                ++hs.dsmOpsIssued;
                 sys.kernel(node).dsm()->acquire(
-                    page, write, [&report](std::uint64_t st) {
+                    page, write, [&hs](std::uint64_t st) {
                         if (st == err::HOSTDOWN)
-                            ++report.dsmOpsHostdown;
+                            ++hs.dsmOpsHostdown;
                     });
             },
             o.at, EventPriority::DEFAULT, "chaos dsm op");
@@ -357,8 +390,8 @@ runChaos(const ChaosParams &p)
     for (const FlapEv &f : flaps) {
         NodeId a = f.a, b = f.b;
         Router::Port ap = f.aPort, bp = oppositeOf(f.aPort);
-        eq.scheduleFn([&sys, a, b, ap, bp, &report]() {
-            ++report.linkFlapsInjected;
+        eq.scheduleFn([&sys, a, b, ap, bp, &hs]() {
+            ++hs.linkFlapsInjected;
             sys.backplane().router(a).setLinkDead(ap, true);
             sys.backplane().router(b).setLinkDead(bp, true);
         }, f.down, EventPriority::DEFAULT, "chaos link down");
@@ -370,20 +403,20 @@ runChaos(const ChaosParams &p)
     for (const PartEv &pe : parts) {
         NodeId iso = pe.isolated;
         eq.scheduleFn(
-            [&sys, iso, n, &report]() {
+            [&sys, iso, n, &hs]() {
                 std::vector<NodeId> minority{iso};
                 std::vector<NodeId> majority;
                 for (NodeId id = 0; id < n; ++id) {
                     if (id != iso)
                         majority.push_back(id);
                 }
-                ++report.partitionsInjected;
+                ++hs.partitionsInjected;
                 sys.partition(minority, majority);
             },
             pe.down, EventPriority::DEFAULT, "chaos partition");
         eq.scheduleFn(
-            [&sys, &report]() {
-                ++report.healsInjected;
+            [&sys, &hs]() {
+                ++hs.healsInjected;
                 sys.heal();
             },
             pe.up, EventPriority::DEFAULT, "chaos heal");
@@ -408,7 +441,7 @@ runChaos(const ChaosParams &p)
     for (NodeId id = 0; id < n; ++id)
         sys.kernel(id).health()->pause();
     sys.runFor(3 * ONE_MS);
-    report.endTick = sys.curTick();
+    hs.endTick += sys.curTick();
 
     for (NodeId id = 0; id < n; ++id) {
         Router &router = sys.backplane().router(id);
@@ -535,7 +568,7 @@ runChaos(const ChaosParams &p)
                 }
             }
             if (exact)
-                ++report.pairsVerifiedExact;
+                ++hs.pairsVerifiedExact;
         }
     }
 
@@ -582,47 +615,26 @@ runChaos(const ChaosParams &p)
         }
     }
 
-    // ---- roll up counters and the determinism fingerprint ----
-    for (NodeId id = 0; id < n; ++id) {
-        HealthMonitor *h = sys.kernel(id).health();
-        report.heartbeatsSent += h->heartbeatsSent();
-        report.peersDeclaredDead += h->peersDeclaredDead();
-        report.peersRecovered += h->peersRecovered();
-        report.partitionsDeclared += h->partitionsDeclared();
-        report.staleEpochRejects += h->staleEpochRejects();
-        Router &router = sys.backplane().router(id);
-        report.misroutes += router.misroutes();
-        report.routeAroundDrops += router.routeAroundDrops();
-        RetransmitBuffer &rb =
-            sys.node(id).ni.retransmitBuffer();
-        report.retransmits +=
-            rb.timeoutRetransmits() + rb.nackRetransmits();
-        report.pacedRetransmits += rb.pacedRetransmits();
-        ShrimpNi &ni = sys.node(id).ni;
-        report.sendsRejected += sys.kernel(id).sendsRejected();
-        report.ecnMarksSeen += ni.ecnMarksSeen();
-        report.ecnEchoesSent += ni.ecnEchoesSent();
-        report.watchdogStalls += ni.watchdogStalls();
-        report.niStaleEpochDrops += ni.staleEpochDrops();
-        if (p.dsmPages > 0) {
-            report.dsmRehomes += sys.kernel(id).dsm()->rehomes();
-            report.fencedWritebacks +=
-                sys.kernel(id).dsm()->fencedWritebacks();
-        }
-    }
+    // ---- counters and the determinism fingerprint ----
+    report.counters = sys.snapshot();
+    hs.group.snapshotInto(report.counters);
 
     // Fence accounting: every layered drop (NI channel-epoch drop,
     // DSM fenced writeback) must have been reported to the health
     // monitor's machine-wide staleEpochRejects counter, so that one
     // number fully accounts for all fenced traffic.
-    if (report.niStaleEpochDrops + report.fencedWritebacks >
-        report.staleEpochRejects) {
-        fail(report,
-             "fenced drops unaccounted: ni " +
-                 std::to_string(report.niStaleEpochDrops) + " + dsm " +
-                 std::to_string(report.fencedWritebacks) +
-                 " > staleEpochRejects " +
-                 std::to_string(report.staleEpochRejects));
+    const std::uint64_t niDrops =
+        report.counters.sum("node*.ni.staleEpochDrops");
+    const std::uint64_t fenced =
+        report.counters.sum("node*.kernel.dsm.dsmFencedWritebacks");
+    const std::uint64_t rejects =
+        report.counters.sum("node*.kernel.health.staleEpochRejects");
+    if (niDrops + fenced > rejects) {
+        fail(report, "fenced drops unaccounted: ni " +
+                         std::to_string(niDrops) + " + dsm " +
+                         std::to_string(fenced) +
+                         " > staleEpochRejects " +
+                         std::to_string(rejects));
     }
 
     std::ostringstream stats;
@@ -633,6 +645,30 @@ runChaos(const ChaosParams &p)
         sys.tracer()->writeFile(p.tracePath);
 
     return report;
+}
+
+void
+writeChaosJson(std::ostream &os, const ChaosParams &params,
+               const ChaosReport &r)
+{
+    char fp[32];
+    std::snprintf(fp, sizeof(fp), "%016llx",
+                  static_cast<unsigned long long>(r.statsFingerprint));
+    os << "{\n  \"schema_version\": 2,\n  \"kind\": \"chaos\",\n"
+       << "  \"seed\": " << params.seed << ",\n"
+       << "  \"ok\": " << (r.ok() ? "true" : "false") << ",\n"
+       << "  \"stats_fingerprint\": \"" << fp << "\",\n"
+       << "  \"violations\": [";
+    for (std::size_t i = 0; i < r.violations.size(); ++i)
+        os << (i ? ", " : "") << '"' << json::escape(r.violations[i])
+           << '"';
+    os << "],\n  \"counters\": {";
+    const char *sep = "\n";
+    for (const auto &[path, value] : r.counters.values) {
+        os << sep << "    \"" << json::escape(path) << "\": " << value;
+        sep = ",\n";
+    }
+    os << "\n  }\n}\n";
 }
 
 } // namespace shrimp

@@ -24,9 +24,11 @@
 #define SHRIMP_CORE_CHAOS_HH
 
 #include <cstdint>
+#include <ostream>
 #include <string>
 #include <vector>
 
+#include "sim/stats.hh"
 #include "sim/types.hh"
 
 namespace shrimp
@@ -86,47 +88,30 @@ struct ChaosParams
     std::string tracePath;
 };
 
-/** What a soak run observed; ok == violations.empty(). */
+/** What a soak run observed. */
 struct ChaosReport
 {
-    bool ok = true;
     std::vector<std::string> violations;
-
-    std::uint64_t writesIssued = 0;
-    std::uint64_t crashesInjected = 0;
-    std::uint64_t linkFlapsInjected = 0;
-    std::uint64_t heartbeatsSent = 0;
-    std::uint64_t peersDeclaredDead = 0;
-    std::uint64_t peersRecovered = 0;
-    std::uint64_t misroutes = 0;
-    std::uint64_t routeAroundDrops = 0;
-    std::uint64_t retransmits = 0;
-    std::uint64_t overloadBurstsInjected = 0;
-    std::uint64_t sendsRejected = 0;
-    std::uint64_t ecnMarksSeen = 0;
-    std::uint64_t ecnEchoesSent = 0;
-    std::uint64_t pacedRetransmits = 0;
-    std::uint64_t watchdogStalls = 0;
-    std::uint64_t pairsVerifiedExact = 0;
-    std::uint64_t dsmOpsIssued = 0;
-    std::uint64_t dsmOpsHostdown = 0;
-    std::uint64_t dsmRehomes = 0;
-    std::uint64_t partitionsInjected = 0;
-    std::uint64_t healsInjected = 0;
-    /** Quorum stalls: a minority side refusing to declare DEAD. */
-    std::uint64_t partitionsDeclared = 0;
-    /** Machine-wide total of fenced drops (health admit rejects +
-     *  NI channel-epoch drops + DSM fenced writebacks). */
-    std::uint64_t staleEpochRejects = 0;
-    std::uint64_t niStaleEpochDrops = 0;
-    std::uint64_t fencedWritebacks = 0;
-    Tick endTick = 0;
-    /** FNV-1a over the final JSON stats dump: the determinism probe. */
+    /** Every machine Counter by stat path, plus the harness's own
+     *  `chaos.*` group (writesIssued, endTick, ...). */
+    stats::Snapshot counters;
+    /** FNV-1a over the final JSON stats dump of the machine (not the
+     *  chaos.* group): the determinism probe. */
     std::uint64_t statsFingerprint = 0;
+
+    bool ok() const { return violations.empty(); }
 };
 
 /** Run one seeded soak; never throws on invariant failure (report). */
 ChaosReport runChaos(const ChaosParams &params);
+
+/**
+ * Write @p r as the chaos report JSON (schema_version 2): seed, ok,
+ * stats_fingerprint, violations, and a flat `counters` object keyed
+ * by stat path.
+ */
+void writeChaosJson(std::ostream &os, const ChaosParams &params,
+                    const ChaosReport &r);
 
 } // namespace shrimp
 

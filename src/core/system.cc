@@ -65,6 +65,19 @@ ShrimpSystem::ShrimpSystem(const SystemConfig &cfg) : _cfg(cfg)
         for (auto &node : _nodes)
             node->kernel.enableHealth(cfg.health);
     }
+
+    for (auto &node : _nodes) {
+        _statRoots.insert(_statRoots.end(),
+                          {&node->bus.statGroup(), &node->eisa.statGroup(),
+                           &node->cache.statGroup(),
+                           &node->cpu.statGroup(), &node->ni.statGroup(),
+                           &node->ni.outgoingFifo().statGroup(),
+                           &node->ni.incomingFifo().statGroup(),
+                           &node->ni.dma().statGroup(),
+                           &node->kernel.statGroup()});
+    }
+    for (NodeId id = 0; id < numNodes(); ++id)
+        _statRoots.push_back(&_backplane->router(id).statGroup());
 }
 
 void
@@ -164,42 +177,29 @@ ShrimpSystem::runFor(Tick duration)
 }
 
 void
-ShrimpSystem::dumpStats(std::ostream &os)
+ShrimpSystem::dumpStats(std::ostream &os) const
 {
-    for (auto &node : _nodes) {
-        node->bus.statGroup().dump(os);
-        node->eisa.statGroup().dump(os);
-        node->cache.statGroup().dump(os);
-        node->cpu.statGroup().dump(os);
-        node->ni.statGroup().dump(os);
-        node->ni.outgoingFifo().statGroup().dump(os);
-        node->ni.incomingFifo().statGroup().dump(os);
-        node->ni.dma().statGroup().dump(os);
-        node->kernel.statGroup().dump(os);
-    }
-    for (NodeId id = 0; id < numNodes(); ++id)
-        _backplane->router(id).statGroup().dump(os);
+    for (const stats::Group *g : _statRoots)
+        g->dump(os);
 }
 
 void
-ShrimpSystem::dumpStatsJson(std::ostream &os)
+ShrimpSystem::dumpStatsJson(std::ostream &os) const
 {
     os << "{";
     bool first = true;
-    for (auto &node : _nodes) {
-        node->bus.statGroup().dumpJsonInto(os, first);
-        node->eisa.statGroup().dumpJsonInto(os, first);
-        node->cache.statGroup().dumpJsonInto(os, first);
-        node->cpu.statGroup().dumpJsonInto(os, first);
-        node->ni.statGroup().dumpJsonInto(os, first);
-        node->ni.outgoingFifo().statGroup().dumpJsonInto(os, first);
-        node->ni.incomingFifo().statGroup().dumpJsonInto(os, first);
-        node->ni.dma().statGroup().dumpJsonInto(os, first);
-        node->kernel.statGroup().dumpJsonInto(os, first);
-    }
-    for (NodeId id = 0; id < numNodes(); ++id)
-        _backplane->router(id).statGroup().dumpJsonInto(os, first);
+    for (const stats::Group *g : _statRoots)
+        g->dumpJsonInto(os, first);
     os << "\n}\n";
+}
+
+stats::Snapshot
+ShrimpSystem::snapshot() const
+{
+    stats::Snapshot snap;
+    for (const stats::Group *g : _statRoots)
+        g->snapshotInto(snap);
+    return snap;
 }
 
 } // namespace shrimp

@@ -95,10 +95,13 @@ class ShrimpSystem
     void runFor(Tick duration);
 
     /** Dump every component's statistics. */
-    void dumpStats(std::ostream &os);
+    void dumpStats(std::ostream &os) const;
 
     /** Dump every statistic as one flat JSON object keyed by path. */
-    void dumpStatsJson(std::ostream &os);
+    void dumpStatsJson(std::ostream &os) const;
+
+    /** Every component's Counters, keyed by stat path. */
+    stats::Snapshot snapshot() const;
 
     /** The event tracer, or nullptr unless config().traceEnabled. */
     trace::Tracer *tracer() { return _tracer.get(); }
@@ -109,6 +112,9 @@ class ShrimpSystem
     std::unique_ptr<trace::Tracer> _tracer;
     std::unique_ptr<MeshBackplane> _backplane;
     std::vector<std::unique_ptr<Node>> _nodes;
+    /** Every component's stat tree in dump order: each node's bus,
+     *  EISA, cache, CPU, NI, FIFOs, DMA and kernel, then the routers. */
+    std::vector<const stats::Group *> _statRoots;
     /** Directed links cut by partition(), undone by heal(). */
     std::vector<std::pair<NodeId, Router::Port>> _cutLinks;
 };

@@ -170,13 +170,6 @@ class Router : public SimObject
     /** End a forced outage on @p out and kick parked traffic. */
     void forceLinkUp(Port out);
 
-    std::uint64_t misroutes() const { return _misroutes.value(); }
-    std::uint64_t ecnMarks() const { return _ecnMarks.value(); }
-    std::uint64_t routeAroundDrops() const
-    {
-        return _routeAroundDrops.value();
-    }
-
     /** Total packets parked in input queues (quiescence checks). */
     std::size_t
     queuedPackets() const
@@ -189,14 +182,6 @@ class Router : public SimObject
 
     /** Corrupted-packet count (the historical error-injection stat). */
     std::uint64_t errorsInjected() const { return _faultCorrupts.value(); }
-
-    std::uint64_t faultDrops() const { return _faultDrops.value(); }
-    std::uint64_t linkDownDrops() const { return _linkDownDrops.value(); }
-    std::uint64_t faultDuplicates() const
-    {
-        return _faultDuplicates.value();
-    }
-    std::uint64_t faultReorders() const { return _faultReorders.value(); }
 
     // ---- used by the upstream router ----
     bool hasCredit(Port in) const;
@@ -223,8 +208,6 @@ class Router : public SimObject
                _params.linkBytesPerSec;
     }
 
-    std::uint64_t packetsForwarded() const { return _forwarded.value(); }
-    std::uint64_t packetsEjected() const { return _ejected.value(); }
     stats::Group &statGroup() { return _stats; }
 
   private:

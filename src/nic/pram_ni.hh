@@ -104,10 +104,6 @@ class PramNi : public SimObject, public BusTarget
         std::memcpy(_sram.data() + off, buf, len);
     }
 
-    std::uint64_t writesPropagated() const
-    {
-        return _writesPropagated.value();
-    }
     stats::Group &statGroup() { return _stats; }
 
   private:

@@ -211,7 +211,6 @@ class RetransmitBuffer : public SimObject
     /** Most retransmissions deferred in one timer pass. */
     double peakPacedRetransmits() const { return _peakPacedRetx.value(); }
     std::uint64_t ecnBackoffs() const { return _ecnBackoffs.value(); }
-    std::uint64_t lossBackoffs() const { return _lossBackoffs.value(); }
     std::uint64_t channelsFailed() const
     {
         return _channelsFailed.value();

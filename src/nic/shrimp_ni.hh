@@ -245,7 +245,6 @@ class ShrimpNi : public SimObject,
     {
         return _pktsDelivered.value();
     }
-    std::uint64_t payloadBytesSent() const { return _bytesSent.value(); }
     std::uint64_t payloadBytesDelivered() const
     {
         return _bytesDelivered.value();
@@ -274,10 +273,6 @@ class ShrimpNi : public SimObject,
     {
         return _relMappingsErrored.value();
     }
-    std::uint64_t droppedFailedChannel() const
-    {
-        return _relDroppedFailed.value();
-    }
 
     // ---- congestion / overload accessors ----
 
@@ -301,12 +296,6 @@ class ShrimpNi : public SimObject,
     }
     /** Is the NI currently inside a flagged stall? */
     bool progressStalled() const { return _stalled; }
-
-    /** Reliable packets fenced for carrying a stale channel epoch. */
-    std::uint64_t staleEpochDrops() const
-    {
-        return _staleEpochDrops.value();
-    }
 
     /** Control-queue depth (ACKs/NACKs/retransmissions pending). */
     std::size_t controlQueueDepth() const { return _ctrl.size(); }

@@ -196,10 +196,6 @@ class Dsm
     }
     std::uint64_t rehomes() const { return _rehomes.value(); }
     std::uint64_t hostdownFaults() const { return _hostdown.value(); }
-    std::uint64_t fencedWritebacks() const
-    {
-        return _fencedWritebacks.value();
-    }
     const stats::Histogram &faultLatency() const
     {
         return _faultLatency;

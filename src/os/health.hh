@@ -226,10 +226,6 @@ class HealthMonitor : public SimObject
     {
         return _partitionsDeclared.value();
     }
-    std::uint64_t staleEpochRejects() const
-    {
-        return _staleEpochRejects.value();
-    }
 
   private:
     struct PeerState

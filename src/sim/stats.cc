@@ -45,6 +45,25 @@ jsonNumber(std::ostream &os, double v)
     os << buf;
 }
 
+/** Does @p path match the Snapshot::sum() pattern @p pattern? */
+bool
+pathMatches(std::string_view pattern, std::string_view path)
+{
+    if (pattern.empty())
+        return path.empty();
+    if (pattern[0] != '*') {
+        return !path.empty() && pattern[0] == path[0] &&
+               pathMatches(pattern.substr(1), path.substr(1));
+    }
+    // The star swallows zero or more characters, but never a `.`.
+    for (std::size_t i = 0;; ++i) {
+        if (pathMatches(pattern.substr(1), path.substr(i)))
+            return true;
+        if (i == path.size() || path[i] == '.')
+            return false;
+    }
+}
+
 } // namespace
 
 void
@@ -197,19 +216,21 @@ Group::Group(std::string name, Group *parent)
 }
 
 void
-Group::dump(std::ostream &os) const
+Group::forEach(const StatFn &fn, const std::string &prefix) const
 {
-    dumpWithPrefix(os, "");
+    std::string path = prefix + _name + ".";
+    for (const Stat *s : _stats)
+        fn(path, *s);
+    for (const Group *g : _children)
+        g->forEach(fn, path);
 }
 
 void
-Group::dumpWithPrefix(std::ostream &os, const std::string &prefix) const
+Group::dump(std::ostream &os) const
 {
-    std::string path = prefix.empty() ? _name + "." : prefix + _name + ".";
-    for (const Stat *s : _stats)
-        s->dump(os, path);
-    for (const Group *g : _children)
-        g->dumpWithPrefix(os, path);
+    forEach([&os](const std::string &prefix, const Stat &s) {
+        s.dump(os, prefix);
+    });
 }
 
 void
@@ -224,18 +245,18 @@ Group::dumpJson(std::ostream &os) const
 void
 Group::dumpJsonInto(std::ostream &os, bool &first) const
 {
-    dumpJsonWithPrefix(os, "", first);
+    forEach([&os, &first](const std::string &prefix, const Stat &s) {
+        s.dumpJson(os, prefix, first);
+    });
 }
 
 void
-Group::dumpJsonWithPrefix(std::ostream &os, const std::string &prefix,
-                          bool &first) const
+Group::snapshotInto(Snapshot &snap) const
 {
-    std::string path = prefix.empty() ? _name + "." : prefix + _name + ".";
-    for (const Stat *s : _stats)
-        s->dumpJson(os, path, first);
-    for (const Group *g : _children)
-        g->dumpJsonWithPrefix(os, path, first);
+    forEach([&snap](const std::string &prefix, const Stat &s) {
+        if (const auto *c = dynamic_cast<const Counter *>(&s))
+            snap.values[prefix + c->name()] += c->value();
+    });
 }
 
 void
@@ -245,6 +266,17 @@ Group::resetAll()
         s->reset();
     for (Group *g : _children)
         g->resetAll();
+}
+
+std::uint64_t
+Snapshot::sum(std::string_view pattern) const
+{
+    std::uint64_t total = 0;
+    for (const auto &[path, value] : values) {
+        if (pathMatches(pattern, path))
+            total += value;
+    }
+    return total;
 }
 
 } // namespace stats

@@ -12,9 +12,12 @@
 #include <algorithm>
 #include <bit>
 #include <cstdint>
+#include <functional>
 #include <limits>
+#include <map>
 #include <ostream>
 #include <string>
+#include <string_view>
 #include <vector>
 
 namespace shrimp
@@ -223,8 +226,28 @@ class Histogram : public Stat
 };
 
 /**
+ * Every Counter of one or more stat trees, keyed by full dotted path
+ * (`node3.ni.ecnEchoesSent`, `mesh.router2.misroutes`). The one place
+ * reports, tools and benches read counters from: a new Counter shows
+ * up here without any other edit.
+ */
+struct Snapshot
+{
+    std::map<std::string, std::uint64_t> values;
+
+    /**
+     * Total of every counter whose path matches @p pattern. `*`
+     * matches any run of characters within one path component (never
+     * a `.`), so `node*.ni.ecnEchoesSent` sums across nodes; a literal
+     * path selects one counter; no match sums to 0.
+     */
+    std::uint64_t sum(std::string_view pattern) const;
+};
+
+/**
  * A group of statistics belonging to one component. Groups form a tree
- * mirroring the SimObject hierarchy; dump() walks the tree.
+ * mirroring the SimObject hierarchy; forEach() walks the tree, and
+ * every dump is one visitor over that walk.
  */
 class Group
 {
@@ -252,13 +275,20 @@ class Group
      */
     void dumpJsonInto(std::ostream &os, bool &first) const;
 
+    /** Add this tree's Counters to @p snap, keyed by stat path. */
+    void snapshotInto(Snapshot &snap) const;
+
     /** Reset this group's stats and all children. */
     void resetAll();
 
   private:
-    void dumpWithPrefix(std::ostream &os, const std::string &prefix) const;
-    void dumpJsonWithPrefix(std::ostream &os, const std::string &prefix,
-                            bool &first) const;
+    /** A stat and its group path (dotted, trailing `.`). */
+    using StatFn =
+        std::function<void(const std::string &prefix, const Stat &stat)>;
+
+    /** Visit every stat in this tree, depth first, in dump order;
+     *  @p prefix is the path of this group's parent. */
+    void forEach(const StatFn &fn, const std::string &prefix = "") const;
 
     std::string _name;
     std::vector<Stat *> _stats;

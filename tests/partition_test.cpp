@@ -39,12 +39,9 @@ partitionConfig(unsigned width, unsigned height, bool dsm)
 }
 
 std::uint64_t
-totalStaleEpochRejects(ShrimpSystem &sys)
+totalStaleEpochRejects(const ShrimpSystem &sys)
 {
-    std::uint64_t total = 0;
-    for (NodeId id = 0; id < sys.numNodes(); ++id)
-        total += sys.kernel(id).health()->staleEpochRejects();
-    return total;
+    return sys.snapshot().sum("node*.kernel.health.staleEpochRejects");
 }
 
 TEST(Partition, MinorityStallsWithoutQuorum)
@@ -298,10 +295,7 @@ TEST(RouterPartition, FullCutSetExhaustsMisrouteBudgetIntoDrops)
     ASSERT_GT(sys.partition({0, 1, 3, 4, 6, 7}, {2, 5, 8}), 0u);
 
     auto dropsNow = [&sys] {
-        std::uint64_t total = 0;
-        for (NodeId id = 0; id < sys.numNodes(); ++id)
-            total += sys.backplane().router(id).routeAroundDrops();
-        return total;
+        return sys.snapshot().sum("mesh.router*.routeAroundDrops");
     };
     const std::uint64_t before = dropsNow();
 

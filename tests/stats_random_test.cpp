@@ -6,6 +6,8 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <initializer_list>
+#include <map>
 #include <sstream>
 
 #include "sim/json.hh"
@@ -188,6 +190,101 @@ TEST(Stats, GroupDumpContainsPaths)
 
     root.resetAll();
     EXPECT_EQ(c.value(), 0u);
+}
+
+/** Two nodes' worth of stats: counters at two depths plus one stat
+ *  of every non-Counter kind. */
+struct SnapshotFixture
+{
+    stats::Group node0{"node0"};
+    stats::Group nic0{"nic", &node0};
+    stats::Group retx0{"retx", &nic0};
+    stats::Group node12{"node12"};
+    stats::Group nic12{"nic", &node12};
+    stats::Counter pkts0{"pkts", "packets sent"};
+    stats::Counter retx0Pkts{"pkts", "packets retransmitted"};
+    stats::Counter pkts12{"pkts", "packets sent"};
+    stats::Scalar ratio{"ratio", "a gauge"};
+    stats::Peak peak{"peak", "a high-water mark"};
+    stats::Distribution lat{"lat", "latency"};
+    stats::Histogram depth{"depth", "queue depth"};
+
+    SnapshotFixture()
+    {
+        nic0.addStat(&pkts0);
+        retx0.addStat(&retx0Pkts);
+        nic12.addStat(&pkts12);
+        for (stats::Stat *s : std::initializer_list<stats::Stat *>{
+                 &ratio, &peak, &lat, &depth}) {
+            nic0.addStat(s);
+        }
+        pkts0 += 3;
+        retx0Pkts += 5;
+        pkts12 += 7;
+        ratio = 0.5;
+        peak.observe(9.0);
+        lat.sample(2.0);
+        depth.sample(4);
+    }
+
+    stats::Snapshot
+    snapshot() const
+    {
+        stats::Snapshot snap;
+        node0.snapshotInto(snap);
+        node12.snapshotInto(snap);
+        return snap;
+    }
+};
+
+TEST(StatsSnapshot, StarStaysInOneComponent)
+{
+    SnapshotFixture f;
+    stats::Snapshot snap = f.snapshot();
+    EXPECT_EQ(snap.sum("node*.nic.pkts"), 10u);
+    EXPECT_EQ(snap.sum("node*.nic.retx.pkts"), 5u);
+    EXPECT_EQ(snap.sum("node*.*.pkts"), 10u);
+    EXPECT_EQ(snap.sum("node1*.nic.pkts"), 7u);
+    // `*` never swallows a `.`: neither across a level nor to the end.
+    EXPECT_EQ(snap.sum("node*.pkts"), 0u);
+    EXPECT_EQ(snap.sum("node0.*"), 0u);
+    EXPECT_EQ(snap.sum("*"), 0u);
+    EXPECT_EQ(snap.sum("node*2.nic.pkts"), 7u);
+    EXPECT_EQ(snap.sum("*0.*.*"), 3u);
+    EXPECT_EQ(snap.sum("*0*.nic.*.*"), 5u);
+}
+
+TEST(StatsSnapshot, NoMatchSumsToZero)
+{
+    SnapshotFixture f;
+    stats::Snapshot snap = f.snapshot();
+    EXPECT_EQ(snap.sum("node*.nic.pktz"), 0u);
+    EXPECT_EQ(snap.sum("router*.pkts"), 0u);
+    EXPECT_EQ(snap.sum(""), 0u);
+}
+
+TEST(StatsSnapshot, ExactPathSelectsOneCounter)
+{
+    SnapshotFixture f;
+    stats::Snapshot snap = f.snapshot();
+    EXPECT_EQ(snap.sum("node0.nic.pkts"), 3u);
+    EXPECT_EQ(snap.sum("node12.nic.pkts"), 7u);
+    EXPECT_EQ(snap.sum("node0.nic.retx.pkts"), 5u);
+    // A prefix of a path is not a match.
+    EXPECT_EQ(snap.sum("node0.nic.pk"), 0u);
+    EXPECT_EQ(snap.sum("node1.nic.pkts"), 0u);
+}
+
+TEST(StatsSnapshot, HoldsOnlyCounters)
+{
+    SnapshotFixture f;
+    stats::Snapshot snap = f.snapshot();
+    std::map<std::string, std::uint64_t> want = {
+        {"node0.nic.pkts", 3},
+        {"node0.nic.retx.pkts", 5},
+        {"node12.nic.pkts", 7},
+    };
+    EXPECT_EQ(snap.values, want);
 }
 
 TEST(Rng, DeterministicForSeed)

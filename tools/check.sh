@@ -1,5 +1,5 @@
 #!/bin/sh
-# CI gate, in three stages:
+# CI gate, in six stages:
 #
 #   --lint   shrimp_lint (project invariants) + fixture self-test +
 #            clang-tidy (generic hygiene, .clang-tidy) over the
@@ -7,20 +7,20 @@
 #   --asan   ASan+UBSan build: full test suite, trace/stats/chaos
 #            artifact validation, bench artifact smoke
 #   --tsan   ThreadSan build (groundwork for the PDES scale-out):
-#            retransmit + chaos soak, with the same-seed determinism
-#            probe byte-compared across two runs
+#            retransmit + chaos soak, and every same-seed determinism
+#            probe (ctest label `determinism`)
 #   --overload  sanitized overload soak: the full incast/all-to-all
-#            sweep through the congestion-collapse gate, plus chaos
-#            soaks with the overload burst phases cranked up
+#            sweep through the congestion-collapse gate, plus the
+#            determinism probe of a chaos soak with the overload burst
+#            phases cranked up
 #   --dsm    sanitized DSM gate: the Dsm + vm unit suites, the
 #            stencil/migratory bench through the latency/progress
-#            schema check, and a same-seed chaos-with-DSM determinism
-#            byte-compare
+#            schema check, and the chaos-with-DSM determinism probe
 #   --partition  sanitized partition-tolerance gate: the partition/
 #            fault-model unit suite, bench_partition through the
 #            heal-time schema check, and chaos soaks with network
 #            partition phases enabled (three seeds, every invariant,
-#            same-seed byte-compare)
+#            plus the partition determinism probe)
 #
 # With no stage flags, all six run (lint, asan, tsan, overload, dsm,
 # partition).
@@ -110,21 +110,13 @@ if [ "$run_asan" = 1 ]; then
     ./tools/shrimp_validate trace check_trace.json
     ./tools/shrimp_validate stats check_stats.json
 
-    # Chaos soak under the sanitizers: fixed seeds, full invariant check,
-    # traced, and a determinism probe (same seed twice -> same report).
+    # Traced chaos soak under the sanitizers (the ctest run above
+    # already covered the fixed seeds and the determinism probes).
     ./tools/shrimp_explore chaos --seed 1 \
         --json check_chaos1.json --trace-out check_chaos_trace.json \
         > /dev/null
-    ./tools/shrimp_explore chaos --seed 1 --json check_chaos1b.json \
-        > /dev/null
-    ./tools/shrimp_explore chaos --seed 2 --json check_chaos2.json \
-        > /dev/null
-    ./tools/shrimp_validate chaos check_chaos1.json check_chaos2.json
+    ./tools/shrimp_validate chaos check_chaos1.json
     ./tools/shrimp_validate trace check_chaos_trace.json
-    cmp check_chaos1.json check_chaos1b.json || {
-        echo "check.sh: chaos soak is not deterministic" >&2
-        exit 1
-    }
 
     # Every benchmark binary must emit a schema-valid BENCH_<name>.json.
     # One fast case per binary keeps the gate quick; artifact writing is
@@ -156,17 +148,8 @@ if [ "$run_tsan" = 1 ]; then
         -R '^Retransmit\.|^ChaosSoak\.|^cli_chaos_seed'
 
     # Same-seed determinism must hold under TSan instrumentation too:
-    # byte-identical reports, and the embedded stats fingerprint with
-    # them (schema-checked above via the cli_chaos_seed tests).
-    ./tools/shrimp_explore chaos --seed 7 --json tsan_chaos7a.json \
-        > /dev/null
-    ./tools/shrimp_explore chaos --seed 7 --json tsan_chaos7b.json \
-        > /dev/null
-    ./tools/shrimp_validate chaos tsan_chaos7a.json
-    cmp tsan_chaos7a.json tsan_chaos7b.json || {
-        echo "check.sh: chaos soak not deterministic under TSan" >&2
-        exit 1
-    }
+    # every probe's two reports must be byte-identical.
+    ctest --output-on-failure -j "$jobs" -L determinism
     echo "check.sh: tsan stage passed"
 fi
 
@@ -192,15 +175,7 @@ if [ "$run_overload" = 1 ]; then
     # bursts, heavier bursts, same determinism bar (same seed twice
     # must byte-match).
     cd "$asan_build"
-    ./tools/shrimp_explore chaos --seed 11 --bursts 4 --burst-writes 48 \
-        --json check_overload11a.json > /dev/null
-    ./tools/shrimp_explore chaos --seed 11 --bursts 4 --burst-writes 48 \
-        --json check_overload11b.json > /dev/null
-    ./tools/shrimp_validate chaos check_overload11a.json
-    cmp check_overload11a.json check_overload11b.json || {
-        echo "check.sh: overload chaos soak is not deterministic" >&2
-        exit 1
-    }
+    ctest --output-on-failure -j "$jobs" -L determinism -R overload
     echo "check.sh: overload stage passed"
 fi
 
@@ -234,15 +209,7 @@ if [ "$run_dsm" = 1 ]; then
     # under crashes and flaps, and the run stays a pure function of
     # the seed (same seed twice -> byte-identical reports).
     cd "$asan_build"
-    ./tools/shrimp_explore chaos --seed 21 --json check_dsm21a.json \
-        > /dev/null
-    ./tools/shrimp_explore chaos --seed 21 --json check_dsm21b.json \
-        > /dev/null
-    ./tools/shrimp_validate chaos check_dsm21a.json
-    cmp check_dsm21a.json check_dsm21b.json || {
-        echo "check.sh: chaos-with-DSM soak is not deterministic" >&2
-        exit 1
-    }
+    ctest --output-on-failure -j "$jobs" -L determinism -R dsm
     echo "check.sh: dsm stage passed"
 fi
 
@@ -276,17 +243,12 @@ if [ "$run_partition" = 1 ]; then
     # re-homing, full reintegration), and the run stays a pure
     # function of the seed (same seed twice -> byte-identical).
     cd "$asan_build"
-    for seed in 1 2 3; do
+    for seed in 2 3; do
         ./tools/shrimp_explore chaos --seed "$seed" --partitions 2 \
             --json "check_part${seed}.json" > /dev/null
         ./tools/shrimp_validate chaos "check_part${seed}.json"
     done
-    ./tools/shrimp_explore chaos --seed 1 --partitions 2 \
-        --json check_part1b.json > /dev/null
-    cmp check_part1.json check_part1b.json || {
-        echo "check.sh: partition chaos soak is not deterministic" >&2
-        exit 1
-    }
+    ctest --output-on-failure -j "$jobs" -L determinism -R partition
     echo "check.sh: partition stage passed"
 fi
 

@@ -25,7 +25,9 @@
  * cycles, link flaps and, with --partitions, network partition/heal
  * cycles against mixed traffic) and checks the global invariants;
  * exit status 0 iff they all hold. `--chaos` is accepted
- * as an alias. --json FILE writes the machine-readable report.
+ * as an alias. It prints the report's counters by stat path, summed
+ * across nodes and routers; --json FILE writes the machine-readable
+ * report with every counter.
  *
  * --trace-out FILE records a packet-lifecycle event trace and writes
  * it as Chrome trace-event JSON (open with ui.perfetto.dev);
@@ -36,6 +38,8 @@
 #include <cstring>
 #include <fstream>
 #include <iostream>
+#include <map>
+#include <regex>
 #include <string>
 
 #include "../bench/bench_util.hh"
@@ -233,116 +237,37 @@ cmdChaos(int argc, char **argv)
 
     ChaosReport r = runChaos(p);
 
+    // Roll the snapshot up across nodes and routers: every path with
+    // its group indices starred (node3.ni.x -> node*.ni.x), summed.
+    const std::regex index(R"(\d+\.)");
+    std::map<std::string, std::uint64_t> rolled;
+    for (const auto &[path, value] : r.counters.values)
+        rolled[std::regex_replace(path, index, "*.")] += value;
+
     std::printf("chaos soak (seed %llu, %ux%u mesh, %llu ms)\n",
                 static_cast<unsigned long long>(p.seed), p.meshWidth,
                 p.meshHeight,
                 static_cast<unsigned long long>(p.duration / ONE_MS));
-    std::printf("  writes issued      : %llu\n",
-                static_cast<unsigned long long>(r.writesIssued));
-    std::printf("  crashes injected   : %llu\n",
-                static_cast<unsigned long long>(r.crashesInjected));
-    std::printf("  link flaps injected: %llu\n",
-                static_cast<unsigned long long>(r.linkFlapsInjected));
-    std::printf("  heartbeats sent    : %llu\n",
-                static_cast<unsigned long long>(r.heartbeatsSent));
-    std::printf("  peers died/recov.  : %llu / %llu\n",
-                static_cast<unsigned long long>(r.peersDeclaredDead),
-                static_cast<unsigned long long>(r.peersRecovered));
-    std::printf("  misroutes          : %llu\n",
-                static_cast<unsigned long long>(r.misroutes));
-    std::printf("  retransmits        : %llu\n",
-                static_cast<unsigned long long>(r.retransmits));
-    std::printf("  overload bursts    : %llu\n",
-                static_cast<unsigned long long>(
-                    r.overloadBurstsInjected));
-    std::printf("  ecn marks/echoes   : %llu / %llu\n",
-                static_cast<unsigned long long>(r.ecnMarksSeen),
-                static_cast<unsigned long long>(r.ecnEchoesSent));
-    std::printf("  paced retransmits  : %llu\n",
-                static_cast<unsigned long long>(r.pacedRetransmits));
-    std::printf("  sends rejected     : %llu\n",
-                static_cast<unsigned long long>(r.sendsRejected));
-    std::printf("  watchdog stalls    : %llu\n",
-                static_cast<unsigned long long>(r.watchdogStalls));
-    std::printf("  pairs exact        : %llu\n",
-                static_cast<unsigned long long>(r.pairsVerifiedExact));
-    std::printf("  dsm ops/hostdown   : %llu / %llu\n",
-                static_cast<unsigned long long>(r.dsmOpsIssued),
-                static_cast<unsigned long long>(r.dsmOpsHostdown));
-    std::printf("  dsm re-homes       : %llu\n",
-                static_cast<unsigned long long>(r.dsmRehomes));
-    std::printf("  partitions/heals   : %llu / %llu\n",
-                static_cast<unsigned long long>(r.partitionsInjected),
-                static_cast<unsigned long long>(r.healsInjected));
-    std::printf("  quorum stalls      : %llu\n",
-                static_cast<unsigned long long>(r.partitionsDeclared));
-    std::printf("  stale epoch rejects: %llu (ni %llu, dsm wb %llu)\n",
-                static_cast<unsigned long long>(r.staleEpochRejects),
-                static_cast<unsigned long long>(r.niStaleEpochDrops),
-                static_cast<unsigned long long>(r.fencedWritebacks));
-    std::printf("  stats fingerprint  : %016llx\n",
+    // The harness's own chaos.* group in full (it sorts first), then
+    // every non-zero machine counter.
+    for (const auto &[key, value] : rolled) {
+        if (value != 0 || key.starts_with("chaos.")) {
+            std::printf("  %-44s %llu\n", key.c_str(),
+                        static_cast<unsigned long long>(value));
+        }
+    }
+    std::printf("  stats fingerprint : %016llx\n",
                 static_cast<unsigned long long>(r.statsFingerprint));
-    std::printf("  invariants         : %s\n",
-                r.ok ? "all hold" : "VIOLATED");
+    std::printf("  invariants        : %s\n",
+                r.ok() ? "all hold" : "VIOLATED");
     for (const std::string &v : r.violations)
         std::printf("    ! %s\n", v.c_str());
 
     if (const char *path = argString(argc, argv, "--json")) {
         std::ofstream out(path);
-        out << "{\n  \"schema_version\": 1,\n  \"kind\": \"chaos\",\n";
-        out << "  \"seed\": " << p.seed << ",\n";
-        out << "  \"ok\": " << (r.ok ? "true" : "false") << ",\n";
-        out << "  \"stats_fingerprint\": \"";
-        char fp[32];
-        std::snprintf(fp, sizeof(fp), "%016llx",
-                      static_cast<unsigned long long>(
-                          r.statsFingerprint));
-        out << fp << "\",\n";
-        out << "  \"violations\": [";
-        for (std::size_t i = 0; i < r.violations.size(); ++i) {
-            out << (i ? ", " : "") << '"';
-            for (char c : r.violations[i]) {
-                if (c == '"' || c == '\\')
-                    out << '\\';
-                out << c;
-            }
-            out << '"';
-        }
-        out << "],\n  \"counters\": {\n";
-        auto field = [&out](const char *key, std::uint64_t v,
-                            bool last = false) {
-            out << "    \"" << key << "\": " << v
-                << (last ? "\n" : ",\n");
-        };
-        field("writesIssued", r.writesIssued);
-        field("crashesInjected", r.crashesInjected);
-        field("linkFlapsInjected", r.linkFlapsInjected);
-        field("heartbeatsSent", r.heartbeatsSent);
-        field("peersDeclaredDead", r.peersDeclaredDead);
-        field("peersRecovered", r.peersRecovered);
-        field("misroutes", r.misroutes);
-        field("routeAroundDrops", r.routeAroundDrops);
-        field("retransmits", r.retransmits);
-        field("overloadBurstsInjected", r.overloadBurstsInjected);
-        field("sendsRejected", r.sendsRejected);
-        field("ecnMarksSeen", r.ecnMarksSeen);
-        field("ecnEchoesSent", r.ecnEchoesSent);
-        field("pacedRetransmits", r.pacedRetransmits);
-        field("watchdogStalls", r.watchdogStalls);
-        field("pairsVerifiedExact", r.pairsVerifiedExact);
-        field("dsmOpsIssued", r.dsmOpsIssued);
-        field("dsmOpsHostdown", r.dsmOpsHostdown);
-        field("dsmRehomes", r.dsmRehomes);
-        field("partitionsInjected", r.partitionsInjected);
-        field("healsInjected", r.healsInjected);
-        field("partitionsDeclared", r.partitionsDeclared);
-        field("staleEpochRejects", r.staleEpochRejects);
-        field("niStaleEpochDrops", r.niStaleEpochDrops);
-        field("fencedWritebacks", r.fencedWritebacks);
-        field("endTick", r.endTick, true);
-        out << "  }\n}\n";
+        writeChaosJson(out, p, r);
     }
-    return r.ok ? 0 : 1;
+    return r.ok() ? 0 : 1;
 }
 
 } // namespace

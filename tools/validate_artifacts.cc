@@ -15,6 +15,7 @@
  * Exit status 0 iff every file parses and conforms.
  */
 
+#include <cmath>
 #include <cstdio>
 #include <cstring>
 #include <fstream>
@@ -162,8 +163,8 @@ validateChaos(const std::string &file, const Value &root)
     if (!root.isObject())
         return fail(file, "chaos root is not an object");
     const Value *ver = root.find("schema_version");
-    if (!ver || !ver->isNumber() || ver->number != 1)
-        return fail(file, "schema_version != 1");
+    if (!ver || !ver->isNumber() || ver->number != 2)
+        return fail(file, "schema_version != 2");
     const Value *kind = root.find("kind");
     if (!kind || !kind->isString() || kind->str != "chaos")
         return fail(file, "kind != \"chaos\"");
@@ -187,23 +188,19 @@ validateChaos(const std::string &file, const Value &root)
     // A report may only claim success with zero violations.
     if (ok->boolean && !violations->arr.empty())
         return fail(file, "ok is true but violations are present");
+    // Counters: a flat object of dotted stat paths to non-negative
+    // integers; which paths exist is the simulator's business.
     const Value *counters = root.find("counters");
-    if (!counters || !counters->isObject())
-        return fail(file, "missing counters object");
-    for (const char *key :
-         {"writesIssued", "crashesInjected", "linkFlapsInjected",
-          "heartbeatsSent", "peersDeclaredDead", "peersRecovered",
-          "misroutes", "routeAroundDrops", "retransmits",
-          "overloadBurstsInjected", "sendsRejected", "ecnMarksSeen",
-          "ecnEchoesSent", "pacedRetransmits", "watchdogStalls",
-          "pairsVerifiedExact", "dsmOpsIssued", "dsmOpsHostdown",
-          "dsmRehomes", "partitionsInjected", "healsInjected",
-          "partitionsDeclared", "staleEpochRejects",
-          "niStaleEpochDrops", "fencedWritebacks", "endTick"}) {
-        const Value *c = counters->find(key);
-        if (!c || !c->isNumber())
-            return fail(file,
-                        std::string("counters.") + key + " missing");
+    if (!counters || !counters->isObject() || counters->obj.empty())
+        return fail(file, "missing or empty counters object");
+    for (const auto &[path, value] : counters->obj) {
+        if (path.find('.') == std::string::npos)
+            return fail(file, "counter " + path + " is not a stat path");
+        if (!value.isNumber() || value.number < 0 ||
+            std::floor(value.number) != value.number) {
+            return fail(file, "counter " + path +
+                                  " is not a non-negative integer");
+        }
     }
 }
 
