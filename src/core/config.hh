@@ -29,6 +29,16 @@ struct SystemConfig
 {
     unsigned meshWidth = 2;
     unsigned meshHeight = 2;
+
+    /**
+     * Simulated DRAM per node, which sets each kernel's frame budget
+     * (one frame per page). Page contents cost host memory only once
+     * written, so raising it costs no more than the per-frame
+     * bookkeeping (NIPT entry, allocator state: about 100 B a frame)
+     * until pages are written. Boot pins frames for every peer
+     * (kernel channels, NX buffers, DSM links): from a 12x12 mesh on,
+     * the 4 MB default runs out and boot panics asking for more.
+     */
     Addr memBytesPerNode = 4 * 1024 * 1024;
     Tick memAccessLatency = 60 * ONE_NS;
 

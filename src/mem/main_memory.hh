@@ -7,8 +7,11 @@
 #ifndef SHRIMP_MEM_MAIN_MEMORY_HH
 #define SHRIMP_MEM_MAIN_MEMORY_HH
 
+#include <algorithm>
+#include <array>
 #include <cstdint>
 #include <cstring>
+#include <memory>
 #include <vector>
 
 #include "mem/bus_interfaces.hh"
@@ -25,6 +28,12 @@ namespace shrimp
  * always observe current values. This matches the Xpress PC property
  * the paper relies on: snooping caches stay consistent with all main
  * memory updates.
+ *
+ * The store is sparse, one slot per page frame. A null slot is an
+ * all-zero page; the first write to a page allocates it, and reads
+ * never allocate. Host memory is therefore paid only for the pages a
+ * simulation writes (mapped receive pages, touched process pages),
+ * not for the whole simulated DRAM.
  */
 class MainMemory : public SimObject, public BusTarget
 {
@@ -32,7 +41,7 @@ class MainMemory : public SimObject, public BusTarget
     MainMemory(EventQueue &eq, std::string name, Addr bytes,
                Tick access_latency = 60 * ONE_NS)
         : SimObject(eq, std::move(name)),
-          _data(bytes, 0),
+          _pages(bytes / PAGE_SIZE),
           _accessLatency(access_latency)
     {
         SHRIMP_ASSERT(bytes % PAGE_SIZE == 0,
@@ -40,10 +49,19 @@ class MainMemory : public SimObject, public BusTarget
     }
 
     /** Memory capacity in bytes. */
-    Addr size() const { return _data.size(); }
+    Addr size() const { return _pages.size() * PAGE_SIZE; }
 
     /** Number of physical page frames. */
-    PageNum numPages() const { return _data.size() / PAGE_SIZE; }
+    PageNum numPages() const { return _pages.size(); }
+
+    /** Pages written at least once, i.e. backed by host memory. */
+    std::size_t
+    residentPages() const
+    {
+        return static_cast<std::size_t>(
+            std::count_if(_pages.begin(), _pages.end(),
+                          [](const auto &p) { return p != nullptr; }));
+    }
 
     /** DRAM access latency (row access, simplified). */
     Tick accessLatency() const { return _accessLatency; }
@@ -53,7 +71,19 @@ class MainMemory : public SimObject, public BusTarget
     read(Addr paddr, void *buf, Addr len) const
     {
         checkRange(paddr, len);
-        std::memcpy(buf, _data.data() + paddr, len);
+        auto *out = static_cast<std::uint8_t *>(buf);
+        while (len > 0) {
+            Addr off = paddr & PAGE_OFFSET_MASK;
+            Addr n = std::min(len, PAGE_SIZE - off);
+            const Page *page = _pages[pageOf(paddr)].get();
+            if (page)
+                std::memcpy(out, page->data() + off, n);
+            else
+                std::memset(out, 0, n);
+            out += n;
+            paddr += n;
+            len -= n;
+        }
     }
 
     /** Functional write of @p len bytes at @p paddr. */
@@ -61,7 +91,18 @@ class MainMemory : public SimObject, public BusTarget
     write(Addr paddr, const void *buf, Addr len)
     {
         checkRange(paddr, len);
-        std::memcpy(_data.data() + paddr, buf, len);
+        const auto *in = static_cast<const std::uint8_t *>(buf);
+        while (len > 0) {
+            Addr off = paddr & PAGE_OFFSET_MASK;
+            Addr n = std::min(len, PAGE_SIZE - off);
+            std::unique_ptr<Page> &page = _pages[pageOf(paddr)];
+            if (!page)
+                page = std::make_unique<Page>();    // zero-filled
+            std::memcpy(page->data() + off, in, n);
+            in += n;
+            paddr += n;
+            len -= n;
+        }
     }
 
     /** Read a little-endian integer of @p size bytes (1/2/4/8). */
@@ -96,15 +137,18 @@ class MainMemory : public SimObject, public BusTarget
     }
 
   private:
+    using Page = std::array<std::uint8_t, PAGE_SIZE>;
+
     void
     checkRange(Addr paddr, Addr len) const
     {
-        SHRIMP_ASSERT(paddr + len <= _data.size() && paddr + len >= paddr,
+        SHRIMP_ASSERT(paddr + len <= size() && paddr + len >= paddr,
                       "memory access out of range: addr=", paddr,
-                      " len=", len, " size=", _data.size());
+                      " len=", len, " size=", size());
     }
 
-    std::vector<std::uint8_t> _data;
+    /** One slot per page frame; null reads as zeros. */
+    std::vector<std::unique_ptr<Page>> _pages;
     Tick _accessLatency;
 };
 

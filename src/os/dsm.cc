@@ -80,7 +80,7 @@ Dsm::allocatePages()
             continue;
         DirEntry &d = _dir[page];
         d.homedHere = true;
-        d.homeFrame = allocPinned("DSM home frame");
+        d.homeFrame = _kernel.allocPinnedFrame("DSM home frame");
     }
     for (NodeId peer = 0; peer < _links.size(); ++peer) {
         if (peer == _kernel.nodeId())
@@ -88,11 +88,11 @@ Dsm::allocatePages()
         PeerLink &l = _links[peer];
         // Page data arrives silently; the control RPC that follows it
         // on the (interrupting, in-order) kernel channel announces it.
-        l.bounceIn = allocPinned("DSM bounce frame");
+        l.bounceIn = _kernel.allocPinnedFrame("DSM bounce frame");
         NiptEntry &e = _kernel.ni().nipt().entry(l.bounceIn);
         e.mappedIn = true;
         e.inSources.push_back(peer);
-        l.stagingOut = allocPinned("DSM staging frame");
+        l.stagingOut = _kernel.allocPinnedFrame("DSM staging frame");
     }
 }
 
@@ -761,7 +761,7 @@ Dsm::handlePut(NodeId peer, const std::uint32_t *p)
     LocalPage &lp = _local[page];
     if (with_data) {
         if (lp.frame == INVALID_PAGE)
-            lp.frame = allocPinned("DSM cache frame");
+            lp.frame = _kernel.allocPinnedFrame("DSM cache frame");
         copyFrame(_links[peer].bounceIn, lp.frame);
         _kernel.mapManager().addWork(_kernel.costs().pageSwap);
     } else if (lp.frame == INVALID_PAGE) {
@@ -1142,15 +1142,6 @@ Dsm::readFrame(PageNum frame) const
     std::vector<std::uint8_t> buf(PAGE_SIZE);
     _kernel.mem().read(pageBase(frame), buf.data(), PAGE_SIZE);
     return buf;
-}
-
-PageNum
-Dsm::allocPinned(const char *what)
-{
-    auto f = _kernel.frames().alloc();
-    SHRIMP_ASSERT(f, "out of frames for ", what);
-    _kernel.frames().pin(*f);
-    return *f;
 }
 
 Addr

@@ -347,7 +347,6 @@ class Dsm
 
     void copyFrame(PageNum src, PageNum dst);
     std::vector<std::uint8_t> readFrame(PageNum frame) const;
-    PageNum allocPinned(const char *what);
     Addr windowVaddr(std::uint32_t page) const;
 
     Kernel &_kernel;

@@ -362,22 +362,32 @@ Kernel::allocateChannels()
     for (NodeId peer = 0; peer < _numNodes; ++peer) {
         if (peer == _node)
             continue;
-        auto in_frame = _frames.alloc();
-        auto out_frame = _frames.alloc();
-        SHRIMP_ASSERT(in_frame && out_frame,
-                      "out of frames for kernel channels");
-        _frames.pin(*in_frame);
-        _frames.pin(*out_frame);
-        _channelIn[peer] = *in_frame;
-        _channelOut[peer] = *out_frame;
-        _channelPeerOfFrame[*in_frame] = peer;
+        PageNum in_frame = allocPinnedFrame("kernel channels");
+        _channelIn[peer] = in_frame;
+        _channelOut[peer] = allocPinnedFrame("kernel channels");
+        _channelPeerOfFrame[in_frame] = peer;
 
-        NiptEntry &e = _ni.nipt().entry(*in_frame);
+        NiptEntry &e = _ni.nipt().entry(in_frame);
         e.mappedIn = true;
         e.interruptOnArrival = true;
         e.inSources.push_back(peer);
     }
     _nxService->allocatePages();
+}
+
+PageNum
+Kernel::allocPinnedFrame(const char *what)
+{
+    auto f = _frames.alloc();
+    if (!f) {
+        SHRIMP_PANIC("node ", _node, " is out of DRAM frames for ", what,
+                     ": it has ", _frames.numFrames(), " frames of ",
+                     PAGE_SIZE, " B, and boot pins frames for each of its ",
+                     _numNodes - 1, " peers; raise "
+                     "SystemConfig::memBytesPerNode");
+    }
+    _frames.pin(*f);
+    return *f;
 }
 
 void

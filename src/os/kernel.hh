@@ -188,6 +188,15 @@ class Kernel : public SimObject, public TrapHandler
     /** Allocate per-peer kernel channel pages. */
     void allocateChannels();
 
+    /**
+     * Allocate and pin one DRAM frame for kernel-owned wiring (kernel
+     * channels, NX buffers, DSM frames). Boot pins several frames per
+     * peer, so a large mesh can exhaust a small DRAM: the panic then
+     * names this node, @p what it was allocating and the node's frame
+     * count, and points at SystemConfig::memBytesPerNode.
+     */
+    PageNum allocPinnedFrame(const char *what);
+
     /** Local frame that receives peer @p peer's kernel channel. */
     PageNum channelInFrame(NodeId peer) const;
 

@@ -25,22 +25,16 @@ NxService::allocatePages()
         if (peer == _kernel.nodeId())
             continue;
         PeerState &state = _peers[peer];
-        auto alloc_pinned = [this]() {
-            auto f = _kernel.frames().alloc();
-            SHRIMP_ASSERT(f, "out of frames for NX buffers");
-            _kernel.frames().pin(*f);
-            return *f;
-        };
         for (std::size_t i = 0; i < slotPages; ++i) {
-            state.dataOut.push_back(alloc_pinned());
-            PageNum in = alloc_pinned();
+            state.dataOut.push_back(_kernel.allocPinnedFrame("NX buffers"));
+            PageNum in = _kernel.allocPinnedFrame("NX buffers");
             state.dataIn.push_back(in);
             NiptEntry &e = _kernel.ni().nipt().entry(in);
             e.mappedIn = true;
             e.inSources.push_back(peer);
         }
-        state.ctlOut = alloc_pinned();
-        state.ctlIn = alloc_pinned();
+        state.ctlOut = _kernel.allocPinnedFrame("NX buffers");
+        state.ctlIn = _kernel.allocPinnedFrame("NX buffers");
         NiptEntry &e = _kernel.ni().nipt().entry(state.ctlIn);
         e.mappedIn = true;
         e.interruptOnArrival = true;

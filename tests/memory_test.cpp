@@ -1,12 +1,13 @@
 /**
  * @file
- * Unit tests for the memory subsystem: MainMemory, XpressBus
- * (decode, occupancy, snooping), EisaBus, Cache (per-page policies,
- * write buffer, snoop-invalidate).
+ * Unit tests for the memory subsystem: MainMemory (including its
+ * sparse page store), XpressBus (decode, occupancy, snooping),
+ * EisaBus, Cache (per-page policies, write buffer, snoop-invalidate).
  */
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cstring>
 #include <vector>
 
@@ -14,6 +15,9 @@
 #include "mem/eisa_bus.hh"
 #include "mem/main_memory.hh"
 #include "mem/xpress_bus.hh"
+#include "msg/deliberate.hh"
+#include "sim/random.hh"
+#include "test_util.hh"
 
 namespace shrimp
 {
@@ -127,6 +131,193 @@ TEST_F(MemFixture, OverlappingTargetsPanic)
     MainMemory other(eq, "other", 64 * 1024);
     EXPECT_THROW(bus.addTarget(0x1000, 0x1000, &other),
                  std::logic_error);
+}
+
+// ---------------------------------------------------------------------
+// Sparse page store: a null page reads as zeros, a write allocates
+// exactly the pages it touches.
+// ---------------------------------------------------------------------
+
+TEST(SparseMemory, FreshMemoryReadsZeroAndHoldsNoPages)
+{
+    EventQueue eq;
+    MainMemory mem(eq, "mem", 16 * PAGE_SIZE);
+    EXPECT_EQ(mem.residentPages(), 0u);
+    EXPECT_EQ(mem.readInt(0, 1), 0u);
+    EXPECT_EQ(mem.readInt(mem.size() - 1, 1), 0u);
+    EXPECT_EQ(mem.busRead(PAGE_SIZE - 4, 8), 0u);   // straddles a page
+
+    std::vector<std::uint8_t> all(mem.size(), 0xff);
+    mem.read(0, all.data(), all.size());
+    EXPECT_EQ(std::count(all.begin(), all.end(), 0),
+              static_cast<std::ptrdiff_t>(mem.size()));
+    EXPECT_EQ(mem.residentPages(), 0u);     // reads never allocate
+}
+
+TEST(SparseMemory, WritesAllocateOnlyTheirPages)
+{
+    EventQueue eq;
+    MainMemory mem(eq, "mem", 16 * PAGE_SIZE);
+    mem.writeInt(3 * PAGE_SIZE + 17, 0xab, 1);
+    EXPECT_EQ(mem.residentPages(), 1u);
+    mem.writeInt(3 * PAGE_SIZE + 100, 0xcd, 1);     // same page
+    EXPECT_EQ(mem.residentPages(), 1u);
+
+    // Straddles pages 6 and 7: both are allocated.
+    mem.writeInt(7 * PAGE_SIZE - 2, 0x11223344, 4);
+    EXPECT_EQ(mem.residentPages(), 3u);
+    EXPECT_EQ(mem.readInt(7 * PAGE_SIZE - 2, 4), 0x11223344u);
+    EXPECT_EQ(mem.readInt(7 * PAGE_SIZE, 2), 0x1122u);
+    // The rest of a freshly allocated page still reads zero.
+    EXPECT_EQ(mem.readInt(6 * PAGE_SIZE, 8), 0u);
+    EXPECT_EQ(mem.readInt(8 * PAGE_SIZE - 8, 8), 0u);
+    EXPECT_EQ(mem.readInt(3 * PAGE_SIZE + 17, 1), 0xabu);
+}
+
+TEST(SparseMemory, RandomAccessesMatchFlatReference)
+{
+    constexpr Addr pages = 32;
+    constexpr Addr max_len = 2 * PAGE_SIZE + 1;
+    EventQueue eq;
+    MainMemory mem(eq, "mem", pages * PAGE_SIZE);
+    std::vector<std::uint8_t> ref(mem.size(), 0);
+    std::vector<bool> written(pages, false);
+    Rng rng(0x5ba45e);
+
+    auto pick_len = [&rng]() -> Addr {
+        switch (rng.below(4)) {
+          case 0: return rng.inRange(1, 16);
+          case 1: return rng.inRange(1, PAGE_SIZE);
+          case 2: return rng.inRange(PAGE_SIZE, max_len);
+          default: return rng.chance(0.5) ? 1 : max_len;
+        }
+    };
+    // Mostly put a page boundary strictly inside the access.
+    auto pick_addr = [&rng, &mem](Addr len) -> Addr {
+        Addr last = mem.size() - len;
+        if (len < 2 || rng.chance(0.25))
+            return rng.inRange(0, last);
+        Addr boundary = rng.inRange(1, pages - 1) * PAGE_SIZE;
+        Addr before = rng.inRange(1, std::min(len - 1, boundary));
+        return std::min(boundary - before, last);
+    };
+    auto mark_written = [&written](Addr addr, Addr len) {
+        for (Addr p = pageOf(addr); p <= pageOf(addr + len - 1); ++p)
+            written[p] = true;
+    };
+
+    std::vector<std::uint8_t> buf;
+    for (int op = 0; op < 3000; ++op) {
+        switch (rng.below(4)) {
+          case 0: {     // write
+            Addr len = pick_len();
+            Addr addr = pick_addr(len);
+            buf.resize(len);
+            for (auto &b : buf)
+                b = static_cast<std::uint8_t>(rng.next());
+            mem.write(addr, buf.data(), len);
+            std::copy(buf.begin(), buf.end(), ref.begin() + addr);
+            mark_written(addr, len);
+            break;
+          }
+          case 1: {     // read
+            Addr len = pick_len();
+            Addr addr = pick_addr(len);
+            buf.assign(len, 0xa5);
+            mem.read(addr, buf.data(), len);
+            ASSERT_TRUE(std::equal(buf.begin(), buf.end(),
+                                   ref.begin() + addr))
+                << "op " << op << " read addr=" << addr << " len=" << len;
+            break;
+          }
+          case 2: {     // writeInt
+            unsigned size = 1u << rng.below(4);
+            Addr addr = pick_addr(size);
+            std::uint64_t v = rng.next();
+            mem.writeInt(addr, v, size);
+            for (unsigned i = 0; i < size; ++i)
+                ref[addr + i] = static_cast<std::uint8_t>(v >> (8 * i));
+            mark_written(addr, size);
+            break;
+          }
+          default: {    // readInt
+            unsigned size = 1u << rng.below(4);
+            Addr addr = pick_addr(size);
+            std::uint64_t want = 0;
+            for (unsigned i = 0; i < size; ++i)
+                want |= std::uint64_t{ref[addr + i]} << (8 * i);
+            ASSERT_EQ(mem.readInt(addr, size), want)
+                << "op " << op << " readInt addr=" << addr;
+            break;
+          }
+        }
+    }
+
+    std::vector<std::uint8_t> all(mem.size());
+    mem.read(0, all.data(), all.size());
+    EXPECT_TRUE(all == ref);
+    EXPECT_EQ(mem.residentPages(),
+              static_cast<std::size_t>(
+                  std::count(written.begin(), written.end(), true)));
+}
+
+TEST(SparseMemory, BootWritesNoDramPage)
+{
+    SystemConfig mesh;
+    mesh.meshWidth = 8;
+    mesh.meshHeight = 8;
+    SystemConfig dsm = SystemConfig::paper16();
+    dsm.dsm.enabled = true;
+    for (const SystemConfig &cfg : {mesh, dsm}) {
+        ShrimpSystem sys(cfg);
+        for (NodeId n = 0; n < sys.numNodes(); ++n)
+            EXPECT_EQ(sys.node(n).mem.residentPages(), 0u) << "node " << n;
+    }
+}
+
+TEST(SparseMemory, DeliberateSendOfUnwrittenPageDeliversZeros)
+{
+    ShrimpSystem sys(test::twoNodeConfig());
+    Process *a = sys.kernel(0).createProcess("a");
+    Process *b = sys.kernel(1).createProcess("b");
+    Addr src = a->allocate(1);
+    Addr dst = b->allocate(1);
+    ASSERT_EQ(sys.kernel(0).mapDirect(*a, src, 1, sys.kernel(1), *b, dst,
+                                      UpdateMode::DELIBERATE),
+              err::OK);
+    Addr cmd = sys.kernel(0).mapCommandPages(*a, src, 1);
+    std::int64_t cmd_delta = static_cast<std::int64_t>(cmd) -
+                             static_cast<std::int64_t>(src);
+    // Stale receiver contents, so the zeros must actually arrive.
+    for (Addr off = 0; off < PAGE_SIZE; off += 4)
+        test::poke32(sys, 1, *b, dst + off, 0xdeadbeef);
+
+    // Send the whole never-written source page and wait for the DMA.
+    Program pa("a");
+    pa.movi(R3, src);
+    pa.movi(R1, PAGE_SIZE);
+    msg::emitDeliberateSendSingle(pa, cmd_delta, "send", "multi");
+    pa.label("wait");
+    msg::emitDeliberateCheck(pa);
+    pa.jnz("wait");
+    pa.halt();
+    pa.label("multi");
+    pa.halt();
+    test::loadProgram(sys.kernel(0), *a, std::move(pa));
+    Program pb("b");
+    pb.halt();
+    test::loadProgram(sys.kernel(1), *b, std::move(pb));
+
+    sys.startAll();
+    ASSERT_TRUE(sys.runUntilAllExited());
+    sys.runFor(ONE_MS);
+
+    EXPECT_EQ(sys.node(0).ni.dma().bytesTransferred(), PAGE_SIZE);
+    unsigned nonzero = 0;
+    for (Addr off = 0; off < PAGE_SIZE; off += 4)
+        nonzero += test::peek32(sys, 1, *b, dst + off) != 0;
+    EXPECT_EQ(nonzero, 0u);
+    EXPECT_EQ(sys.node(0).mem.residentPages(), 0u);
 }
 
 TEST(EisaBus, BurstTimingMatchesBandwidth)

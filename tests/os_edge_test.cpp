@@ -3,11 +3,14 @@
  * Edge cases in the kernel's mapping machinery: double-mapping
  * refusal (one outgoing mapping per page half, the hardware limit of
  * Section 3.2), RPC queueing on the kernel channel when several map
- * operations are in flight to the same peer, and unmap of mappings
- * that do not exist.
+ * operations are in flight to the same peer, unmap of mappings that
+ * do not exist, and boot of a mesh too large for the DRAM frame
+ * budget.
  */
 
 #include <gtest/gtest.h>
+
+#include <string>
 
 #include "os/map_manager.hh"
 #include "test_util.hh"
@@ -251,6 +254,56 @@ TEST(OsEdge, ReapedProcessMappingsAreTornDown)
     Translation t = b->space().translate(dst, false);
     EXPECT_FALSE(sys.node(1).ni.nipt().mappedIn(pageOf(t.paddr)));
     EXPECT_FALSE(sys.kernel(1).frames().isPinned(pageOf(t.paddr)));
+}
+
+TEST(OsEdge, BootOutOfFramesNamesTheFix)
+{
+    // Every kernel pins 2 channel + 2*slotPages + 2 NX frames per
+    // peer: 143 peers need 1144 of the default 4 MB's 1024 frames.
+    SystemConfig cfg;
+    cfg.meshWidth = 12;
+    cfg.meshHeight = 12;
+    try {
+        ShrimpSystem sys(cfg);
+        FAIL() << "a 12x12 boot at 4 MB per node should run out of frames";
+    } catch (const std::logic_error &e) {
+        std::string msg = e.what();
+        EXPECT_NE(msg.find("memBytesPerNode"), std::string::npos) << msg;
+        EXPECT_NE(msg.find("1024 frames"), std::string::npos) << msg;
+    }
+}
+
+TEST(OsEdge, LargeMeshBootsWithMoreDram)
+{
+    // Doubling simulated DRAM fits the frame budget; the sparse DRAM
+    // store keeps the host cost to the pages actually written.
+    SystemConfig cfg;
+    cfg.meshWidth = 12;
+    cfg.meshHeight = 12;
+    cfg.memBytesPerNode = 8 * 1024 * 1024;
+    ShrimpSystem sys(cfg);
+    NodeId far = sys.numNodes() - 1;
+    Process *a = sys.kernel(0).createProcess("a");
+    Process *b = sys.kernel(far).createProcess("b");
+    Addr src = a->allocate(1);
+    Addr dst = b->allocate(1);
+    ASSERT_EQ(sys.kernel(0).mapDirect(*a, src, 1, sys.kernel(far), *b,
+                                      dst, UpdateMode::AUTO_SINGLE),
+              err::OK);
+
+    Program pa("a");
+    pa.movi(R1, src);
+    pa.sti(R1, 0x10, 0xfeedf00d, 4);
+    pa.halt();
+    loadProgram(sys.kernel(0), *a, std::move(pa));
+    Program pb("b");
+    pb.halt();
+    loadProgram(sys.kernel(far), *b, std::move(pb));
+
+    sys.startAll();
+    ASSERT_TRUE(sys.runUntilAllExited());
+    sys.runFor(200 * ONE_US);
+    EXPECT_EQ(peek32(sys, far, *b, dst + 0x10), 0xfeedf00du);
 }
 
 } // namespace
