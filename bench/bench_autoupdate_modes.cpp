@@ -8,19 +8,18 @@
  * the 18-byte header+CRC overhead).
  *
  * A stream of consecutive word stores is pushed through each mode;
- * counters report packets on the wire, wire efficiency (payload bytes
+ * the rows report packets on the wire, wire efficiency (payload bytes
  * over total wire bytes), and the effective payload bandwidth. The
  * merge-window sweep shows blocked-write degrading back to
  * single-write behaviour as the window shrinks below the store
  * spacing.
  */
 
-#include <benchmark/benchmark.h>
-
 #include "bench_util.hh"
+#include "experiments.hh"
 
-using namespace shrimp;
-
+namespace shrimp
+{
 namespace
 {
 
@@ -94,55 +93,39 @@ runStoreStream(UpdateMode mode, unsigned stores, Tick merge_timeout)
     return r;
 }
 
-void
-BM_AutoUpdate_SingleWrite(benchmark::State &state)
-{
-    ModeResult r;
-    auto stores = static_cast<unsigned>(state.range(0));
-    for (auto _ : state)
-        r = runStoreStream(UpdateMode::AUTO_SINGLE, stores, ONE_US);
-    state.counters["packets"] = r.packets;
-    state.counters["wire_efficiency"] = r.wireEfficiency;
-    state.counters["payload_MBps"] = r.payloadMBps;
-    state.SetLabel("one packet per store; low latency, heavy header "
-                   "overhead");
-}
-BENCHMARK(BM_AutoUpdate_SingleWrite)->Arg(256)->Arg(1024)->Iterations(1);
-
-void
-BM_AutoUpdate_BlockedWrite(benchmark::State &state)
-{
-    ModeResult r;
-    auto stores = static_cast<unsigned>(state.range(0));
-    for (auto _ : state)
-        r = runStoreStream(UpdateMode::AUTO_BLOCK, stores, ONE_US);
-    state.counters["packets"] = r.packets;
-    state.counters["wire_efficiency"] = r.wireEfficiency;
-    state.counters["payload_MBps"] = r.payloadMBps;
-    state.counters["merged_writes"] = r.mergedWrites;
-    state.SetLabel("consecutive stores merge; efficient bandwidth use");
-}
-BENCHMARK(BM_AutoUpdate_BlockedWrite)->Arg(256)->Arg(1024)->Iterations(1);
-
-void
-BM_AutoUpdate_MergeWindowSweep(benchmark::State &state)
-{
-    ModeResult r;
-    Tick window = static_cast<Tick>(state.range(0)) * ONE_NS;
-    for (auto _ : state)
-        r = runStoreStream(UpdateMode::AUTO_BLOCK, 512, window);
-    state.counters["packets"] = r.packets;
-    state.counters["wire_efficiency"] = r.wireEfficiency;
-    state.SetLabel("blocked-write with a programmable merge window");
-}
-// Store spacing is ~60-100 ns; windows below that stop merging.
-BENCHMARK(BM_AutoUpdate_MergeWindowSweep)
-    ->Arg(25)
-    ->Arg(100)
-    ->Arg(400)
-    ->Arg(1600)
-    ->Iterations(1);
-
 } // namespace
 
-SHRIMP_BENCH_MAIN("autoupdate_modes");
+void
+experiments::autoupdateModes(claims::Rows &rows)
+{
+    for (unsigned stores : {256u, 1024u}) {
+        ModeResult r =
+            runStoreStream(UpdateMode::AUTO_SINGLE, stores, ONE_US);
+        // One packet per store: low latency, heavy header overhead.
+        rows.push_back({"AutoUpdate_SingleWrite/" + std::to_string(stores),
+                        {{"packets", r.packets},
+                         {"wire_efficiency", r.wireEfficiency},
+                         {"payload_MBps", r.payloadMBps}}});
+    }
+    for (unsigned stores : {256u, 1024u}) {
+        ModeResult r =
+            runStoreStream(UpdateMode::AUTO_BLOCK, stores, ONE_US);
+        // Consecutive stores merge: efficient bandwidth use.
+        rows.push_back({"AutoUpdate_BlockedWrite/" + std::to_string(stores),
+                        {{"packets", r.packets},
+                         {"wire_efficiency", r.wireEfficiency},
+                         {"payload_MBps", r.payloadMBps},
+                         {"merged_writes", r.mergedWrites}}});
+    }
+    // Store spacing is ~60-100 ns; windows below that stop merging.
+    for (Tick ns : {25, 100, 400, 1600}) {
+        ModeResult r =
+            runStoreStream(UpdateMode::AUTO_BLOCK, 512, ns * ONE_NS);
+        rows.push_back(
+            {"AutoUpdate_MergeWindowSweep/" + std::to_string(ns),
+             {{"packets", r.packets},
+              {"wire_efficiency", r.wireEfficiency}}});
+    }
+}
+
+} // namespace shrimp

@@ -12,57 +12,34 @@
  * pay fixed per-transfer costs (command issue, DMA startup, EISA
  * arbitration), large ones approach the bus limit.
  *
- * Counter: sim_MBps is payload megabytes per simulated second from
+ * Metric: sim_MBps is payload megabytes per simulated second from
  * first packet injection to last byte in destination memory.
  */
 
-#include <benchmark/benchmark.h>
-
 #include "bench_util.hh"
+#include "experiments.hh"
 
-using namespace shrimp;
-
-namespace
+namespace shrimp
 {
 
 void
-BM_DeliberateBandwidth_EisaPrototype(benchmark::State &state)
+experiments::bandwidth(claims::Rows &rows)
 {
-    bench_util::BandwidthResult r;
-    Addr bytes = static_cast<Addr>(state.range(0)) * 1024;
-    for (auto _ : state)
-        r = bench_util::measureDeliberateBandwidth(false, bytes);
-    state.counters["sim_MBps"] = r.mbps;
-    state.counters["payload_bytes"] = static_cast<double>(r.bytes);
-    state.counters["packets"] = static_cast<double>(r.packets);
-    state.SetLabel("paper H3: 33 MB/s (EISA burst limit)");
+    for (bool next_gen : {false, true}) {
+        for (Addr kb : {4, 16, 64, 256}) {
+            bench_util::BandwidthResult r =
+                bench_util::measureDeliberateBandwidth(next_gen,
+                                                       kb * 1024);
+            rows.push_back(
+                {std::string(next_gen
+                                 ? "DeliberateBandwidth_NextGen/"
+                                 : "DeliberateBandwidth_EisaPrototype/") +
+                     std::to_string(kb),
+                 {{"sim_MBps", r.mbps},
+                  {"payload_bytes", static_cast<double>(r.bytes)},
+                  {"packets", static_cast<double>(r.packets)}}});
+        }
+    }
 }
-BENCHMARK(BM_DeliberateBandwidth_EisaPrototype)
-    ->Arg(4)
-    ->Arg(16)
-    ->Arg(64)
-    ->Arg(256)
-    ->Iterations(1);
 
-void
-BM_DeliberateBandwidth_NextGen(benchmark::State &state)
-{
-    bench_util::BandwidthResult r;
-    Addr bytes = static_cast<Addr>(state.range(0)) * 1024;
-    for (auto _ : state)
-        r = bench_util::measureDeliberateBandwidth(true, bytes);
-    state.counters["sim_MBps"] = r.mbps;
-    state.counters["payload_bytes"] = static_cast<double>(r.bytes);
-    state.counters["packets"] = static_cast<double>(r.packets);
-    state.SetLabel("paper H4: about 70 MB/s");
-}
-BENCHMARK(BM_DeliberateBandwidth_NextGen)
-    ->Arg(4)
-    ->Arg(16)
-    ->Arg(64)
-    ->Arg(256)
-    ->Iterations(1);
-
-} // namespace
-
-SHRIMP_BENCH_MAIN("bandwidth");
+} // namespace shrimp

@@ -11,17 +11,16 @@
  * pushing full-page transfers through a small outgoing FIFO (so the
  * engine stays busy for the whole EISA-limited drain). The naive
  * claim loop hammers locked CMPXCHG cycles; the backoff loop reads
- * the remaining-words status and spins unlocked. Counters report
+ * the remaining-words status and spins unlocked. The rows report
  * locked bus operations (each an exclusive bus tenure stealing
  * bandwidth from the DMA itself) and completion time.
  */
 
-#include <benchmark/benchmark.h>
-
 #include "bench_util.hh"
+#include "experiments.hh"
 
-using namespace shrimp;
-
+namespace shrimp
+{
 namespace
 {
 
@@ -99,37 +98,26 @@ runContention(bool with_backoff, int pages_each)
     return r;
 }
 
-void
-BM_DmaClaim_NaiveSpin(benchmark::State &state)
-{
-    ContentionResult r;
-    auto pages = static_cast<int>(state.range(0));
-    for (auto _ : state)
-        r = runContention(false, pages);
-    state.counters["locked_bus_ops"] = r.lockedOps;
-    state.counters["sim_us_total"] = r.totalUs;
-    state.counters["transfers"] = r.transfers;
-    state.SetLabel("locked CMPXCHG hammering while the engine drains");
-}
-BENCHMARK(BM_DmaClaim_NaiveSpin)->Arg(2)->Arg(4)->Iterations(1);
-
-void
-BM_DmaClaim_ProportionalBackoff(benchmark::State &state)
-{
-    ContentionResult r;
-    auto pages = static_cast<int>(state.range(0));
-    for (auto _ : state)
-        r = runContention(true, pages);
-    state.counters["locked_bus_ops"] = r.lockedOps;
-    state.counters["sim_us_total"] = r.totalUs;
-    state.counters["transfers"] = r.transfers;
-    state.SetLabel("retry delay proportional to words remaining");
-}
-BENCHMARK(BM_DmaClaim_ProportionalBackoff)
-    ->Arg(2)
-    ->Arg(4)
-    ->Iterations(1);
-
 } // namespace
 
-SHRIMP_BENCH_MAIN("dma_backoff");
+void
+experiments::dmaBackoff(claims::Rows &rows)
+{
+    // Naive: locked CMPXCHG hammering while the engine drains.
+    // Backoff: retry delay proportional to the words remaining.
+    for (bool with_backoff : {false, true}) {
+        for (int pages : {2, 4}) {
+            ContentionResult r = runContention(with_backoff, pages);
+            rows.push_back(
+                {std::string(with_backoff
+                                 ? "DmaClaim_ProportionalBackoff/"
+                                 : "DmaClaim_NaiveSpin/") +
+                     std::to_string(pages),
+                 {{"locked_bus_ops", r.lockedOps},
+                  {"sim_us_total", r.totalUs},
+                  {"transfers", r.transfers}}});
+        }
+    }
+}
+
+} // namespace shrimp

@@ -11,25 +11,24 @@
  *    every hop a recall (owner writeback through the home) plus a
  *    fresh exclusive grant -- the protocol's worst case.
  *
- * Counters per run: pages_per_s (page movements completed per
+ * Metrics per run: pages_per_s (page movements completed per
  * simulated second), fault p50/p99 latency in simulated microseconds
- * (from the kernels' dsmFaultLatency histograms), and the raw
- * fault/fetch/invalidation totals. `shrimp_validate dsm
- * BENCH_dsm.json` gates on the latency distribution being sane and
- * on forward progress.
+ * (from the kernels' dsmFaultLatency histograms), the raw
+ * fault/fetch/invalidation totals, and all_ok, the in-run protocol
+ * checks. Claims D1 (bench/shrimp_claims.cc) gate the latency
+ * distribution being sane, forward progress and all_ok.
  */
 
 #include <algorithm>
 #include <functional>
 
-#include <benchmark/benchmark.h>
-
 #include "bench_util.hh"
+#include "experiments.hh"
 #include "os/dsm.hh"
 #include "sim/logging.hh"
 
-using namespace shrimp;
-
+namespace shrimp
+{
 namespace
 {
 
@@ -251,50 +250,38 @@ runMigratory(unsigned hops)
     return r;
 }
 
-void
-BM_Stencil(benchmark::State &state)
+claims::Row
+dsmRow(std::string name, const char *arg_name, unsigned arg,
+       const DsmResult &r)
 {
-    DsmResult r;
-    auto rounds = static_cast<unsigned>(state.range(0));
-    for (auto _ : state)
-        r = runStencil(rounds);
-    state.counters["rounds"] = rounds;
-    state.counters["pages_per_s"] = r.pagesPerSec;
-    state.counters["fault_p50_us"] = r.faultP50Us;
-    state.counters["fault_p99_us"] = r.faultP99Us;
-    state.counters["faults"] = r.faults;
-    state.counters["fetches"] = r.fetches;
-    state.counters["invalidations"] = r.invalidations;
-    state.counters["all_ok"] = r.allOk;
-    state.SetLabel("4-node halo-exchange sweep over a 16-page window; "
-                   "read sharing with boundary invalidations");
+    return {std::move(name),
+            {{arg_name, static_cast<double>(arg)},
+             {"pages_per_s", r.pagesPerSec},
+             {"fault_p50_us", r.faultP50Us},
+             {"fault_p99_us", r.faultP99Us},
+             {"faults", r.faults},
+             {"fetches", r.fetches},
+             {"invalidations", r.invalidations},
+             {"all_ok", r.allOk}}};
 }
-BENCHMARK(BM_Stencil)->Name("Stencil")->Arg(4)->Arg(16)->Iterations(1);
-
-void
-BM_Migratory(benchmark::State &state)
-{
-    DsmResult r;
-    auto hops = static_cast<unsigned>(state.range(0));
-    for (auto _ : state)
-        r = runMigratory(hops);
-    state.counters["hops"] = hops;
-    state.counters["pages_per_s"] = r.pagesPerSec;
-    state.counters["fault_p50_us"] = r.faultP50Us;
-    state.counters["fault_p99_us"] = r.faultP99Us;
-    state.counters["faults"] = r.faults;
-    state.counters["fetches"] = r.fetches;
-    state.counters["invalidations"] = r.invalidations;
-    state.counters["all_ok"] = r.allOk;
-    state.SetLabel("one hot counter page write-migrating around the "
-                   "ring; every hop recalls the previous owner");
-}
-BENCHMARK(BM_Migratory)
-    ->Name("Migratory")
-    ->Arg(16)
-    ->Arg(64)
-    ->Iterations(1);
 
 } // namespace
 
-SHRIMP_BENCH_MAIN("dsm");
+void
+experiments::dsm(claims::Rows &rows)
+{
+    // 4-node halo-exchange sweep over a 16-page window: read sharing
+    // with boundary invalidations.
+    for (unsigned rounds : {4u, 16u}) {
+        rows.push_back(dsmRow("Stencil/" + std::to_string(rounds),
+                              "rounds", rounds, runStencil(rounds)));
+    }
+    // One hot counter page write-migrating around the ring; every hop
+    // recalls the previous owner.
+    for (unsigned hops : {16u, 64u}) {
+        rows.push_back(dsmRow("Migratory/" + std::to_string(hops), "hops",
+                              hops, runMigratory(hops)));
+    }
+}
+
+} // namespace shrimp

@@ -14,12 +14,11 @@
  * in earlier or later in the chain.
  */
 
-#include <benchmark/benchmark.h>
-
 #include "bench_util.hh"
+#include "experiments.hh"
 
-using namespace shrimp;
-
+namespace shrimp
+{
 namespace
 {
 
@@ -97,46 +96,34 @@ runOverload(Addr out_high, Addr in_high, unsigned stores)
 }
 
 void
-BM_FlowControl_OutFifoThresholdSweep(benchmark::State &state)
+addRow(claims::Rows &rows, std::string name, const FlowResult &r)
 {
-    FlowResult r;
-    Addr high = static_cast<Addr>(state.range(0));
-    for (auto _ : state)
-        r = runOverload(high, 12 * 1024, 2000);
-    state.counters["cpu_stalls"] = r.stalls;
-    state.counters["stall_us"] = r.stallUs;
-    state.counters["delivered_MBps"] = r.deliveredMBps;
-    state.counters["all_delivered"] = r.allDelivered;
-    state.SetLabel("outgoing FIFO threshold: CPU interrupted and "
-                   "waits until it drains");
+    rows.push_back({std::move(name),
+                    {{"cpu_stalls", r.stalls},
+                     {"stall_us", r.stallUs},
+                     {"delivered_MBps", r.deliveredMBps},
+                     {"all_delivered", r.allDelivered}}});
 }
-BENCHMARK(BM_FlowControl_OutFifoThresholdSweep)
-    ->Arg(1 * 1024)
-    ->Arg(2 * 1024)
-    ->Arg(4 * 1024)
-    ->Arg(8 * 1024)
-    ->Iterations(1);
-
-void
-BM_FlowControl_InFifoThresholdSweep(benchmark::State &state)
-{
-    FlowResult r;
-    Addr high = static_cast<Addr>(state.range(0));
-    for (auto _ : state)
-        r = runOverload(4 * 1024, high, 2000);
-    state.counters["cpu_stalls"] = r.stalls;
-    state.counters["stall_us"] = r.stallUs;
-    state.counters["delivered_MBps"] = r.deliveredMBps;
-    state.counters["all_delivered"] = r.allDelivered;
-    state.SetLabel("incoming FIFO stop threshold: NIC refuses "
-                   "packets, mesh backpressure to the sender");
-}
-BENCHMARK(BM_FlowControl_InFifoThresholdSweep)
-    ->Arg(1 * 1024)
-    ->Arg(4 * 1024)
-    ->Arg(12 * 1024)
-    ->Iterations(1);
 
 } // namespace
 
-SHRIMP_BENCH_MAIN("flowcontrol");
+void
+experiments::flowcontrol(claims::Rows &rows)
+{
+    // Outgoing FIFO threshold: the CPU is interrupted and waits until
+    // the FIFO drains.
+    for (Addr high : {1024, 2048, 4096, 8192}) {
+        addRow(rows,
+               "FlowControl_OutFifoThresholdSweep/" + std::to_string(high),
+               runOverload(high, 12 * 1024, 2000));
+    }
+    // Incoming FIFO stop threshold: the NIC refuses packets and the
+    // mesh backpressures the sender.
+    for (Addr high : {1024, 4096, 12288}) {
+        addRow(rows,
+               "FlowControl_InFifoThresholdSweep/" + std::to_string(high),
+               runOverload(4 * 1024, high, 2000));
+    }
+}
+
+} // namespace shrimp

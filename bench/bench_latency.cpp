@@ -10,47 +10,31 @@
  * small relative to the I/O-bus cost -- the reason the paper can
  * quote one latency number for a 16-node machine.
  *
- * Counter: sim_latency_us is the simulated store-to-remote-memory
+ * Metric: sim_latency_us is the simulated store-to-remote-memory
  * time of a single 4-byte automatic update.
  */
 
-#include <benchmark/benchmark.h>
-
 #include "bench_util.hh"
+#include "experiments.hh"
 
-using namespace shrimp;
-
-namespace
+namespace shrimp
 {
 
 void
-BM_SingleWriteLatency_EisaPrototype(benchmark::State &state)
+experiments::latency(claims::Rows &rows)
 {
-    double us = 0;
-    auto hops = static_cast<unsigned>(state.range(0));
-    for (auto _ : state)
-        us = bench_util::measureSingleWriteLatencyUs(false, hops);
-    state.counters["sim_latency_us"] = us;
-    state.SetLabel("paper H1: slightly less than 2 us");
+    for (bool next_gen : {false, true}) {
+        for (unsigned hops = 1; hops <= 6; ++hops) {
+            rows.push_back(
+                {std::string(next_gen
+                                 ? "SingleWriteLatency_NextGen/"
+                                 : "SingleWriteLatency_EisaPrototype/") +
+                     std::to_string(hops),
+                 {{"sim_latency_us",
+                   bench_util::measureSingleWriteLatencyUs(next_gen,
+                                                           hops)}}});
+        }
+    }
 }
-BENCHMARK(BM_SingleWriteLatency_EisaPrototype)
-    ->DenseRange(1, 6, 1)
-    ->Iterations(1);
 
-void
-BM_SingleWriteLatency_NextGen(benchmark::State &state)
-{
-    double us = 0;
-    auto hops = static_cast<unsigned>(state.range(0));
-    for (auto _ : state)
-        us = bench_util::measureSingleWriteLatencyUs(true, hops);
-    state.counters["sim_latency_us"] = us;
-    state.SetLabel("paper H2: less than 1 us");
-}
-BENCHMARK(BM_SingleWriteLatency_NextGen)
-    ->DenseRange(1, 6, 1)
-    ->Iterations(1);
-
-} // namespace
-
-SHRIMP_BENCH_MAIN("latency");
+} // namespace shrimp

@@ -6,7 +6,7 @@
  * The paper's core argument is asymmetry: communication (the common
  * case) costs a few user instructions, while mapping (the rare case)
  * pays kernel protection checks and a kernel-to-kernel round trip per
- * page. These benchmarks quantify the rare path:
+ * page. These experiments quantify the rare path:
  *
  *  - map() syscall latency versus page count (one in-band RPC per
  *    page over the kernel channel);
@@ -15,13 +15,12 @@
  *  - fault-driven remap latency (store to an invalidated mapping).
  */
 
-#include <benchmark/benchmark.h>
-
 #include "bench_util.hh"
+#include "experiments.hh"
 #include "os/map_manager.hh"
 
-using namespace shrimp;
-
+namespace shrimp
+{
 namespace
 {
 
@@ -53,11 +52,9 @@ measureMapSyscallUs(unsigned npages)
          static_cast<std::uint32_t>(UpdateMode::AUTO_SINGLE));
     poke(args + 24, 0);
 
-    // Timestamp the syscall with two GETPID sentinels... simpler: the
-    // program stores nothing else, so the whole run minus a baseline
-    // approximates the map; instead, bracket with arrival counts via
-    // host events. Simplest robust measure: run time to process exit
-    // minus the same program with the map replaced by GETPID.
+    // The map's cost is the time to process exit minus that of the
+    // same program with the MAP replaced by GETPID, run in a fresh
+    // system below.
     auto run_with = [&](bool with_map) {
         Program p("a");
         p.movi(R1, args);
@@ -101,24 +98,6 @@ measureMapSyscallUs(unsigned npages)
 
     return with_map_us - base_us;
 }
-
-void
-BM_MapSyscallLatency(benchmark::State &state)
-{
-    double us = 0;
-    auto npages = static_cast<unsigned>(state.range(0));
-    for (auto _ : state)
-        us = measureMapSyscallUs(npages);
-    state.counters["sim_us"] = us;
-    state.counters["us_per_page"] = us / npages;
-    state.SetLabel("protection checked once here; sends cost a few "
-                   "instructions forever after");
-}
-BENCHMARK(BM_MapSyscallLatency)
-    ->Arg(1)
-    ->Arg(4)
-    ->Arg(16)
-    ->Iterations(1);
 
 /** Shootdown latency versus number of mapping source nodes. */
 double
@@ -164,24 +143,6 @@ measureShootdownUs(unsigned sources)
                        : -1.0;
 }
 
-void
-BM_EvictionShootdown(benchmark::State &state)
-{
-    double us = 0;
-    auto sources = static_cast<unsigned>(state.range(0));
-    for (auto _ : state)
-        us = measureShootdownUs(sources);
-    state.counters["sim_us"] = us;
-    state.SetLabel("INVALIDATE policy: remote NIPT entries shot down "
-                   "before paging (Section 4.4)");
-}
-BENCHMARK(BM_EvictionShootdown)
-    ->Arg(1)
-    ->Arg(2)
-    ->Arg(4)
-    ->Arg(7)
-    ->Iterations(1);
-
 /** Fault -> REMAP -> retried store latency. */
 double
 measureRemapUs()
@@ -224,8 +185,6 @@ measureRemapUs()
     pb.halt();
     bench_util::load(sys.kernel(1), *b, std::move(pb));
 
-    Tick fault_at = 0;
-    (void)fault_at;
     sys.startAll();
     sys.runUntilAllExited();
     sys.runFor(20 * ONE_MS);
@@ -237,18 +196,28 @@ measureRemapUs()
                : -1.0;
 }
 
-void
-BM_FaultDrivenRemap(benchmark::State &state)
-{
-    double us = 0;
-    for (auto _ : state)
-        us = measureRemapUs();
-    state.counters["sim_us_after_fault"] = us;
-    state.SetLabel("write fault -> kernel re-establishes the "
-                   "invalidated mapping -> store retried");
-}
-BENCHMARK(BM_FaultDrivenRemap)->Iterations(1);
-
 } // namespace
 
-SHRIMP_BENCH_MAIN("mapping");
+void
+experiments::mapping(claims::Rows &rows)
+{
+    // Protection is checked once here; sends cost a few instructions
+    // forever after.
+    for (unsigned npages : {1u, 4u, 16u}) {
+        double us = measureMapSyscallUs(npages);
+        rows.push_back({"MapSyscallLatency/" + std::to_string(npages),
+                        {{"sim_us", us}, {"us_per_page", us / npages}}});
+    }
+    // INVALIDATE policy: remote NIPT entries are shot down before
+    // paging (Section 4.4).
+    for (unsigned sources : {1u, 2u, 4u, 7u}) {
+        rows.push_back({"EvictionShootdown/" + std::to_string(sources),
+                        {{"sim_us", measureShootdownUs(sources)}}});
+    }
+    // Write fault -> the kernel re-establishes the invalidated mapping
+    // -> the store is retried.
+    rows.push_back(
+        {"FaultDrivenRemap", {{"sim_us_after_fault", measureRemapUs()}}});
+}
+
+} // namespace shrimp

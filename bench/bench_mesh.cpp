@@ -11,18 +11,15 @@
  *  - mesh size scaling.
  */
 
-#include <benchmark/benchmark.h>
-
-#include "bench_util.hh"
-
 #include <memory>
 #include <vector>
 
+#include "experiments.hh"
 #include "net/backplane.hh"
 #include "sim/random.hh"
 
-using namespace shrimp;
-
+namespace shrimp
+{
 namespace
 {
 
@@ -133,10 +130,10 @@ runUniformTraffic(unsigned w, unsigned h, Tick inject_interval,
     return r;
 }
 
-void
-BM_Mesh_ZeroLoadLatencyByHops(benchmark::State &state)
+/** Cut-through latency of one packet @p hops east on an idle row. */
+double
+zeroLoadLatencyUs(unsigned hops)
 {
-    auto hops = static_cast<unsigned>(state.range(0));
     EventQueue eq;
     Router::Params params;
     MeshBackplane mesh(eq, "mesh", 8, 1, params);
@@ -154,67 +151,48 @@ BM_Mesh_ZeroLoadLatencyByHops(benchmark::State &state)
         mesh.router(i).setSink(&sinks[i]);
     }
 
-    double us = 0;
-    for (auto _ : state) {
-        NetPacket pkt;
-        pkt.srcNode = 0;
-        pkt.dstNode = hops;
-        pkt.dstX = static_cast<std::uint16_t>(hops);
-        pkt.dstY = 0;
-        pkt.dstPaddr = 0x1000;
-        pkt.payload.assign(8, 1);
-        pkt.sealCrc();
-        Tick t0 = eq.curTick();
-        pkt.injectedAt = t0;
-        mesh.router(0).inject(std::move(pkt));
-        eq.run();
-        us = static_cast<double>(sinks[hops].at - t0) / ONE_US;
-    }
-    state.counters["sim_latency_us"] = us;
-    state.SetLabel("cut-through: ~50 ns per hop + one serialization");
+    NetPacket pkt;
+    pkt.srcNode = 0;
+    pkt.dstNode = hops;
+    pkt.dstX = static_cast<std::uint16_t>(hops);
+    pkt.dstY = 0;
+    pkt.dstPaddr = 0x1000;
+    pkt.payload.assign(8, 1);
+    pkt.sealCrc();
+    Tick t0 = eq.curTick();
+    pkt.injectedAt = t0;
+    mesh.router(0).inject(std::move(pkt));
+    eq.run();
+    return static_cast<double>(sinks[hops].at - t0) / ONE_US;
 }
-BENCHMARK(BM_Mesh_ZeroLoadLatencyByHops)
-    ->DenseRange(1, 7, 1)
-    ->Iterations(1);
-
-void
-BM_Mesh_UniformLoadSweep(benchmark::State &state)
-{
-    TrafficResult r;
-    Tick interval = static_cast<Tick>(state.range(0)) * ONE_NS;
-    for (auto _ : state)
-        r = runUniformTraffic(4, 4, interval, 100, 128);
-    state.counters["mean_latency_us"] = r.meanLatencyUs;
-    state.counters["delivered_MBps"] = r.deliveredMBps;
-    state.counters["delivered"] = r.delivered;
-    state.SetLabel("offered load sweep toward saturation");
-}
-// 128B+18B at 80 MB/s is ~1.8 us per packet per link.
-BENCHMARK(BM_Mesh_UniformLoadSweep)
-    ->Arg(40000)
-    ->Arg(10000)
-    ->Arg(4000)
-    ->Arg(2000)
-    ->Arg(1000)
-    ->Iterations(1);
-
-void
-BM_Mesh_SizeScaling(benchmark::State &state)
-{
-    TrafficResult r;
-    auto side = static_cast<unsigned>(state.range(0));
-    for (auto _ : state)
-        r = runUniformTraffic(side, side, 5 * ONE_US, 100, 128);
-    state.counters["mean_latency_us"] = r.meanLatencyUs;
-    state.counters["delivered_MBps"] = r.deliveredMBps;
-    state.SetLabel("same offered load per node, growing machine");
-}
-BENCHMARK(BM_Mesh_SizeScaling)
-    ->Arg(2)
-    ->Arg(4)
-    ->Arg(8)
-    ->Iterations(1);
 
 } // namespace
 
-SHRIMP_BENCH_MAIN("mesh");
+void
+experiments::mesh(claims::Rows &rows)
+{
+    // Cut-through: ~50 ns per hop plus one serialization.
+    for (unsigned hops = 1; hops <= 7; ++hops) {
+        rows.push_back({"Mesh_ZeroLoadLatencyByHops/" + std::to_string(hops),
+                        {{"sim_latency_us", zeroLoadLatencyUs(hops)}}});
+    }
+    // Offered load sweep toward saturation. 128B+18B at 80 MB/s is
+    // ~1.8 us per packet per link.
+    for (Tick ns : {40000, 10000, 4000, 2000, 1000}) {
+        TrafficResult r = runUniformTraffic(4, 4, ns * ONE_NS, 100, 128);
+        rows.push_back({"Mesh_UniformLoadSweep/" + std::to_string(ns),
+                        {{"mean_latency_us", r.meanLatencyUs},
+                         {"delivered_MBps", r.deliveredMBps},
+                         {"delivered", r.delivered}}});
+    }
+    // The same offered load per node on a growing machine.
+    for (unsigned side : {2u, 4u, 8u}) {
+        TrafficResult r =
+            runUniformTraffic(side, side, 5 * ONE_US, 100, 128);
+        rows.push_back({"Mesh_SizeScaling/" + std::to_string(side),
+                        {{"mean_latency_us", r.meanLatencyUs},
+                         {"delivered_MBps", r.deliveredMBps}}});
+    }
+}
+
+} // namespace shrimp

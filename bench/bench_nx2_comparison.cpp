@@ -7,72 +7,50 @@
  * DMA interrupts; 222/261-instruction kernel fast paths).
  *
  * The paper reports the SHRIMP user-level implementation at roughly
- * 1/4 of the kernel implementation's overhead; the `ratio` counter
- * reproduces that comparison on identical simulated hardware.
+ * 1/4 of the kernel implementation's overhead; the `ratio` metric
+ * reproduces that comparison on identical simulated hardware (claim
+ * C1 in bench/shrimp_claims.cc).
  */
 
-#include <benchmark/benchmark.h>
-
-#include "bench_util.hh"
-
 #include "core/table1.hh"
+#include "experiments.hh"
 
-using namespace shrimp;
-
-namespace
+namespace shrimp
 {
 
 void
-BM_UserLevelNx2(benchmark::State &state)
+experiments::nx2Comparison(claims::Rows &rows)
 {
-    table1::PrimitiveCost cost;
-    auto words = static_cast<unsigned>(state.range(0));
-    for (auto _ : state)
-        cost = table1::runUserNx2(4, words);
-    state.counters["send_instr"] = cost.sendPerMsg;
-    state.counters["recv_instr"] = cost.recvPerMsg;
-    state.counters["total_instr"] = cost.sendPerMsg + cost.recvPerMsg;
-    state.counters["data_ok"] = cost.dataOk ? 1 : 0;
-    state.SetLabel("user-level, overheads exclude per-byte copy");
-}
-BENCHMARK(BM_UserLevelNx2)->Arg(16)->Arg(64)->Iterations(1);
-
-void
-BM_KernelNx2Baseline(benchmark::State &state)
-{
-    table1::PrimitiveCost cost;
-    auto words = static_cast<unsigned>(state.range(0));
-    for (auto _ : state)
-        cost = table1::runKernelNx2(4, words);
-    state.counters["kernel_send_instr"] =
-        static_cast<double>(cost.kernelSendPerMsg);
-    state.counters["kernel_recv_instr"] =
-        static_cast<double>(cost.kernelRecvPerMsg);
-    state.counters["data_ok"] = cost.dataOk ? 1 : 0;
-    state.SetLabel("kernel-level baseline: 222/261 fast paths + "
-                   "syscall + copies + DMA interrupts");
-}
-BENCHMARK(BM_KernelNx2Baseline)->Arg(16)->Arg(64)->Iterations(1);
-
-void
-BM_OverheadRatio(benchmark::State &state)
-{
-    double ratio = 0, user_total = 0, kernel_total = 0;
-    for (auto _ : state) {
-        table1::PrimitiveCost user = table1::runUserNx2();
-        table1::PrimitiveCost kernel = table1::runKernelNx2();
-        user_total = user.sendPerMsg + user.recvPerMsg;
-        kernel_total = static_cast<double>(kernel.kernelSendPerMsg +
-                                           kernel.kernelRecvPerMsg);
-        ratio = kernel_total / user_total;
+    // User level; overheads exclude the per-byte copy.
+    for (unsigned words : {16u, 64u}) {
+        table1::PrimitiveCost cost = table1::runUserNx2(4, words);
+        rows.push_back({"UserLevelNx2/" + std::to_string(words),
+                        {{"send_instr", cost.sendPerMsg},
+                         {"recv_instr", cost.recvPerMsg},
+                         {"total_instr", cost.sendPerMsg + cost.recvPerMsg},
+                         {"data_ok", cost.dataOk ? 1.0 : 0.0}}});
     }
-    state.counters["user_instr"] = user_total;
-    state.counters["kernel_instr"] = kernel_total;
-    state.counters["ratio"] = ratio;
-    state.SetLabel("paper: SHRIMP ~1/4 of the kernel NX/2 overhead");
+    // Kernel-level baseline: 222/261 fast paths + syscall + copies +
+    // DMA interrupts.
+    for (unsigned words : {16u, 64u}) {
+        table1::PrimitiveCost cost = table1::runKernelNx2(4, words);
+        rows.push_back(
+            {"KernelNx2Baseline/" + std::to_string(words),
+             {{"kernel_send_instr",
+               static_cast<double>(cost.kernelSendPerMsg)},
+              {"kernel_recv_instr",
+               static_cast<double>(cost.kernelRecvPerMsg)},
+              {"data_ok", cost.dataOk ? 1.0 : 0.0}}});
+    }
+    table1::PrimitiveCost user = table1::runUserNx2();
+    table1::PrimitiveCost kernel = table1::runKernelNx2();
+    double user_total = user.sendPerMsg + user.recvPerMsg;
+    auto kernel_total = static_cast<double>(kernel.kernelSendPerMsg +
+                                            kernel.kernelRecvPerMsg);
+    rows.push_back({"OverheadRatio",
+                    {{"user_instr", user_total},
+                     {"kernel_instr", kernel_total},
+                     {"ratio", kernel_total / user_total}}});
 }
-BENCHMARK(BM_OverheadRatio)->Iterations(1);
 
-} // namespace
-
-SHRIMP_BENCH_MAIN("nx2_comparison");
+} // namespace shrimp

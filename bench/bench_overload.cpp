@@ -8,18 +8,17 @@
  * The Incast sweep drives 15 senders at one receiver from 25% to 200%
  * of the nominal saturation load. The interesting property is the
  * shape of the goodput curve: it must rise to capacity and then stay
- * flat, not collapse as retransmissions amplify the overload.
- * `shrimp_validate overload BENCH_overload.json` gates on the
- * highest-load point retaining >= 80% of the sweep's peak goodput.
+ * flat, not collapse as retransmissions amplify the overload. Claim
+ * O1 (bench/shrimp_claims.cc) holds the highest-load point to >= 80%
+ * of the sweep's peak goodput.
  */
 
-#include <benchmark/benchmark.h>
-
 #include "bench_util.hh"
+#include "experiments.hh"
 #include "sim/logging.hh"
 
-using namespace shrimp;
-
+namespace shrimp
+{
 namespace
 {
 
@@ -244,62 +243,40 @@ runAllToAll(unsigned load_pct, unsigned stores_per_sender)
     return r;
 }
 
-void
-BM_Incast_LoadSweep(benchmark::State &state)
+claims::Row
+loadRow(std::string name, unsigned load_pct, const OverloadResult &r)
 {
-    OverloadResult r;
-    auto load_pct = static_cast<unsigned>(state.range(0));
-    for (auto _ : state)
-        r = runIncast(load_pct, 512);
-    state.counters["load_pct"] = load_pct;
-    state.counters["offered_MBps"] = r.offeredMBps;
-    state.counters["goodput_MBps"] = r.goodputMBps;
-    state.counters["retransmits"] = r.retransmits;
-    state.counters["paced_retransmits"] = r.pacedRetransmits;
-    state.counters["ecn_marks"] = r.ecnMarks;
-    state.counters["ecn_echoes"] = r.ecnEchoes;
-    state.counters["send_drops"] = r.sendDrops;
-    state.counters["watchdog_stalls"] = r.watchdogStalls;
-    state.counters["all_safe"] = r.allSafe;
-    state.SetLabel("15-to-1 incast; load_pct of nominal saturation; "
-                   "goodput must not collapse as load rises");
+    return {std::move(name),
+            {{"load_pct", static_cast<double>(load_pct)},
+             {"offered_MBps", r.offeredMBps},
+             {"goodput_MBps", r.goodputMBps},
+             {"retransmits", r.retransmits},
+             {"paced_retransmits", r.pacedRetransmits},
+             {"ecn_marks", r.ecnMarks},
+             {"ecn_echoes", r.ecnEchoes},
+             {"send_drops", r.sendDrops},
+             {"watchdog_stalls", r.watchdogStalls}}};
 }
-BENCHMARK(BM_Incast_LoadSweep)
-    ->Name("Incast")
-    ->Arg(25)
-    ->Arg(50)
-    ->Arg(100)
-    ->Arg(150)
-    ->Arg(200)
-    ->Arg(300)
-    ->Arg(400)       // ~2.5x measured saturation: the collapse gate
-    ->Iterations(1);
-
-void
-BM_AllToAll_Load(benchmark::State &state)
-{
-    OverloadResult r;
-    auto load_pct = static_cast<unsigned>(state.range(0));
-    for (auto _ : state)
-        r = runAllToAll(load_pct, 480);
-    state.counters["load_pct"] = load_pct;
-    state.counters["offered_MBps"] = r.offeredMBps;
-    state.counters["goodput_MBps"] = r.goodputMBps;
-    state.counters["retransmits"] = r.retransmits;
-    state.counters["paced_retransmits"] = r.pacedRetransmits;
-    state.counters["ecn_marks"] = r.ecnMarks;
-    state.counters["ecn_echoes"] = r.ecnEchoes;
-    state.counters["send_drops"] = r.sendDrops;
-    state.counters["watchdog_stalls"] = r.watchdogStalls;
-    state.SetLabel("all-to-all spray; congestion forms inside the "
-                   "mesh rather than at one ejection port");
-}
-BENCHMARK(BM_AllToAll_Load)
-    ->Name("AllToAll")
-    ->Arg(50)
-    ->Arg(150)
-    ->Iterations(1);
 
 } // namespace
 
-SHRIMP_BENCH_MAIN("overload");
+void
+experiments::overload(claims::Rows &rows)
+{
+    // 15-to-1 incast at load_pct of nominal saturation; goodput must
+    // not collapse as load rises. 400% is ~2.5x measured saturation.
+    for (unsigned load_pct : {25u, 50u, 100u, 150u, 200u, 300u, 400u}) {
+        OverloadResult r = runIncast(load_pct, 512);
+        rows.push_back(
+            loadRow("Incast/" + std::to_string(load_pct), load_pct, r));
+        rows.back().metrics["all_safe"] = r.allSafe;
+    }
+    // All-to-all spray: congestion forms inside the mesh rather than
+    // at one ejection port.
+    for (unsigned load_pct : {50u, 150u}) {
+        rows.push_back(loadRow("AllToAll/" + std::to_string(load_pct),
+                               load_pct, runAllToAll(load_pct, 480)));
+    }
+}
+
+} // namespace shrimp

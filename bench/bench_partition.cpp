@@ -14,22 +14,25 @@
  *    again (epoch bumps exchanged, stale views fenced, channels
  *    reset);
  *  - stale_epoch_rejects / ni_stale_drops / fenced_writebacks: the
- *    machine-wide fence accounting over the whole run.
+ *    machine-wide fence accounting over the whole run;
+ *  - dsm_rehomes: re-homes of the stranded page, machine-wide;
+ *  - all_ok: every step of the scenario below succeeded.
  *
- * `shrimp_validate partition BENCH_partition.json` gates on detection
- * and reintegration happening at all and on the fence accounting
- * balancing.
+ * Claims P1 (bench/shrimp_claims.cc) gate detection and
+ * reintegration happening at all, the fence accounting balancing,
+ * exactly one re-home and all_ok.
  */
 
-#include <benchmark/benchmark.h>
+#include <cstdio>
 
 #include "bench_util.hh"
+#include "experiments.hh"
 #include "os/dsm.hh"
 #include "os/health.hh"
 #include "sim/logging.hh"
 
-using namespace shrimp;
-
+namespace shrimp
+{
 namespace
 {
 
@@ -45,7 +48,7 @@ struct PartitionResult
 
     void fail(const char *step)
     {
-        fprintf(stderr, "bench_partition: step '%s' failed\n", step);
+        std::fprintf(stderr, "partition: step '%s' failed\n", step);
         allOk = 0;
     }
 };
@@ -178,31 +181,25 @@ runPartition(Tick partition_ticks)
     return r;
 }
 
-void
-BM_Partition(benchmark::State &state)
-{
-    PartitionResult r;
-    auto ms = static_cast<unsigned>(state.range(0));
-    for (auto _ : state)
-        r = runPartition(ms * ONE_MS);
-    state.counters["partition_ms"] = ms;
-    state.counters["time_to_detect_us"] = r.detectUs;
-    state.counters["time_to_heal_us"] = r.healUs;
-    state.counters["stale_epoch_rejects"] = r.staleEpochRejects;
-    state.counters["ni_stale_drops"] = r.niStaleDrops;
-    state.counters["fenced_writebacks"] = r.fencedWritebacks;
-    state.counters["dsm_rehomes"] = r.rehomes;
-    state.counters["all_ok"] = r.allOk;
-    state.SetLabel("isolate one node of a 2x2 mesh behind a full "
-                   "cut-set, re-home its page, heal, reintegrate");
-}
-BENCHMARK(BM_Partition)
-    ->Name("Partition")
-    ->Arg(3)
-    ->Arg(6)
-    ->Arg(12)
-    ->Iterations(1);
-
 } // namespace
 
-SHRIMP_BENCH_MAIN("partition");
+void
+experiments::partition(claims::Rows &rows)
+{
+    // Isolate one node of a 2x2 mesh behind a full cut-set, re-home
+    // its page, heal, reintegrate.
+    for (unsigned ms : {3u, 6u, 12u}) {
+        PartitionResult r = runPartition(ms * ONE_MS);
+        rows.push_back({"Partition/" + std::to_string(ms),
+                        {{"partition_ms", static_cast<double>(ms)},
+                         {"time_to_detect_us", r.detectUs},
+                         {"time_to_heal_us", r.healUs},
+                         {"stale_epoch_rejects", r.staleEpochRejects},
+                         {"ni_stale_drops", r.niStaleDrops},
+                         {"fenced_writebacks", r.fencedWritebacks},
+                         {"dsm_rehomes", r.rehomes},
+                         {"all_ok", r.allOk}}});
+    }
+}
+
+} // namespace shrimp

@@ -8,12 +8,11 @@
  * still delivers every word exactly once, checked in-bench.
  */
 
-#include <benchmark/benchmark.h>
-
 #include "bench_util.hh"
+#include "experiments.hh"
 
-using namespace shrimp;
-
+namespace shrimp
+{
 namespace
 {
 
@@ -104,29 +103,25 @@ runLossSweep(unsigned drop_per_mille, unsigned words)
     return r;
 }
 
-void
-BM_Reliability_LossRateSweep(benchmark::State &state)
-{
-    ReliabilityResult r;
-    auto per_mille = static_cast<unsigned>(state.range(0));
-    for (auto _ : state)
-        r = runLossSweep(per_mille, 1000);
-    state.counters["goodput_MBps"] = r.goodputMBps;
-    state.counters["stream_us"] = r.totalUs;
-    state.counters["retransmits"] = r.retransmits;
-    state.counters["acks"] = r.acks;
-    state.counters["nacks"] = r.nacks;
-    state.counters["all_exact"] = r.allExact;
-    state.SetLabel("per-link drop rate in per mille; every word must "
-                   "still arrive exactly once, in order");
-}
-BENCHMARK(BM_Reliability_LossRateSweep)
-    ->Arg(0)        // clean fabric: protocol overhead only
-    ->Arg(1)        // 0.1% loss
-    ->Arg(10)       // 1% loss
-    ->Arg(50)       // 5% loss
-    ->Iterations(1);
-
 } // namespace
 
-SHRIMP_BENCH_MAIN("reliability");
+void
+experiments::reliability(claims::Rows &rows)
+{
+    // Per-link drop rate in per mille: a clean fabric (protocol
+    // overhead only), then 0.1%, 1% and 5% loss. Every word must still
+    // arrive exactly once, in order.
+    for (unsigned per_mille : {0u, 1u, 10u, 50u}) {
+        ReliabilityResult r = runLossSweep(per_mille, 1000);
+        rows.push_back(
+            {"Reliability_LossRateSweep/" + std::to_string(per_mille),
+             {{"goodput_MBps", r.goodputMBps},
+              {"stream_us", r.totalUs},
+              {"retransmits", r.retransmits},
+              {"acks", r.acks},
+              {"nacks", r.nacks},
+              {"all_exact", r.allExact}}});
+    }
+}
+
+} // namespace shrimp

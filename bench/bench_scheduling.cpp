@@ -8,7 +8,7 @@
  * hardware which works under any policy "allows us to support the
  * best scheduling algorithm, whatever it turns out to be".
  *
- * This bench runs a latency-sensitive ping-pong job next to a
+ * This experiment runs a latency-sensitive ping-pong job next to a
  * CPU-bound background job under three policies and reports the
  * ping-pong job's completion time. Correctness (all rounds complete,
  * no cross-job interference) holds everywhere; only performance
@@ -19,18 +19,17 @@
  *    can sit until the peer process is scheduled again (up to a
  *    quantum of added latency per round);
  *  - gang: the communicating pair runs simultaneously during its
- *    epochs, restoring low round latency at the cost of idling
- *    during the other gang's epochs.
+ *    epochs but idles through the other gang's. On this two-node
+ *    machine that costs as much as round-robin's waits: per round,
+ *    gang is no faster than round-robin at any quantum measured.
  */
 
-#include <benchmark/benchmark.h>
-
 #include "bench_util.hh"
-
 #include "core/gang.hh"
+#include "experiments.hh"
 
-using namespace shrimp;
-
+namespace shrimp
+{
 namespace
 {
 
@@ -134,52 +133,30 @@ runPingPongUnder(Policy policy, int rounds, Tick quantum)
 }
 
 void
-BM_PingPong_Alone(benchmark::State &state)
+addRow(claims::Rows &rows, std::string name, double us)
 {
-    double us = 0;
-    for (auto _ : state)
-        us = runPingPongUnder(Policy::ALONE, 50, 50 * ONE_US);
-    state.counters["sim_us_total"] = us;
-    state.counters["sim_us_per_round"] = us / 50;
-    state.SetLabel("reference: no competing job");
+    rows.push_back({std::move(name),
+                    {{"sim_us_total", us}, {"sim_us_per_round", us / 50}}});
 }
-BENCHMARK(BM_PingPong_Alone)->Iterations(1);
-
-void
-BM_PingPong_RoundRobinCompetition(benchmark::State &state)
-{
-    double us = 0;
-    Tick quantum = static_cast<Tick>(state.range(0)) * ONE_US;
-    for (auto _ : state)
-        us = runPingPongUnder(Policy::ROUND_ROBIN, 50, quantum);
-    state.counters["sim_us_total"] = us;
-    state.counters["sim_us_per_round"] = us / 50;
-    state.SetLabel("uncoordinated timesharing: rounds wait for the "
-                   "peer's quantum");
-}
-BENCHMARK(BM_PingPong_RoundRobinCompetition)
-    ->Arg(20)
-    ->Arg(50)
-    ->Arg(100)
-    ->Iterations(1);
-
-void
-BM_PingPong_GangScheduled(benchmark::State &state)
-{
-    double us = 0;
-    Tick quantum = static_cast<Tick>(state.range(0)) * ONE_US;
-    for (auto _ : state)
-        us = runPingPongUnder(Policy::GANG, 50, quantum);
-    state.counters["sim_us_total"] = us;
-    state.counters["sim_us_per_round"] = us / 50;
-    state.SetLabel("coordinated epochs: peers run simultaneously");
-}
-BENCHMARK(BM_PingPong_GangScheduled)
-    ->Arg(20)
-    ->Arg(50)
-    ->Arg(100)
-    ->Iterations(1);
 
 } // namespace
 
-SHRIMP_BENCH_MAIN("scheduling");
+void
+experiments::scheduling(claims::Rows &rows)
+{
+    // Reference: no competing job.
+    addRow(rows, "PingPong_Alone",
+           runPingPongUnder(Policy::ALONE, 50, 50 * ONE_US));
+    // Uncoordinated timesharing: rounds wait for the peer's quantum.
+    for (Tick us : {20, 50, 100}) {
+        addRow(rows, "PingPong_RoundRobinCompetition/" + std::to_string(us),
+               runPingPongUnder(Policy::ROUND_ROBIN, 50, us * ONE_US));
+    }
+    // Coordinated epochs: the peers run simultaneously.
+    for (Tick us : {20, 50, 100}) {
+        addRow(rows, "PingPong_GangScheduled/" + std::to_string(us),
+               runPingPongUnder(Policy::GANG, 50, us * ONE_US));
+    }
+}
+
+} // namespace shrimp

@@ -13,95 +13,36 @@
  *   | deliberate-update transfer | 15 (15+0)  |                   |
  *   | csend and crecv            | 151 (73+78)| leaner; see notes |
  *
- * Counters: send_instr / recv_instr are the per-message instruction
+ * Metrics: send_instr / recv_instr are the per-message instruction
  * counts of the measured fast paths; data_instr is the per-byte cost
- * the paper excludes; data_ok confirms payload integrity.
+ * the paper excludes; data_ok confirms payload integrity. Claims
+ * T1.1-T1.7 (bench/shrimp_claims.cc) hold them to the paper.
  */
 
-#include <benchmark/benchmark.h>
-
-#include "bench_util.hh"
-
 #include "core/table1.hh"
+#include "experiments.hh"
 
-using namespace shrimp;
-
-namespace
+namespace shrimp
 {
 
 void
-report(benchmark::State &state, const table1::PrimitiveCost &cost)
+experiments::table1Overheads(claims::Rows &rows)
 {
-    state.counters["send_instr"] = cost.sendPerMsg;
-    state.counters["recv_instr"] = cost.recvPerMsg;
-    state.counters["total_instr"] = cost.sendPerMsg + cost.recvPerMsg;
-    state.counters["data_instr"] = cost.dataPerMsg;
-    state.counters["data_ok"] = cost.dataOk ? 1 : 0;
+    auto add = [&rows](const char *name, const table1::PrimitiveCost &c) {
+        rows.push_back({name,
+                        {{"send_instr", c.sendPerMsg},
+                         {"recv_instr", c.recvPerMsg},
+                         {"total_instr", c.sendPerMsg + c.recvPerMsg},
+                         {"data_instr", c.dataPerMsg},
+                         {"data_ok", c.dataOk ? 1.0 : 0.0}}});
+    };
+    add("SingleBuffering", table1::runSingleBuffering(false));
+    add("SingleBufferingWithCopy", table1::runSingleBuffering(true));
+    add("DoubleBuffering/1", table1::runDoubleBuffering(1));
+    add("DoubleBuffering/2", table1::runDoubleBuffering(2));
+    add("DoubleBuffering/3", table1::runDoubleBuffering(3));
+    add("DeliberateUpdateTransfer", table1::runDeliberateUpdate());
+    add("UserLevelCsendCrecv", table1::runUserNx2());
 }
 
-void
-BM_SingleBuffering(benchmark::State &state)
-{
-    table1::PrimitiveCost cost;
-    for (auto _ : state)
-        cost = table1::runSingleBuffering(false);
-    report(state, cost);
-    state.SetLabel("paper: 9 (4+5)");
-}
-BENCHMARK(BM_SingleBuffering)->Iterations(1);
-
-void
-BM_SingleBufferingWithCopy(benchmark::State &state)
-{
-    table1::PrimitiveCost cost;
-    for (auto _ : state)
-        cost = table1::runSingleBuffering(true);
-    report(state, cost);
-    state.SetLabel("paper: 21 (4+17)");
-}
-BENCHMARK(BM_SingleBufferingWithCopy)->Iterations(1);
-
-void
-BM_DoubleBuffering(benchmark::State &state)
-{
-    table1::PrimitiveCost cost;
-    int case_no = static_cast<int>(state.range(0));
-    for (auto _ : state)
-        cost = table1::runDoubleBuffering(case_no);
-    report(state, cost);
-    state.SetLabel(case_no == 1   ? "paper: 2 (1+1)"
-                   : case_no == 2 ? "paper: 8 (3+5)"
-                                  : "paper: 10 (5+5)");
-}
-BENCHMARK(BM_DoubleBuffering)
-    ->Arg(1)
-    ->Arg(2)
-    ->Arg(3)
-    ->Iterations(1);
-
-void
-BM_DeliberateUpdateTransfer(benchmark::State &state)
-{
-    table1::PrimitiveCost cost;
-    for (auto _ : state)
-        cost = table1::runDeliberateUpdate();
-    report(state, cost);
-    state.SetLabel("paper: 15 (13 init + 2 check)");
-}
-BENCHMARK(BM_DeliberateUpdateTransfer)->Iterations(1);
-
-void
-BM_UserLevelCsendCrecv(benchmark::State &state)
-{
-    table1::PrimitiveCost cost;
-    for (auto _ : state)
-        cost = table1::runUserNx2();
-    report(state, cost);
-    state.SetLabel("paper: 151 (73+78); ours is a leaner "
-                   "implementation of the same structure");
-}
-BENCHMARK(BM_UserLevelCsendCrecv)->Iterations(1);
-
-} // namespace
-
-SHRIMP_BENCH_MAIN("table1_overheads");
+} // namespace shrimp

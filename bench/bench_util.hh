@@ -1,25 +1,18 @@
 /**
  * @file
- * Shared scenario builders for the benchmark harness. Each returns
- * simulated metrics (latency, bandwidth) from a fresh ShrimpSystem;
- * the benchmarks report them through google-benchmark counters.
+ * Shared scenario builders for the experiments (bench/bench_*.cpp)
+ * and tools/shrimp_explore. Each returns simulated metrics (latency,
+ * bandwidth) from a fresh ShrimpSystem.
  */
 
 #ifndef SHRIMP_BENCH_BENCH_UTIL_HH
 #define SHRIMP_BENCH_BENCH_UTIL_HH
 
-#include <cmath>
 #include <fstream>
-#include <iomanip>
 #include <memory>
-#include <string>
-#include <vector>
-
-#include <benchmark/benchmark.h>
 
 #include "core/system.hh"
 #include "msg/deliberate.hh"
-#include "sim/json.hh"
 
 namespace shrimp
 {
@@ -198,79 +191,7 @@ measureDeliberateBandwidth(bool next_gen, Addr total_bytes,
     return r;
 }
 
-/**
- * A console reporter that additionally collects every successful run
- * and can write them as a machine-readable BENCH_<name>.json artifact
- * (schema_version 1; validated by tools/shrimp_validate and CI).
- */
-class ArtifactReporter : public benchmark::ConsoleReporter
-{
-  public:
-    void
-    ReportRuns(const std::vector<Run> &runs) override
-    {
-        for (const Run &run : runs) {
-            if (!run.error_occurred)
-                _runs.push_back(run);
-        }
-        ConsoleReporter::ReportRuns(runs);
-    }
-
-    void
-    writeArtifact(const std::string &bench_name) const
-    {
-        std::ofstream out("BENCH_" + bench_name + ".json");
-        out << std::setprecision(17);
-        auto num = [&out](double v) {
-            out << (std::isfinite(v) ? v : 0.0);
-        };
-        out << "{\n  \"schema_version\": 1,\n  \"bench\": \""
-            << json::escape(bench_name) << "\",\n  \"results\": [";
-        bool first = true;
-        for (const Run &run : _runs) {
-            out << (first ? "\n" : ",\n") << "    {\"name\": \""
-                << json::escape(run.benchmark_name())
-                << "\", \"label\": \"" << json::escape(run.report_label)
-                << "\", \"iterations\": " << run.iterations
-                << ", \"real_time_s\": ";
-            num(run.real_accumulated_time);
-            out << ", \"counters\": {";
-            bool cfirst = true;
-            for (const auto &[cname, counter] : run.counters) {
-                out << (cfirst ? "" : ", ") << "\""
-                    << json::escape(cname) << "\": ";
-                num(counter.value);
-                cfirst = false;
-            }
-            out << "}}";
-            first = false;
-        }
-        out << "\n  ]\n}\n";
-    }
-
-  private:
-    std::vector<Run> _runs;
-};
-
 } // namespace bench_util
 } // namespace shrimp
-
-/**
- * Drop-in replacement for BENCHMARK_MAIN() that also writes the
- * BENCH_<shortname>.json results artifact next to the binary.
- */
-#define SHRIMP_BENCH_MAIN(shortname)                                   \
-    int main(int argc, char **argv)                                    \
-    {                                                                  \
-        benchmark::Initialize(&argc, argv);                            \
-        if (benchmark::ReportUnrecognizedArguments(argc, argv))        \
-            return 1;                                                  \
-        shrimp::bench_util::ArtifactReporter reporter;                 \
-        benchmark::RunSpecifiedBenchmarks(&reporter);                  \
-        reporter.writeArtifact(shortname);                             \
-        benchmark::Shutdown();                                         \
-        return 0;                                                      \
-    }                                                                  \
-    int main(int, char **)
 
 #endif // SHRIMP_BENCH_BENCH_UTIL_HH

@@ -8,7 +8,6 @@
  *                            [--stats-json F]
  *   shrimp_explore bandwidth [--nextgen] [--kb N] [--trace-out F]
  *                            [--stats-json F]
- *   shrimp_explore table1
  *   shrimp_explore stats     [--nextgen] [--reliable] [--drop PERMILLE]
  *                            [--trace-out F] [--stats-json F]
  *   shrimp_explore chaos     [--seed N] [--width W] [--height H]
@@ -17,9 +16,10 @@
  *                            [--trace-out F]
  *
  * `latency` and `bandwidth` reproduce the paper's Section 5.1 numbers
- * for arbitrary parameters; `table1` prints the software-overhead
- * table; `stats` runs a small workload and dumps every component's
- * statistics (bus transactions, cache hits, NIPT traffic, ...).
+ * for arbitrary parameters (shrimp_claims checks the paper's own
+ * points, Table 1 included); `stats` runs a small workload and dumps
+ * every component's statistics (bus transactions, cache hits, NIPT
+ * traffic, ...).
  *
  * `chaos` runs one seeded chaos-soak schedule (node crash/restart
  * cycles, link flaps and, with --partitions, network partition/heal
@@ -44,7 +44,6 @@
 
 #include "../bench/bench_util.hh"
 #include "core/chaos.hh"
-#include "core/table1.hh"
 
 using namespace shrimp;
 
@@ -117,45 +116,6 @@ cmdBandwidth(int argc, char **argv)
                 static_cast<std::size_t>(r.packets));
     std::printf("  bandwidth : %.1f MB/s (paper: %s)\n", r.mbps,
                 next_gen ? "~70 MB/s" : "33 MB/s");
-    return 0;
-}
-
-int
-cmdTable1()
-{
-    struct Row
-    {
-        const char *name;
-        const char *paper;
-        table1::PrimitiveCost cost;
-    };
-    Row rows[] = {
-        {"single buffering", "9 (4+5)",
-         table1::runSingleBuffering(false)},
-        {"single buffering + copy", "21 (4+17)",
-         table1::runSingleBuffering(true)},
-        {"double buffering (case 1)", "2 (1+1)",
-         table1::runDoubleBuffering(1)},
-        {"double buffering (case 2)", "8 (3+5)",
-         table1::runDoubleBuffering(2)},
-        {"double buffering (case 3)", "10 (5+5)",
-         table1::runDoubleBuffering(3)},
-        {"deliberate-update transfer", "15 (15+0)",
-         table1::runDeliberateUpdate()},
-        {"csend and crecv (user)", "151 (73+78)",
-         table1::runUserNx2()},
-    };
-
-    std::printf("%-28s %-12s %-14s %s\n", "primitive", "paper",
-                "measured", "verified");
-    for (const Row &row : rows) {
-        char measured[32];
-        std::snprintf(measured, sizeof(measured), "%.0f (%.0f+%.0f)",
-                      row.cost.sendPerMsg + row.cost.recvPerMsg,
-                      row.cost.sendPerMsg, row.cost.recvPerMsg);
-        std::printf("%-28s %-12s %-14s %s\n", row.name, row.paper,
-                    measured, row.cost.dataOk ? "yes" : "NO");
-    }
     return 0;
 }
 
@@ -277,7 +237,7 @@ main(int argc, char **argv)
 {
     if (argc < 2) {
         std::fprintf(stderr,
-                     "usage: %s {latency|bandwidth|table1|stats|chaos} "
+                     "usage: %s {latency|bandwidth|stats|chaos} "
                      "[options]\n",
                      argv[0]);
         return 2;
@@ -287,8 +247,6 @@ main(int argc, char **argv)
         return cmdLatency(argc, argv);
     if (cmd == "bandwidth")
         return cmdBandwidth(argc, argv);
-    if (cmd == "table1")
-        return cmdTable1();
     if (cmd == "stats")
         return cmdStats(argc, argv);
     if (cmd == "chaos" || cmd == "--chaos")
