@@ -69,10 +69,10 @@ struct SystemConfig
     FaultModel::Params linkFaults{};
 
     /**
-     * Heartbeat-based failure detection (health.enabled): every
-     * kernel keepalives every peer and declares silent ones
-     * SUSPECT/DEAD, driving mapping teardown and recovery. Off by
-     * default; ShrimpSystem::crashNode needs it for peers to notice.
+     * Heartbeat failure detection (health.enabled; needs
+     * ni.reliability.enabled): every kernel keepalives every peer,
+     * declaring silent ones SUSPECT/DEAD for mapping teardown and
+     * recovery. Off by default; crashNode needs it to be noticed.
      */
     HealthParams health{};
 

@@ -179,13 +179,6 @@ Cache::lockedAccess(Addr paddr, Addr bytes, Tick now)
     return _bus.acquire(drained, 2 * bytes);
 }
 
-void
-Cache::invalidateAll()
-{
-    for (Line &line : _lines)
-        line = Line{};
-}
-
 bool
 Cache::isCached(Addr paddr) const
 {

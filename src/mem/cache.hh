@@ -110,9 +110,6 @@ class Cache : public ClockedObject, public BusSnooper
     /** Tick by which all posted writes have reached the bus. */
     Tick drainedAt(Tick now) { return _writeBuffer.drainedAt(now); }
 
-    /** Invalidate every line (used at context switch tests, etc.). */
-    void invalidateAll();
-
     /** True if the line containing @p paddr is present. */
     bool isCached(Addr paddr) const;
 

@@ -75,11 +75,4 @@ MeshBackplane::portToward(NodeId from, NodeId to) const
     return yOf(to) > yOf(from) ? Router::SOUTH : Router::NORTH;
 }
 
-void
-MeshBackplane::setLinkFaults(NodeId from, NodeId to,
-                             const FaultModel::Params &faults)
-{
-    _routers.at(from)->setFaultModel(portToward(from, to), faults);
-}
-
 } // namespace shrimp

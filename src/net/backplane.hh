@@ -57,15 +57,6 @@ class MeshBackplane : public SimObject
      */
     void setLinkFaults(const FaultModel::Params &faults);
 
-    /**
-     * Attach @p faults to one directed link only: the output of
-     * @p from's router that faces the adjacent node @p to. The reverse
-     * direction keeps whatever model it has -- this is how asymmetric
-     * (one-way) link failures are configured.
-     */
-    void setLinkFaults(NodeId from, NodeId to,
-                       const FaultModel::Params &faults);
-
     /** Output port on @p from's router facing adjacent node @p to. */
     Router::Port portToward(NodeId from, NodeId to) const;
 

@@ -133,18 +133,6 @@ Router::headerArrive(Port in, NetPacket &&pkt, Tick ready)
 }
 
 void
-Router::addCreditWaiter(Port in, std::uint64_t key,
-                        std::function<void()> fn)
-{
-    InputPort &port = _inputs[in];
-    for (const Waiter &w : port.waiters) {
-        if (w.key == key)
-            return;     // already parked; keep its FIFO position
-    }
-    port.waiters.push_back(Waiter{key, std::move(fn)});
-}
-
-void
 Router::inject(NetPacket &&pkt)
 {
     SHRIMP_ASSERT(injectReady(), "inject without credit");
@@ -245,38 +233,15 @@ Router::releaseCredit(Port in)
     SHRIMP_ASSERT(port.reserved > 0, "credit underflow on port ", in);
     --port.reserved;
 
-    wakeOneWaiter(in);
+    if (port.upstreamBlocked) {
+        // Input port `in` is fed only by our neighbour across link
+        // `in`, so that router is the one parked on this credit.
+        port.upstreamBlocked = false;
+        _neighbor[in]->scheduleAdvance(curTick());
+    }
 
     if (in == LOCAL && _injectWaiter)
         _injectWaiter();
-}
-
-void
-Router::wakeOneWaiter(Port in)
-{
-    InputPort &port = _inputs[in];
-    if (port.waiters.empty())
-        return;
-
-    // FIFO fairness: one credit wakes exactly the oldest waiter, so
-    // two senders contending for the same buffer alternate. The woken
-    // router re-registers at the back of the queue if it blocks again.
-    Waiter w = std::move(port.waiters.front());
-    port.waiters.pop_front();
-    w.fn();
-
-    if (port.waiters.empty())
-        return;
-    // Guard against a lost wakeup: the woken waiter may no longer
-    // need the credit. Its retry runs first (its advance event was
-    // enqueued just now, ahead of this recheck), then the recheck
-    // passes a still-free credit to the next waiter in line.
-    eventQueue().scheduleFn(
-        [this, in]() {
-            if (hasCredit(in))
-                wakeOneWaiter(in);
-        },
-        curTick(), EventPriority::DEFAULT, "credit recheck");
 }
 
 void
@@ -361,13 +326,11 @@ Router::advance()
         Port nbr_in = _neighborIn[out];
 
         if (!nbr->hasCredit(nbr_in)) {
-            // Park a wakeup keyed by our identity: re-registering on
-            // every blocked advance() neither grows the waiter queue
-            // nor resets our position in the FIFO wake order.
+            // Park on the downstream port: its next released credit
+            // re-runs this loop. Blocking again while parked is a
+            // no-op, so one credit never wakes us twice.
             ++_blockedOnCredit;
-            nbr->addCreditWaiter(
-                nbr_in, reinterpret_cast<std::uintptr_t>(this),
-                [this] { scheduleAdvance(curTick()); });
+            nbr->_inputs[nbr_in].upstreamBlocked = true;
             continue;
         }
 

@@ -189,16 +189,17 @@ class Router : public SimObject
     void headerArrive(Port in, NetPacket &&pkt, Tick ready);
 
     /**
-     * Park a wakeup for a credit on input port @p in. Waiters are
-     * woken in FIFO registration order, one per released credit, so
-     * two upstream routers contending for the same buffer alternate
-     * instead of one starving the other. @p key identifies the waiter
-     * (upstream router identity): re-registering an already-parked
-     * key is a no-op, keeping the queue duplicate-free while blocked
-     * senders re-poll.
+     * Is the upstream router behind input port @p in parked waiting
+     * for one of its credits? Each input port has exactly one
+     * upstream (the backplane wires every link as a symmetric pair),
+     * so one flag is the whole wait list; the next released credit
+     * clears it and re-runs that router's advance loop.
      */
-    void addCreditWaiter(Port in, std::uint64_t key,
-                         std::function<void()> fn);
+    bool
+    upstreamBlocked(Port in) const
+    {
+        return _inputs[in].upstreamBlocked;
+    }
 
     /** Serialization time of @p pkt on our links. */
     Tick
@@ -217,17 +218,11 @@ class Router : public SimObject
         Tick ready;     //!< header decoded; eligible to forward
     };
 
-    struct Waiter
-    {
-        std::uint64_t key;      //!< upstream identity (dedup only)
-        std::function<void()> fn;
-    };
-
     struct InputPort
     {
         std::deque<Entry> queue;
         unsigned reserved = 0;  //!< slots claimed (queued or in flight)
-        std::deque<Waiter> waiters;     //!< FIFO wake order
+        bool upstreamBlocked = false;   //!< upstream waits on a credit
     };
 
     /**
@@ -257,12 +252,8 @@ class Router : public SimObject
     /** Schedule advance() at @p when (keeps the earliest request). */
     void scheduleAdvance(Tick when);
 
-    /** Release one buffer slot of @p in and wake its next waiter. */
+    /** Release one buffer slot of @p in and wake a blocked upstream. */
     void releaseCredit(Port in);
-
-    /** Wake the head credit waiter of @p in; if more remain, park a
-     *  same-tick recheck so an unconsumed credit passes down the line. */
-    void wakeOneWaiter(Port in);
 
     unsigned _x, _y;
     Params _params;

@@ -630,8 +630,8 @@ ShrimpNi::sinkDeliver(NetPacket &&pkt)
         }
     }
 
-    // Liveness keepalives feed the health service directly; they are
-    // meaningful even when the reliability layer is off.
+    // Liveness keepalives feed the health service directly, outside
+    // the reliable sequence space.
     if (pkt.reliable && pkt.kind == NetPacket::Kind::HEARTBEAT) {
         ++_heartbeatsForwarded;
         if (onHeartbeat)
@@ -866,24 +866,20 @@ ShrimpNi::flushPendingAcks()
 }
 
 unsigned
-ShrimpNi::errorMappingsToward(NodeId dst)
+ShrimpNi::markMappingsToward(NodeId dst, bool error)
 {
-    unsigned halves = 0;
+    unsigned flipped = 0;
     for (PageNum page = 0; page < _nipt.numPages(); ++page) {
         NiptEntry &e = _nipt.entry(page);
-        if (e.outLow.valid() && !e.outLow.error &&
-            e.outLow.dstNode == dst) {
-            e.outLow.error = true;
-            ++halves;
-        }
-        if (e.outHigh.valid() && !e.outHigh.error &&
-            e.outHigh.dstNode == dst) {
-            e.outHigh.error = true;
-            ++halves;
+        for (OutMapping *half : {&e.outLow, &e.outHigh}) {
+            if (half->valid() && half->error != error &&
+                half->dstNode == dst) {
+                half->error = error;
+                ++flipped;
+            }
         }
     }
-    _relMappingsErrored += halves;
-    return halves;
+    return flipped;
 }
 
 void
@@ -892,7 +888,8 @@ ShrimpNi::handleChannelFailure(NodeId dst)
     // Mark every outgoing mapping half toward dst errored: outgoing
     // lookups stop matching (stores fall silent instead of feeding a
     // dead window) and command-page status reads report the failure.
-    unsigned halves = errorMappingsToward(dst);
+    unsigned halves = markMappingsToward(dst, true);
+    _relMappingsErrored += halves;
     SHRIMP_WARN("reliability: node ", _node, " -> ", dst,
                 " unreachable; ", halves, " mapping halves errored");
     // An in-flight deliberate transfer whose destination just errored
@@ -925,8 +922,6 @@ ShrimpNi::startNewEpoch(std::uint32_t epoch)
     if (epoch == _chanEpoch)
         return;
     _chanEpoch = epoch;
-    if (!_params.reliability.enabled)
-        return;
     // Restart every outgoing stream at seq 0: receivers resynchronize
     // when they see the higher srcEpoch, so nothing from the previous
     // life can interleave with the new streams.
@@ -939,27 +934,14 @@ ShrimpNi::startNewEpoch(std::uint32_t epoch)
 void
 ShrimpNi::declarePeerDead(NodeId dst)
 {
-    if (_params.reliability.enabled) {
-        // Fires handleChannelFailure through the failure hook unless
-        // the retry cap got there first.
-        _retx->forceFail(dst);
-        return;
-    }
-    unsigned halves = errorMappingsToward(dst);
-    if (_dma.busy()) {
-        OutLookup cur = _nipt.lookupOut(_dma.currentBase());
-        if (!cur.mapped || cur.dstNode == dst)
-            _dma.abort("peerDead");
-    }
-    if (halves && onMappingError)
-        onMappingError(dst, halves);
+    // Fires handleChannelFailure through the failure hook unless the
+    // retry cap got there first.
+    _retx->forceFail(dst);
 }
 
 void
 ShrimpNi::resetChannel(NodeId peer)
 {
-    if (!_params.reliability.enabled)
-        return;
     _retx->resetChannel(peer);
     // Receive state is deliberately left alone: resynchronization is
     // the epoch gate's job (sinkDeliver), driven by the srcEpoch of
@@ -970,24 +952,17 @@ ShrimpNi::resetChannel(NodeId peer)
     // retired -- a wedge only a full retry-budget death can clear.
 }
 
-unsigned
-ShrimpNi::healMappingsToward(NodeId dst)
+void
+ShrimpNi::resetAllChannels()
 {
-    unsigned healed = 0;
-    for (PageNum page = 0; page < _nipt.numPages(); ++page) {
-        NiptEntry &e = _nipt.entry(page);
-        if (e.outLow.valid() && e.outLow.error &&
-            e.outLow.dstNode == dst) {
-            e.outLow.error = false;
-            ++healed;
-        }
-        if (e.outHigh.valid() && e.outHigh.error &&
-            e.outHigh.dstNode == dst) {
-            e.outHigh.error = false;
-            ++healed;
-        }
+    // Unlike resetChannel(), this wipes the receive side too: the
+    // chip's stream state is simply gone. A fresh RxState (epoch 0) is
+    // correct, since the first packet carrying any srcEpoch > 0
+    // resynchronizes it. _rx is empty when reliability is off.
+    for (NodeId peer = 0; peer < _rx.size(); ++peer) {
+        _retx->resetChannel(peer);
+        _rx[peer] = RxState{};
     }
-    return healed;
 }
 
 void
@@ -1008,16 +983,7 @@ ShrimpNi::setCrashed(bool crashed)
         _draining = false;
         // Drop every retransmit window/deadline: a dead node must not
         // keep its timer alive queueing retransmissions nobody sends.
-        // Unlike resetChannel(), a power-fail wipes the receive side
-        // too -- the chip's stream state is simply gone. A fresh
-        // RxState (epoch 0) is correct: the first packet carrying any
-        // srcEpoch > 0 resynchronizes it.
-        if (_params.reliability.enabled) {
-            for (NodeId peer = 0; peer < _rx.size(); ++peer) {
-                _retx->resetChannel(peer);
-                _rx.at(peer) = RxState{};
-            }
-        }
+        resetAllChannels();
         _ctrl.clear();
         _outFifo.clear();
         _inFifo.clear();
@@ -1041,12 +1007,7 @@ ShrimpNi::setCrashed(bool crashed)
     // from sequence 0 in both directions (full two-sided wipe, like
     // the crash path); peers resynchronize when our restarted health
     // service bumps the incarnation and new-epoch packets arrive.
-    if (_params.reliability.enabled) {
-        for (NodeId peer = 0; peer < _rx.size(); ++peer) {
-            _retx->resetChannel(peer);
-            _rx.at(peer) = RxState{};
-        }
-    }
+    resetAllChannels();
     noteProgress();     // a reboot is a fresh watchdog epoch
     _router.sinkReadyAgain();
 }

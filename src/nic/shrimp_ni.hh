@@ -183,8 +183,8 @@ class ShrimpNi : public SimObject,
     // ---- liveness / failure support ----
 
     /** Emit one HEARTBEAT toward @p dst via the control queue (jumps
-     *  the FIFO and the retransmit window; works with reliability
-     *  off), carrying @p stamp in the rseq field. */
+     *  the FIFO and the retransmit window), carrying @p stamp in the
+     *  rseq field. */
     void sendHeartbeat(NodeId dst, std::uint64_t stamp);
 
     /**
@@ -210,18 +210,20 @@ class ShrimpNi : public SimObject,
      * External (health-service) evidence that @p dst is down: fail its
      * channel now instead of waiting out the retry cap. Marks every
      * outgoing mapping half toward @p dst errored and fires
-     * onMappingError, exactly like an exhausted retry budget.
+     * onMappingError, exactly like an exhausted retry budget. Needs
+     * the reliability layer, as the health service does.
      */
     void declarePeerDead(NodeId dst);
 
-    /** Reset both reliability directions with @p peer to sequence 0
-     *  (used when a crashed peer rejoins). */
+    /** Restart the outgoing reliability stream toward @p peer at
+     *  sequence 0 (used when a peer starts a new life). */
     void resetChannel(NodeId peer);
 
-    /** Clear the error flag on surviving outgoing halves toward
-     *  @p dst (kernel-channel/NX wirings healed on peer recovery).
-     *  Returns the number of halves healed. */
-    unsigned healMappingsToward(NodeId dst);
+    /** Set (@p error true) or clear the error flag on every valid
+     *  outgoing mapping half toward @p dst; returns the number of
+     *  halves flipped. Peer recovery clears it on the surviving
+     *  kernel-channel and NX wirings. */
+    unsigned markMappingsToward(NodeId dst, bool error);
 
     // ---- BusSnooper: the outgoing automatic-update datapath ----
     void snoopWrite(Addr paddr, const void *buf, Addr len,
@@ -372,8 +374,9 @@ class ShrimpNi : public SimObject,
     /** Retry-cap exhaustion: mark every mapping toward @p dst. */
     void handleChannelFailure(NodeId dst);
 
-    /** Mark every outgoing half toward @p dst errored; returns count. */
-    unsigned errorMappingsToward(NodeId dst);
+    /** Restart every reliability stream, both directions, at sequence
+     *  0 (power-fail and reboot). */
+    void resetAllChannels();
 
     NodeId _node;
     Params _params;

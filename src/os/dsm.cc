@@ -26,17 +26,6 @@ contains(const std::vector<NodeId> &v, NodeId n)
 
 } // namespace
 
-const char *
-dsmPageStateName(DsmPageState s)
-{
-    switch (s) {
-      case DsmPageState::INVALID: return "INVALID";
-      case DsmPageState::READ_SHARED: return "READ_SHARED";
-      case DsmPageState::WRITE_EXCLUSIVE: return "WRITE_EXCLUSIVE";
-    }
-    return "?";
-}
-
 Dsm::Dsm(Kernel &kernel, const DsmConfig &cfg)
     : _kernel(kernel),
       _cfg(cfg),
@@ -878,18 +867,7 @@ Dsm::peerDied(NodeId peer)
     for (std::uint32_t page = 0; page < _cfg.numPages; ++page) {
         if (isHome(page)) {
             DirEntry &d = _dir[page];
-            for (std::size_t i = d.sharers.size(); i-- > 0;)
-                if (d.sharers[i] == peer)
-                    d.sharers.erase(d.sharers.begin() +
-                                    static_cast<std::ptrdiff_t>(i));
-            // Drop the dead node's queued requests (the in-service
-            // head, if it is one, fails through the grant-time check).
-            auto &w = d.waiters;
-            std::size_t keep = d.busy ? 1 : 0;
-            for (std::size_t i = w.size(); i-- > keep;)
-                if (w[i].requester == peer)
-                    w.erase(w.begin() +
-                            static_cast<std::ptrdiff_t>(i));
+            forgetPeer(d, peer);
             if (d.owner == peer)
                 ownerLost(page);
             else
@@ -897,18 +875,7 @@ Dsm::peerDied(NodeId peer)
         } else if (homeNode(page) == peer) {
             // Our copy of a page homed there is orphaned; pending
             // faults can only fail.
-            dropLocal(page);
-            auto it = _reqs.find(page);
-            if (it == _reqs.end())
-                continue;
-            auto &q = it->second;
-            while (!q.empty()) {
-                LocalReq r = std::move(q.front());
-                q.pop_front();
-                ++_hostdown;
-                if (r.done)
-                    r.done(err::HOSTDOWN);
-            }
+            failLocal(page, err::HOSTDOWN);
         }
     }
 }
@@ -919,15 +886,8 @@ Dsm::peerRecovered(NodeId peer)
     for (std::uint32_t page = 0; page < _cfg.numPages; ++page) {
         if (!isHome(page))
             continue;
-        DirEntry &d = _dir[page];
-        if (d.errored && d.lostOwner == peer) {
-            // Re-home: the page becomes servable again with the last
-            // written-back contents in the home frame.
-            d.errored = false;
-            d.lostOwner = INVALID_NODE;
-            ++_rehomes;
+        if (rehome(_dir[page], peer))
             pump(page);
-        }
     }
 }
 
@@ -945,30 +905,16 @@ Dsm::peerEpochChanged(NodeId peer, std::uint32_t inc)
     for (std::uint32_t page = 0; page < _cfg.numPages; ++page) {
         if (isHome(page)) {
             DirEntry &d = _dir[page];
-            for (std::size_t i = d.sharers.size(); i-- > 0;)
-                if (d.sharers[i] == peer)
-                    d.sharers.erase(d.sharers.begin() +
-                                    static_cast<std::ptrdiff_t>(i));
             // Old-life requests are void; the new life re-requests.
-            auto &w = d.waiters;
-            std::size_t keep = d.busy ? 1 : 0;
-            for (std::size_t i = w.size(); i-- > keep;)
-                if (w[i].requester == peer)
-                    w.erase(w.begin() +
-                            static_cast<std::ptrdiff_t>(i));
-            if (d.errored && d.lostOwner == peer) {
-                // The peer's new life is proof its old one is gone --
-                // the same evidence peerRecovered() acts on. Re-home
-                // here too: a restart can outrun the failure detector
-                // (never DEAD, so never "recovered"), and the doomed
-                // recall RPC has already routed through ownerLost().
-                // Exactly once either way: ownerLost() cleared the
-                // owner field, so the revoke branch below cannot also
-                // fire for this grant.
-                d.errored = false;
-                d.lostOwner = INVALID_NODE;
-                ++_rehomes;
-            }
+            forgetPeer(d, peer);
+            // The peer's new life is proof its old one is gone -- the
+            // same evidence peerRecovered() acts on. Re-home here too:
+            // a restart can outrun the failure detector (never DEAD,
+            // so never "recovered"), and the doomed recall RPC has
+            // already routed through ownerLost(). Exactly once either
+            // way: ownerLost() cleared the owner field, so the revoke
+            // branch below cannot also fire for this grant.
+            rehome(d, peer);
             if (d.owner == peer) {
                 // Revoke the old life's grant: the last written-back
                 // copy in the home frame becomes authoritative again.
@@ -994,17 +940,7 @@ Dsm::peerEpochChanged(NodeId peer, std::uint32_t inc)
         } else if (homeNode(page) == peer) {
             // The home's directory restarted without us: our copy and
             // pending faults refer to state it no longer tracks.
-            dropLocal(page);
-            auto it = _reqs.find(page);
-            if (it == _reqs.end())
-                continue;
-            auto &q = it->second;
-            while (!q.empty()) {
-                LocalReq r = std::move(q.front());
-                q.pop_front();
-                if (r.done)
-                    r.done(err::STALE_EPOCH);
-            }
+            failLocal(page, err::STALE_EPOCH);
         }
     }
 }
@@ -1036,18 +972,7 @@ Dsm::reset()
         l.queue.clear();
     }
     for (std::uint32_t page = 0; page < _cfg.numPages; ++page) {
-        dropLocal(page);
-        auto it = _reqs.find(page);
-        if (it != _reqs.end()) {
-            auto &q = it->second;
-            while (!q.empty()) {
-                LocalReq r = std::move(q.front());
-                q.pop_front();
-                ++_hostdown;
-                if (r.done)
-                    r.done(err::HOSTDOWN);
-            }
-        }
+        failLocal(page, err::HOSTDOWN);
         DirEntry &d = _dir[page];
         if (!d.homedHere)
             continue;
@@ -1064,6 +989,46 @@ Dsm::reset()
         d.awaitingWb = false;
         ++d.gen;
         d.waiters.clear();
+    }
+}
+
+void
+Dsm::forgetPeer(DirEntry &d, NodeId peer)
+{
+    std::erase(d.sharers, peer);
+    auto &w = d.waiters;
+    std::size_t keep = d.busy ? 1 : 0;
+    for (std::size_t i = w.size(); i-- > keep;)
+        if (w[i].requester == peer)
+            w.erase(w.begin() + static_cast<std::ptrdiff_t>(i));
+}
+
+bool
+Dsm::rehome(DirEntry &d, NodeId peer)
+{
+    if (!d.errored || d.lostOwner != peer)
+        return false;
+    d.errored = false;
+    d.lostOwner = INVALID_NODE;
+    ++_rehomes;
+    return true;
+}
+
+void
+Dsm::failLocal(std::uint32_t page, std::uint64_t status)
+{
+    dropLocal(page);
+    auto it = _reqs.find(page);
+    if (it == _reqs.end())
+        return;
+    auto &q = it->second;
+    while (!q.empty()) {
+        LocalReq r = std::move(q.front());
+        q.pop_front();
+        if (status == err::HOSTDOWN)
+            ++_hostdown;
+        if (r.done)
+            r.done(status);
     }
 }
 

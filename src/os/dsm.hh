@@ -84,8 +84,6 @@ enum class DsmPageState : std::uint8_t
     WRITE_EXCLUSIVE,    //!< sole writable copy machine-wide
 };
 
-const char *dsmPageStateName(DsmPageState s);
-
 /** The per-node DSM service (owned by the Kernel). */
 class Dsm
 {
@@ -240,6 +238,11 @@ class Dsm
     /** Drop the local copy: unmap the PTE and free a cache frame. */
     void dropLocal(std::uint32_t page);
 
+    /** The page's home forgot us (died, restarted, or we restarted):
+     *  drop the local copy, then fail every queued local request with
+     *  @p status. Counts dsmHostdownFaults for err::HOSTDOWN only. */
+    void failLocal(std::uint32_t page, std::uint64_t status);
+
     // ---- home-side directory ----
 
     struct HomeReq
@@ -299,6 +302,16 @@ class Dsm
     /** The exclusive owner's copy is unrecoverable: error the page
      *  and fail the head waiter. Idempotent. */
     void ownerLost(std::uint32_t page);
+
+    /** Remove @p peer from the read sharers and from the queued
+     *  waiters; an in-service head fails through the grant-time
+     *  check instead. */
+    void forgetPeer(DirEntry &d, NodeId peer);
+
+    /** If @p peer's death errored the page, make it servable again
+     *  from the last written-back home copy. Exactly once per loss:
+     *  returns whether it re-homed. */
+    bool rehome(DirEntry &d, NodeId peer);
 
     // ---- ordered per-peer message queue (control + page data) ----
 

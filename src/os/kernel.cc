@@ -435,6 +435,10 @@ Kernel::enableHealth(const HealthParams &params)
 {
     if (_health)
         return;
+    SHRIMP_ASSERT(_ni.reliabilityEnabled(),
+                  "node ", _node, ": health needs the NI reliability "
+                  "layer; set ni.reliability.enabled with "
+                  "health.enabled");
     HealthMonitor::Hooks hooks;
     hooks.sendHeartbeat = [this](NodeId peer) {
         _ni.sendHeartbeat(peer, _health->stampFor(peer));
@@ -502,12 +506,7 @@ Kernel::peerEpochChanged(NodeId peer, std::uint32_t inc)
     // and the reliability channel so new-life traffic starts clean.
     _mapManager->resetPeer(peer, err::STALE_EPOCH);
     _ni.resetChannel(peer);
-    if (peer < _channelIn.size() && _channelIn[peer] != INVALID_PAGE) {
-        // Stale seq words from the previous life would otherwise
-        // replay old RPCs against the reset engine.
-        std::vector<std::uint8_t> zeros(PAGE_SIZE, 0);
-        _mem.write(pageBase(_channelIn[peer]), zeros.data(), PAGE_SIZE);
-    }
+    clearChannelIn(peer);
     if (_dsm)
         _dsm->peerEpochChanged(peer, inc);
 }
@@ -572,15 +571,9 @@ Kernel::peerRecovered(NodeId peer)
     // engines from sequence zero to match the peer's fresh state.
     _mapManager->purgeOutTo(peer);
     _mapManager->resetPeer(peer);
-    _ni.healMappingsToward(peer);
+    _ni.markMappingsToward(peer, false);
     _ni.resetChannel(peer);
-    if (peer < _channelIn.size() && _channelIn[peer] != INVALID_PAGE) {
-        // Stale seq words in the channel-in page would replay old
-        // RPCs against the reset engine.
-        std::vector<std::uint8_t> zeros(PAGE_SIZE, 0);
-        _mem.write(pageBase(_channelIn[peer]), zeros.data(),
-                   PAGE_SIZE);
-    }
+    clearChannelIn(peer);
     if (_dsm)
         _dsm->peerRecovered(peer);
 }
@@ -624,16 +617,11 @@ Kernel::restart()
     }
     // Whatever protocol state predates the crash is garbage now: fail
     // in-flight RPCs and restart every peer channel from scratch.
-    std::vector<std::uint8_t> zeros(PAGE_SIZE, 0);
     for (NodeId peer = 0; peer < _numNodes; ++peer) {
         if (peer == _node)
             continue;
         _mapManager->resetPeer(peer);
-        if (peer < _channelIn.size() &&
-            _channelIn[peer] != INVALID_PAGE) {
-            _mem.write(pageBase(_channelIn[peer]), zeros.data(),
-                       PAGE_SIZE);
-        }
+        clearChannelIn(peer);
     }
     if (_dsm)
         _dsm->reset();
@@ -642,6 +630,15 @@ Kernel::restart()
     auto t = scheduleNext(curTick());
     if (t)
         _cpu.resumeAt(*t);
+}
+
+void
+Kernel::clearChannelIn(NodeId peer)
+{
+    if (peer >= _channelIn.size() || _channelIn[peer] == INVALID_PAGE)
+        return;
+    std::vector<std::uint8_t> zeros(PAGE_SIZE, 0);
+    _mem.write(pageBase(_channelIn[peer]), zeros.data(), PAGE_SIZE);
 }
 
 void

@@ -209,7 +209,9 @@ class Kernel : public SimObject, public TrapHandler
      * Turn on the heartbeat-based failure detector: periodic
      * keepalives to every peer, silence-driven SUSPECT/DEAD
      * transitions, and full mapping teardown/recovery wired into the
-     * peerDead/peerRecovered hooks.
+     * peerDead/peerRecovered hooks. Requires ni.reliability.enabled:
+     * peer death fails the reliable channel, and epoch changes restart
+     * its streams.
      */
     void enableHealth(const HealthParams &params);
 
@@ -413,6 +415,11 @@ class Kernel : public SimObject, public TrapHandler
 
     /** Pick and install the next READY process. */
     std::optional<Tick> scheduleNext(Tick now);
+
+    /** Zero the kernel channel page @p peer writes into, so stale seq
+     *  words from its previous life cannot replay old RPCs against a
+     *  reset engine. */
+    void clearChannelIn(NodeId peer);
 
 
 

@@ -235,18 +235,7 @@ MapManager::handleUnmapPage(NodeId peer, const std::uint32_t *p)
                 if (it->pinned)
                     _kernel.frames().unpin(f);
                 recs.erase(it);
-                // Last incoming mapping gone: close the page.
-                if (recs.empty()) {
-                    NiptEntry &e = _kernel.ni().nipt().entry(f);
-                    e.mappedIn = false;
-                    e.interruptOnArrival = false;
-                    e.inSources.clear();
-                } else {
-                    NiptEntry &e = _kernel.ni().nipt().entry(f);
-                    e.inSources.clear();
-                    for (const InRecord &r : recs)
-                        e.inSources.push_back(r.srcNode);
-                }
+                syncNiptIn(f);
                 return err::OK;
             }
         }
@@ -796,11 +785,23 @@ MapManager::releaseInMappings(PageNum frame)
             _kernel.frames().unpin(frame);
     }
     _inByFrame.erase(it);
+    syncNiptIn(frame);
+}
 
+void
+MapManager::syncNiptIn(PageNum frame)
+{
     NiptEntry &e = _kernel.ni().nipt().entry(frame);
-    e.mappedIn = false;
-    e.interruptOnArrival = false;
     e.inSources.clear();
+    auto it = _inByFrame.find(frame);
+    if (it == _inByFrame.end() || it->second.empty()) {
+        // Last incoming mapping gone: close the page.
+        e.mappedIn = false;
+        e.interruptOnArrival = false;
+        return;
+    }
+    for (const InRecord &r : it->second)
+        e.inSources.push_back(r.srcNode);
 }
 
 // ---------------------------------------------------------------------
@@ -824,18 +825,11 @@ MapManager::purgeDeadPeerIn(NodeId peer)
             rit = recs.erase(rit);
             ++purged;
         }
-        NiptEntry &e = _kernel.ni().nipt().entry(frame);
-        if (recs.empty()) {
-            e.mappedIn = false;
-            e.interruptOnArrival = false;
-            e.inSources.clear();
+        syncNiptIn(frame);
+        if (recs.empty())
             it = _inByFrame.erase(it);
-        } else {
-            e.inSources.clear();
-            for (const InRecord &r : recs)
-                e.inSources.push_back(r.srcNode);
+        else
             ++it;
-        }
     }
     return purged;
 }
@@ -882,13 +876,6 @@ MapManager::hasInMappings(PageNum frame) const
 {
     auto it = _inByFrame.find(frame);
     return it != _inByFrame.end() && !it->second.empty();
-}
-
-const std::vector<MapManager::InRecord> *
-MapManager::inRecords(PageNum frame) const
-{
-    auto it = _inByFrame.find(frame);
-    return it == _inByFrame.end() ? nullptr : &it->second;
 }
 
 } // namespace shrimp

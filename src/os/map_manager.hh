@@ -240,7 +240,6 @@ class MapManager
     }
 
     const std::vector<OutRecord> &outRecords() const { return _out; }
-    const std::vector<InRecord> *inRecords(PageNum frame) const;
 
     std::uint64_t rpcsSent() const { return _rpcsSent; }
     std::uint64_t invalidationsReceived() const
@@ -289,6 +288,11 @@ class MapManager
 
     /** Clear one out-mapping half from the local NIPT. */
     void clearOutHalf(PageNum frame, const OutRecord &rec);
+
+    /** Bring @p frame's NIPT in-side up to date with its incoming
+     *  records: rebuild inSources, or close the page once none are
+     *  left. */
+    void syncNiptIn(PageNum frame);
 
     /** Current local frame of (pid, vpage), or INVALID_PAGE. */
     PageNum frameOf(Pid pid, PageNum vpage) const;

@@ -81,20 +81,6 @@ Counter::dumpJson(std::ostream &os, const std::string &prefix,
 }
 
 void
-Scalar::dump(std::ostream &os, const std::string &prefix) const
-{
-    printLine(os, prefix, name(), _value, desc());
-}
-
-void
-Scalar::dumpJson(std::ostream &os, const std::string &prefix,
-                 bool &first) const
-{
-    jsonKey(os, first, prefix + name());
-    jsonNumber(os, _value);
-}
-
-void
 Peak::dump(std::ostream &os, const std::string &prefix) const
 {
     printLine(os, prefix, name(), _value, desc());

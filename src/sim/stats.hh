@@ -77,28 +77,10 @@ class Counter : public Stat
     std::uint64_t _value = 0;
 };
 
-/** A scalar that can be set to arbitrary values (gauges, ratios). */
-class Scalar : public Stat
-{
-  public:
-    using Stat::Stat;
-
-    Scalar &operator=(double v) { _value = v; return *this; }
-    double value() const { return _value; }
-
-    void dump(std::ostream &os, const std::string &prefix) const override;
-    void dumpJson(std::ostream &os, const std::string &prefix,
-                  bool &first) const override;
-    void reset() override { _value = 0.0; }
-
-  private:
-    double _value = 0.0;
-};
-
 /**
  * A self-tracking high-water mark: observe() keeps the maximum seen
- * since construction or the last reset(). Unlike a plain Scalar fed
- * from shadow state, the peak honestly restarts after a stats reset.
+ * since construction or the last reset(). Unlike a gauge fed from
+ * shadow state, the peak honestly restarts after a stats reset.
  */
 class Peak : public Stat
 {

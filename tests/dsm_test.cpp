@@ -253,6 +253,63 @@ TEST(Dsm, CrashedHomeFailsFastAndRecovers)
     EXPECT_EQ(sys.kernel(1).dsm()->ownerOf(page), 0u);
 }
 
+TEST(Dsm, WritebackFenceRejectsNonOwnerAndSupersededLife)
+{
+    // Dsm::handleWb's split-brain fence, driven directly: a DSM_WB
+    // from a node the directory does not record as owner, or from a
+    // life of the owner other than the one granted, is refused with
+    // err::STALE_EPOCH and never copies its bounce frame into the
+    // home frame.
+    ShrimpSystem sys(dsmConfig(3, true));
+    const std::uint32_t page = 0;       // homed at node 0
+    Dsm &home = *sys.kernel(0).dsm();
+    sys.runFor(ONE_MS);
+
+    // Node 2's first life ends; its second life takes the grant.
+    sys.kernel(2).health()->bumpIncarnation("test");
+    sys.runFor(ONE_MS);
+    ASSERT_EQ(sys.kernel(0).peerIncarnation(2), 2u);
+    std::uint64_t st;
+    acquire(sys, 2, page, true, st);
+    sys.runFor(5 * ONE_MS);
+    ASSERT_EQ(st, err::OK);
+    ASSERT_EQ(home.ownerOf(page), 2u);
+
+    PageNum home_frame = home.homeFrameOf(page);
+    auto home_copy = [&] {
+        std::vector<std::uint8_t> buf(PAGE_SIZE);
+        sys.node(0).mem.read(pageBase(home_frame), buf.data(), PAGE_SIZE);
+        return buf;
+    };
+    const std::vector<std::uint8_t> before = home_copy();
+    const std::vector<std::uint8_t> junk(PAGE_SIZE, 0xA5);
+    for (NodeId peer : {NodeId{1}, NodeId{2}}) {
+        sys.node(0).mem.write(pageBase(home.bounceInFrame(peer)),
+                              junk.data(), PAGE_SIZE);
+    }
+    auto writeback = [&](NodeId from, std::uint32_t inc) {
+        std::uint32_t wb[channel::payloadWords] = {};
+        std::uint32_t resp[channel::payloadWords] = {};
+        wb[0] = page;
+        wb[4] = inc;
+        return home.handleRpc(from, channel::DSM_WB, wb, resp);
+    };
+    const auto stale = static_cast<std::uint32_t>(err::STALE_EPOCH);
+
+    EXPECT_EQ(writeback(1, sys.kernel(1).selfIncarnation()), stale);
+    EXPECT_EQ(writeback(2, 1), stale);
+    EXPECT_EQ(home_copy(), before);
+    EXPECT_EQ(home.ownerOf(page), 2u);
+    EXPECT_EQ(sys.snapshot().sum("node0.kernel.dsm.dsmFencedWritebacks"),
+              2u);
+
+    // The granted life's writeback lands.
+    EXPECT_EQ(writeback(2, sys.kernel(2).selfIncarnation()),
+              static_cast<std::uint32_t>(err::OK));
+    EXPECT_EQ(home_copy(), junk);
+    EXPECT_EQ(home.ownerOf(page), INVALID_NODE);
+}
+
 TEST(Dsm, FaultDrivenProgramTouchesWindow)
 {
     // End to end through the CPU fault path: a program strides over

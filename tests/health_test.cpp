@@ -8,6 +8,9 @@
 
 #include <gtest/gtest.h>
 
+#include <stdexcept>
+#include <string>
+
 #include "nic/deliberate_dma.hh"
 #include "test_util.hh"
 
@@ -28,6 +31,23 @@ healthyConfig(unsigned width = 3, unsigned height = 1)
     cfg.health.suspectTimeout = 200 * ONE_US;
     cfg.health.deadTimeout = 600 * ONE_US;
     return cfg;
+}
+
+TEST(Health, RequiresNiReliability)
+{
+    // Peer death fails the reliable channel and epoch changes restart
+    // its streams, so health without the reliability layer is refused
+    // at build time, naming the field to set.
+    SystemConfig cfg = healthyConfig();
+    cfg.ni.reliability.enabled = false;
+    try {
+        ShrimpSystem sys(cfg);
+        ADD_FAILURE() << "built a system with health on, reliability off";
+    } catch (const std::logic_error &e) {
+        EXPECT_NE(std::string(e.what()).find("ni.reliability.enabled"),
+                  std::string::npos)
+            << e.what();
+    }
 }
 
 TEST(Health, SteadyStateAllAlive)
@@ -164,6 +184,81 @@ TEST(Health, DeliberateDmaAbortsOnPeerDeath)
     EXPECT_GE(sys.node(0).ni.dma().transfersAborted(), 1u);
     // The engine is free again for future transfers.
     EXPECT_FALSE(sys.node(0).ni.dma().busy());
+}
+
+TEST(Health, StaleSenderStampRejectedAndCounted)
+{
+    // checkStamp's STALE_SENDER verdict: once a peer's newer life is
+    // known, a message stamped from its older life is refused and
+    // counted, and the known incarnation does not roll back.
+    ShrimpSystem sys(healthyConfig());
+    sys.runFor(ONE_MS);
+    HealthMonitor &h0 = *sys.kernel(0).health();
+    HealthMonitor &h1 = *sys.kernel(1).health();
+    const std::uint64_t first_life = h1.stampFor(0);
+
+    h1.bumpIncarnation("test");
+    sys.runFor(ONE_MS);
+    ASSERT_EQ(h0.peerIncarnation(1), 2u);
+    auto rejects = [&] {
+        return sys.snapshot().sum("node0.kernel.health.staleEpochRejects");
+    };
+    const std::uint64_t before = rejects();
+
+    EXPECT_FALSE(h0.admitStamp(1, first_life));
+    EXPECT_EQ(rejects(), before + 1);
+    EXPECT_EQ(h0.peerIncarnation(1), 2u);
+    EXPECT_TRUE(h0.admitStamp(1, h1.stampFor(0)));
+    EXPECT_EQ(rejects(), before + 1);
+}
+
+TEST(Health, CrashParksRunningProcessAndRestartResumesIt)
+{
+    // Kernel::crash with a process on the CPU parks it READY; memory
+    // survives the crash, so after restart it resumes from the same
+    // PC and its store loop finishes with every word in place.
+    constexpr int kWords = 1024;
+    ShrimpSystem sys(healthyConfig());
+    Process *p = sys.kernel(1).createProcess("p");
+    Addr buf = p->allocate(1);
+    Program prog("p");
+    prog.movi(R1, buf);
+    prog.movi(R2, 0x1000);
+    prog.movi(R3, 0x1000 + kWords);
+    prog.label("loop");
+    prog.st(R1, 0, R2, 4);
+    prog.addi(R1, 4);
+    prog.addi(R2, 1);
+    prog.cmp(R2, R3);
+    prog.jl("loop");
+    prog.halt();
+    test::loadProgram(sys.kernel(1), *p, std::move(prog));
+    sys.startAll();
+
+    auto words_done = [&] {
+        int n = 0;
+        while (n < kWords &&
+               test::peek32(sys, 1, *p, buf + 4 * n) ==
+                   static_cast<std::uint32_t>(0x1000 + n)) {
+            ++n;
+        }
+        return n;
+    };
+    while (words_done() == 0)
+        sys.runFor(ONE_US);
+    ASSERT_EQ(p->state, ProcState::RUNNING);
+
+    sys.crashNode(1);
+    EXPECT_EQ(p->state, ProcState::READY);
+    const int at_crash = words_done();
+    ASSERT_LT(at_crash, kWords);
+    sys.runFor(ONE_MS);
+    EXPECT_EQ(words_done(), at_crash) << "a crashed CPU kept storing";
+
+    sys.restartNode(1);
+    ASSERT_TRUE(sys.runUntilAllExited());
+    EXPECT_EQ(p->state, ProcState::EXITED);
+    EXPECT_EQ(words_done(), kWords);
 }
 
 TEST(Health, RestartAndRemapRestoresDelivery)

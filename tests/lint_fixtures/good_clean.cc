@@ -53,6 +53,14 @@ makeLink()
     return std::make_unique<Link>();
 }
 
+// "tick" inside a longer word is no Tick: this stays 32-bit clean.
+unsigned
+nextTicket(unsigned ticket_base, unsigned sticky_offset)
+{
+    unsigned ticket = ticket_base + sticky_offset;
+    return ticket;
+}
+
 unsigned long long
 pickVictim(Rng &rng, unsigned long long n)
 {

@@ -149,18 +149,24 @@ TEST(Partition, StaleWritebackFencedAndRehomedOnce)
     // majority's heartbeats and keeps believing they are alive.
     EXPECT_EQ(sys.kernel(2).health()->peersDeclaredDead(), 0u);
 
-    // Restore the direction before the owner's retry budget dies. Its
-    // queued writeback retransmits into the healed link, but the
-    // majority has moved on: the recovery bumps incarnations, the
-    // grant from the owner's old life is void, and the page re-homes
-    // exactly once.
+    // Restore the direction before the owner's retry budget dies. The
+    // majority has moved on: the recovery bumps incarnations, so the
+    // home fences the owner's old-view heartbeats, and the page
+    // re-homes exactly once. The stale writeback never reaches the
+    // home's writeback fence: when the owner sees the home's new life
+    // it resets what it bound to the old one, its reliable channel
+    // toward the home and its DSM messages, and the writeback dies
+    // with them. Dsm.WritebackFenceRejectsNonOwnerAndSupersededLife
+    // drives that fence directly.
     sys.backplane().router(2).forceLinkUp(out);
     sys.runFor(3 * ONE_MS);
 
     EXPECT_EQ(sys.kernel(0).health()->peerState(2), PeerHealth::ALIVE);
     EXPECT_FALSE(sys.kernel(0).dsm()->errored(page));
     EXPECT_EQ(sys.kernel(0).dsm()->rehomes(), 1u);
-    EXPECT_GT(totalStaleEpochRejects(sys), 0u);
+    EXPECT_GT(sys.kernel(2).peerIncarnation(0), 1u);
+    EXPECT_GT(sys.snapshot().sum("node0.kernel.health.staleEpochRejects"),
+              0u);
 
     // The page is usable again, and the stale grant never resurrects:
     // the requester takes clean exclusive ownership.

@@ -12,6 +12,7 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <cstring>
 #include <sstream>
 #include <vector>
 
@@ -105,6 +106,58 @@ TEST(Retransmit, DropAndCorruptEveryWordDeliveredExactlyOnce)
     EXPECT_EQ(retx.channelsFailed(), 0u);
     EXPECT_EQ(tx.mappingsErrored(), 0u);
     EXPECT_EQ(retx.windowFill(1), 0u);  // everything acknowledged
+}
+
+TEST(Retransmit, StaleEpochDataFencedBeforeMemory)
+{
+    // The epoch gate in ShrimpNi::sinkDeliver: once the receiver has
+    // seen a newer life of the sender, a reliable DATA packet stamped
+    // from an older life is dropped and counted before it can touch
+    // the channel or memory. The same packet from the current life
+    // lands.
+    ShrimpSystem sys(faultyConfig({}));
+    Process *a = sys.kernel(0).createProcess("a");
+    Process *b = sys.kernel(1).createProcess("b");
+    Addr src = a->allocate(1);
+    Addr dst = b->allocate(1);
+    sys.kernel(0).mapDirect(*a, src, 1, sys.kernel(1), *b, dst,
+                            UpdateMode::AUTO_SINGLE);
+    Translation t = b->space().translate(dst, false);
+    ASSERT_TRUE(t.ok());
+
+    auto packet = [&](NetPacket::Kind kind, std::uint32_t epoch,
+                      std::uint32_t word) {
+        NetPacket pkt;
+        pkt.srcNode = 0;
+        pkt.dstNode = 1;
+        pkt.dstX = static_cast<std::uint16_t>(sys.backplane().xOf(1));
+        pkt.dstY = static_cast<std::uint16_t>(sys.backplane().yOf(1));
+        pkt.dstPaddr = t.paddr;
+        pkt.payload.resize(4);
+        std::memcpy(pkt.payload.data(), &word, 4);
+        pkt.reliable = true;
+        pkt.kind = kind;
+        pkt.srcEpoch = epoch;
+        pkt.sealCrc();
+        return pkt;
+    };
+    auto stale_drops = [&] {
+        return sys.snapshot().sum("node1.ni.staleEpochDrops");
+    };
+    ShrimpNi &rx = sys.node(1).ni;
+
+    // A heartbeat from the sender's second life moves the receive
+    // state to epoch 2; a first-life DATA packet is then a relic.
+    rx.sinkDeliver(packet(NetPacket::Kind::HEARTBEAT, 2, 0));
+    rx.sinkDeliver(packet(NetPacket::Kind::DATA, 1, 0xDEAD'BEEF));
+    sys.runFor(ONE_MS);
+    EXPECT_EQ(stale_drops(), 1u);
+    EXPECT_EQ(peek32(sys, 1, *b, dst), 0u);
+
+    rx.sinkDeliver(packet(NetPacket::Kind::DATA, 2, 0x1234'5678));
+    sys.runFor(ONE_MS);
+    EXPECT_EQ(stale_drops(), 1u);
+    EXPECT_EQ(peek32(sys, 1, *b, dst), 0x1234'5678u);
 }
 
 TEST(Retransmit, DuplicatesSuppressed)

@@ -245,34 +245,51 @@ TEST_F(MeshFixture, RandomTrafficAllDeliveredNoDeadlock)
     EXPECT_EQ(total, static_cast<std::size_t>(kPackets));
 }
 
-TEST_F(MeshFixture, CreditWaitersWakeInFifoOrderWithoutDuplicates)
+TEST_F(MeshFixture, BlockedUpstreamWokenOncePerReleasedCredit)
 {
-    // Credit waiters park in FIFO registration order and re-parking
-    // an already-queued key is a no-op: contenders alternate instead
-    // of the most recent re-poller starving the rest.
+    // One buffer slot per port: packet A fills router 1's WEST input
+    // while its sink is busy, so router 0 blocks forwarding B.
+    params.inputBufferPackets = 1;
     build(2, 1);
+    Router &r0 = mesh->router(0);
     Router &r1 = mesh->router(1);
+    auto r0_blocked = [&] {
+        stats::Snapshot snap;
+        r0.statGroup().snapshotInto(snap);
+        return snap.sum("mesh.router0.blockedOnCredit");
+    };
+    sinks[1].ready = false;
 
-    std::vector<int> order;
-    r1.addCreditWaiter(Router::WEST, 101,
-                       [&] { order.push_back(101); });
-    r1.addCreditWaiter(Router::WEST, 102,
-                       [&] { order.push_back(102); });
-    // Blocked senders re-poll; the duplicate registration must keep
-    // key 101's original queue position and original callback.
-    r1.addCreditWaiter(Router::WEST, 101,
-                       [&] { order.push_back(-101); });
-    r1.addCreditWaiter(Router::WEST, 103,
-                       [&] { order.push_back(103); });
-
-    // One packet through router 1's WEST input releases its credit;
-    // since none of these waiters consume it, the same credit passes
-    // down the whole line, strictly in registration order.
-    mesh->router(0).inject(makePkt(0, 1, 1));
+    r0.inject(makePkt(0, 1, 0));
     eq.run();
+    r0.inject(makePkt(0, 1, 1));
+    eq.run();
+    EXPECT_EQ(r0_blocked(), 1u);
+    EXPECT_TRUE(r1.upstreamBlocked(Router::WEST));
 
-    EXPECT_EQ(order, (std::vector<int>{101, 102, 103}));
-    ASSERT_EQ(sinks[1].got.size(), 1u);
+    // Re-polling while parked (any kick of router 0's advance loop)
+    // blocks again but keeps the single flag; nothing wakes router 0
+    // until a credit is released.
+    r0.sinkReadyAgain();
+    eq.run();
+    EXPECT_EQ(r0_blocked(), 2u);
+    EXPECT_TRUE(r1.upstreamBlocked(Router::WEST));
+    EXPECT_TRUE(sinks[1].got.empty());
+
+    // Ejecting A releases the credit: router 0 forwards B in that very
+    // tick without blocking again, and B's own release finds no one
+    // parked.
+    sinks[1].ready = true;
+    r1.sinkReadyAgain();
+    eq.run();
+    ASSERT_EQ(sinks[1].got.size(), 2u);
+    EXPECT_EQ(sinks[1].got[0].seq, 0u);
+    EXPECT_EQ(sinks[1].got[1].seq, 1u);
+    EXPECT_EQ(r0_blocked(), 2u);
+    EXPECT_FALSE(r1.upstreamBlocked(Router::WEST));
+    Tick ser = r1.serializationTime(sinks[1].got[1]);
+    EXPECT_EQ(sinks[1].when[1] - sinks[1].when[0],
+              params.linkLatency + params.routingLatency + ser);
 }
 
 } // namespace

@@ -204,7 +204,6 @@ struct SnapshotFixture
     stats::Counter pkts0{"pkts", "packets sent"};
     stats::Counter retx0Pkts{"pkts", "packets retransmitted"};
     stats::Counter pkts12{"pkts", "packets sent"};
-    stats::Scalar ratio{"ratio", "a gauge"};
     stats::Peak peak{"peak", "a high-water mark"};
     stats::Distribution lat{"lat", "latency"};
     stats::Histogram depth{"depth", "queue depth"};
@@ -215,13 +214,12 @@ struct SnapshotFixture
         retx0.addStat(&retx0Pkts);
         nic12.addStat(&pkts12);
         for (stats::Stat *s : std::initializer_list<stats::Stat *>{
-                 &ratio, &peak, &lat, &depth}) {
+                 &peak, &lat, &depth}) {
             nic0.addStat(s);
         }
         pkts0 += 3;
         retx0Pkts += 5;
         pkts12 += 7;
-        ratio = 0.5;
         peak.observe(9.0);
         lat.sample(2.0);
         depth.sample(4);

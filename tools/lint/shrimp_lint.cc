@@ -227,6 +227,44 @@ findWord(const std::string &hay, const std::string &needle)
     return hits;
 }
 
+/**
+ * Is one camelCase or snake_case part of @p word "tick" or "ticks",
+ * in any case? `curTick`, `fifoStallTicks` and `MAX_TICK` are; a
+ * longer word that only contains the letters, such as `ticket` or
+ * `sticky`, is not.
+ */
+bool
+hasTickPart(const std::string &word)
+{
+    auto upper = [&](std::size_t k) {
+        return std::isupper(static_cast<unsigned char>(word[k])) != 0;
+    };
+    auto lower = [&](std::size_t k) {
+        return k < word.size() &&
+               std::islower(static_cast<unsigned char>(word[k])) != 0;
+    };
+    for (std::size_t i = 0; i < word.size();) {
+        if (word[i] == '_') {
+            ++i;
+            continue;
+        }
+        // A part ends at '_', at a lower-to-upper step (curTick), or
+        // before the last capital of an acronym (ABCTick).
+        std::size_t j = i + 1;
+        while (j < word.size() && word[j] != '_' &&
+               !(upper(j) && (lower(j - 1) || lower(j + 1))))
+            ++j;
+        std::string part = word.substr(i, j - i);
+        for (char &c : part)
+            c = static_cast<char>(
+                std::tolower(static_cast<unsigned char>(c)));
+        if (part == "tick" || part == "ticks")
+            return true;
+        i = j;
+    }
+    return false;
+}
+
 /** Does the text contain an identifier mentioning ticks? */
 bool
 hasTickToken(const std::string &text)
@@ -240,9 +278,7 @@ hasTickToken(const std::string &text)
         std::size_t j = i;
         while (j < text.size() && identChar(text[j]))
             ++j;
-        std::string word = text.substr(i, j - i);
-        if (word.find("tick") != std::string::npos ||
-            word.find("Tick") != std::string::npos)
+        if (hasTickPart(text.substr(i, j - i)))
             return true;
         i = j;
     }
@@ -792,8 +828,8 @@ Linter::checkTickNarrowing(const SourceFile &f)
 void
 Linter::checkStatsDesc(const SourceFile &f)
 {
-    static const char *statTypes[] = {"Counter", "Scalar", "Peak",
-                                      "Distribution", "Histogram"};
+    static const char *statTypes[] = {"Counter", "Peak", "Distribution",
+                                      "Histogram"};
     const std::string &s = f.joined;
     for (const char *ty : statTypes) {
         std::string token = std::string("stats::") + ty;
