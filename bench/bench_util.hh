@@ -55,7 +55,7 @@ measureSingleWriteLatencyUs(bool next_gen, unsigned hops,
                             const char *stats_json_path = nullptr)
 {
     SystemConfig cfg = SystemConfig::paper16();
-    cfg.nextGenDatapath = next_gen;
+    cfg.ni.nextGenDatapath = next_gen;
     cfg.traceEnabled = trace_path != nullptr;
     ShrimpSystem sys(cfg);
 
@@ -120,7 +120,7 @@ measureDeliberateBandwidth(bool next_gen, Addr total_bytes,
     SystemConfig cfg;
     cfg.meshWidth = 2;
     cfg.meshHeight = 1;
-    cfg.nextGenDatapath = next_gen;
+    cfg.ni.nextGenDatapath = next_gen;
     cfg.traceEnabled = trace_path != nullptr;
     ShrimpSystem sys(cfg);
 

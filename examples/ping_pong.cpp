@@ -34,7 +34,7 @@ runPingPong(bool next_gen, int rounds)
     SystemConfig cfg;
     cfg.meshWidth = 2;
     cfg.meshHeight = 1;
-    cfg.nextGenDatapath = next_gen;
+    cfg.ni.nextGenDatapath = next_gen;
     ShrimpSystem sys(cfg);
 
     Process *ping = sys.kernel(0).createProcess("ping");

@@ -84,13 +84,6 @@ struct SystemConfig
      */
     DsmConfig dsm{};
 
-    /**
-     * Use the next-generation datapath: incoming packets bypass the
-     * EISA bus and drive the Xpress bus directly (Section 5.1 predicts
-     * < 1 us latency and ~70 MB/s with this path).
-     */
-    bool nextGenDatapath = false;
-
     /** Wire the kernel channels + NX service at boot. */
     bool bootKernelServices = true;
 

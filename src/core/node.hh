@@ -45,8 +45,7 @@ class Node
           cache(eq, _name + ".cache", cfg.cpu.freqHz, bus, mem,
                 cfg.cache),
           cpu(eq, _name + ".cpu", cfg.cpu, cache, bus, mem),
-          ni(eq, _name + ".ni", id, niParams(cfg), bus, eisa, mem,
-             backplane),
+          ni(eq, _name + ".ni", id, cfg.ni, bus, eisa, mem, backplane),
           kernel(eq, _name + ".kernel", id, backplane.numNodes(), cpu,
                  mem, bus, ni, cfg.kernel)
     {
@@ -63,16 +62,6 @@ class Node
     Cpu cpu;
     ShrimpNi ni;
     Kernel kernel;
-
-  private:
-    static ShrimpNi::Params
-    niParams(const SystemConfig &cfg)
-    {
-        ShrimpNi::Params p = cfg.ni;
-        if (cfg.nextGenDatapath)
-            p.eisaIncoming = false;
-        return p;
-    }
 };
 
 } // namespace shrimp

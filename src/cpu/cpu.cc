@@ -14,13 +14,7 @@ Cpu::Cpu(EventQueue &eq, std::string name, const Params &params,
       _mem(mem),
       _execEvent([this] { executeNext(); }, "cpu execute"),
       _stats(this->name())
-{
-    _stats.addStat(&_instructions);
-    _stats.addStat(&_kernelInstructions);
-    _stats.addStat(&_interrupts);
-    _stats.addStat(&_faults);
-    _stats.addStat(&_lockedOps);
-}
+{}
 
 void
 Cpu::resumeAt(Tick when)

@@ -154,13 +154,13 @@ class Cpu : public ClockedObject
     EventFunctionWrapper _execEvent;
 
     stats::Group _stats;
-    stats::Counter _instructions{"instructions",
+    stats::Counter _instructions{_stats, "instructions",
                                  "user instructions executed"};
-    stats::Counter _kernelInstructions{"kernelInstructions",
+    stats::Counter _kernelInstructions{_stats, "kernelInstructions",
                                        "kernel instructions charged"};
-    stats::Counter _interrupts{"interrupts", "interrupts taken"};
-    stats::Counter _faults{"faults", "memory faults taken"};
-    stats::Counter _lockedOps{"lockedOps",
+    stats::Counter _interrupts{_stats, "interrupts", "interrupts taken"};
+    stats::Counter _faults{_stats, "faults", "memory faults taken"};
+    stats::Counter _lockedOps{_stats, "lockedOps",
                               "locked bus operations (CMPXCHG)"};
 };
 

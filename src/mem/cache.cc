@@ -65,11 +65,6 @@ Cache::Cache(EventQueue &eq, std::string name, std::uint64_t freq_hz,
                   "cache size not a multiple of line size");
     _lines.resize(params.sizeBytes / params.lineBytes);
 
-    _stats.addStat(&_hits);
-    _stats.addStat(&_misses);
-    _stats.addStat(&_writebacks);
-    _stats.addStat(&_snoopInvalidations);
-
     bus.addSnooper(this);
 }
 

@@ -151,10 +151,10 @@ class Cache : public ClockedObject, public BusSnooper
     WriteBuffer _writeBuffer;
 
     stats::Group _stats;
-    stats::Counter _hits{"hits", "cache hits"};
-    stats::Counter _misses{"misses", "cache misses"};
-    stats::Counter _writebacks{"writebacks", "dirty line writebacks"};
-    stats::Counter _snoopInvalidations{"snoopInvalidations",
+    stats::Counter _hits{_stats, "hits", "cache hits"};
+    stats::Counter _misses{_stats, "misses", "cache misses"};
+    stats::Counter _writebacks{_stats, "writebacks", "dirty line writebacks"};
+    stats::Counter _snoopInvalidations{_stats, "snoopInvalidations",
                                        "lines invalidated by DMA snoops"};
 };
 

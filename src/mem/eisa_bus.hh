@@ -42,10 +42,7 @@ class EisaBus : public SimObject
         : SimObject(eq, std::move(name)),
           _params(params),
           _stats(this->name())
-    {
-        _stats.addStat(&_bursts);
-        _stats.addStat(&_bytes);
-    }
+    {}
 
     /**
      * Reserve the bus for a burst of @p bytes starting no earlier than
@@ -76,8 +73,8 @@ class EisaBus : public SimObject
     Tick _busyUntil = 0;
 
     stats::Group _stats;
-    stats::Counter _bursts{"bursts", "DMA bursts carried"};
-    stats::Counter _bytes{"bytes", "bytes carried"};
+    stats::Counter _bursts{_stats, "bursts", "DMA bursts carried"};
+    stats::Counter _bytes{_stats, "bytes", "bytes carried"};
 };
 
 } // namespace shrimp

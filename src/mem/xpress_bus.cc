@@ -14,9 +14,6 @@ XpressBus::XpressBus(EventQueue &eq, std::string name,
       _stats(this->name())
 {
     SHRIMP_ASSERT(width_bytes > 0, "zero bus width");
-    _stats.addStat(&_transactions);
-    _stats.addStat(&_bytes);
-    _stats.addStat(&_contentionTicks);
 }
 
 void

@@ -120,9 +120,9 @@ class XpressBus : public ClockedObject
     std::vector<BusSnooper *> _snoopers;
 
     stats::Group _stats;
-    stats::Counter _transactions{"transactions", "bus transactions"};
-    stats::Counter _bytes{"bytes", "bytes carried on the bus"};
-    stats::Counter _contentionTicks{"contentionTicks",
+    stats::Counter _transactions{_stats, "transactions", "bus transactions"};
+    stats::Counter _bytes{_stats, "bytes", "bytes carried on the bus"};
+    stats::Counter _contentionTicks{_stats, "contentionTicks",
                                     "ticks transactions waited for the bus"};
 };
 

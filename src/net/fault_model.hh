@@ -45,23 +45,13 @@ class FaultModel
          *  than one serialization time lets successors overtake. */
         Tick reorderDelay = 2 * ONE_US;
         std::uint64_t seed = 0x0f00d5eed;
-        /**
-         * Deterministic outage window [downFrom, downUntil) for THIS
-         * direction only. A FaultModel governs one directed link, so
-         * attaching a window to just one of a link's two models gives
-         * an asymmetric failure -- A's packets to B die while B still
-         * reaches A -- a state sampled outages practically never hold
-         * long enough to exercise. downUntil == 0 disables the window.
-         */
-        Tick downFrom = 0;
-        Tick downUntil = 0;
 
         bool
         any() const
         {
             return dropProb > 0.0 || corruptProb > 0.0 ||
                    duplicateProb > 0.0 || reorderProb > 0.0 ||
-                   linkDownProb > 0.0 || downUntil > downFrom;
+                   linkDownProb > 0.0;
         }
     };
 
@@ -94,14 +84,6 @@ class FaultModel
                         "using the default window instead");
             p.linkDownTicks = 100 * ONE_US;
         }
-        if (p.downUntil != 0 && p.downUntil < p.downFrom) {
-            SHRIMP_WARN("FaultModel: inverted forced-outage window [",
-                        p.downFrom, ", ", p.downUntil,
-                        "), swapping the bounds");
-            Tick lo = p.downUntil;
-            p.downUntil = p.downFrom;
-            p.downFrom = lo;
-        }
         return p;
     }
 
@@ -118,9 +100,7 @@ class FaultModel
 
     FaultModel(const Params &params, std::uint64_t link_salt)
         : _params(validated(params)),
-          _rng(_params.seed ^ (link_salt * 0x9e3779b97f4a7c15ULL)),
-          _forcedSince(_params.downFrom),
-          _forcedUntil(_params.downUntil)
+          _rng(_params.seed ^ (link_salt * 0x9e3779b97f4a7c15ULL))
     {}
 
     const Params &params() const { return _params; }
@@ -147,9 +127,6 @@ class FaultModel
         }
         return now < _downUntil && now - _downSince >= age;
     }
-
-    /** Start of the current outage window (valid while linkDown()). */
-    Tick downSince() const { return _downSince; }
 
     /**
      * Force this direction of the link down from @p now for

@@ -14,22 +14,7 @@ Router::Router(EventQueue &eq, std::string name, unsigned x, unsigned y,
       _params(params),
       _advanceEvent([this] { advance(); }, "router advance"),
       _stats(this->name())
-{
-    _stats.addStat(&_forwarded);
-    _stats.addStat(&_ejected);
-    _stats.addStat(&_injected);
-    _stats.addStat(&_blockedOnCredit);
-    _stats.addStat(&_blockedOnSink);
-    _stats.addStat(&_faultDrops);
-    _stats.addStat(&_faultCorrupts);
-    _stats.addStat(&_faultDuplicates);
-    _stats.addStat(&_faultReorders);
-    _stats.addStat(&_linkDownDrops);
-    _stats.addStat(&_misroutes);
-    _stats.addStat(&_routeAroundDrops);
-    _stats.addStat(&_ecnMarks);
-    _stats.addStat(&_queueDepth);
-}
+{}
 
 void
 Router::setLinkDead(Port out, bool dead)

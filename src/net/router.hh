@@ -141,9 +141,6 @@ class Router : public SimObject
      */
     void setFaultModel(Port out, const FaultModel::Params &params);
 
-    /** Fault model of output link @p out, or nullptr. */
-    FaultModel *faultModel(Port out) { return _faults[out].get(); }
-
     /**
      * Externally advertise the output link behind @p out as dead (or
      * alive again) -- the health service / backplane uses this when a
@@ -152,9 +149,6 @@ class Router : public SimObject
      * immediately retries the preferred route.
      */
     void setLinkDead(Port out, bool dead);
-
-    /** Is @p out externally advertised dead? */
-    bool linkDeadExternally(Port out) const { return _linkDeadExt[out]; }
 
     /**
      * Force the directed link behind @p out into an outage starting
@@ -268,32 +262,32 @@ class Router : public SimObject
     std::array<bool, NUM_PORTS> _linkDeadExt{};
 
     stats::Group _stats;
-    stats::Counter _forwarded{"forwarded", "packets forwarded"};
-    stats::Counter _ejected{"ejected", "packets ejected to the sink"};
-    stats::Counter _injected{"injected", "packets injected locally"};
-    stats::Counter _blockedOnCredit{"blockedOnCredit",
+    stats::Counter _forwarded{_stats, "forwarded", "packets forwarded"};
+    stats::Counter _ejected{_stats, "ejected", "packets ejected to the sink"};
+    stats::Counter _injected{_stats, "injected", "packets injected locally"};
+    stats::Counter _blockedOnCredit{_stats, "blockedOnCredit",
                                     "forward attempts blocked on credit"};
-    stats::Counter _blockedOnSink{"blockedOnSink",
+    stats::Counter _blockedOnSink{_stats, "blockedOnSink",
                                   "ejections blocked by a busy sink"};
-    stats::Counter _faultDrops{"faultDrops",
+    stats::Counter _faultDrops{_stats, "faultDrops",
                                "packets dropped by the link fault model"};
-    stats::Counter _faultCorrupts{"faultCorrupts",
+    stats::Counter _faultCorrupts{_stats, "faultCorrupts",
                                   "packets corrupted on the wire"};
-    stats::Counter _faultDuplicates{"faultDuplicates",
+    stats::Counter _faultDuplicates{_stats, "faultDuplicates",
                                     "packets duplicated on the wire"};
-    stats::Counter _faultReorders{"faultReorders",
+    stats::Counter _faultReorders{_stats, "faultReorders",
                                   "packets delayed past successors"};
-    stats::Counter _linkDownDrops{"linkDownDrops",
+    stats::Counter _linkDownDrops{_stats, "linkDownDrops",
                                   "packets lost to link outage windows"};
-    stats::Counter _misroutes{"misroutes",
+    stats::Counter _misroutes{_stats, "misroutes",
                               "detours taken around dead links"};
     stats::Counter _routeAroundDrops{
-        "routeAroundDrops",
+        _stats, "routeAroundDrops",
         "packets dropped with no usable route left"};
     stats::Counter _ecnMarks{
-        "ecnMarks", "data packets congestion-marked at arrival"};
+        _stats, "ecnMarks", "data packets congestion-marked at arrival"};
     stats::Histogram _queueDepth{
-        "inQueueDepth", "input-port queue depth at header arrival"};
+        _stats, "inQueueDepth", "input-port queue depth at header arrival"};
 };
 
 } // namespace shrimp

@@ -17,13 +17,7 @@ DeliberateDma::DeliberateDma(EventQueue &eq, std::string name,
       _hooks(std::move(hooks)),
       _chunkEvent([this] { transferChunk(); }, "dma chunk"),
       _stats(this->name())
-{
-    _stats.addStat(&_transfers);
-    _stats.addStat(&_bytes);
-    _stats.addStat(&_rejectedStarts);
-    _stats.addStat(&_fifoStalls);
-    _stats.addStat(&_aborts);
-}
+{}
 
 std::uint64_t
 DeliberateDma::statusRead(Addr src_paddr) const
@@ -91,8 +85,6 @@ DeliberateDma::abort(const char *reason)
                    {trace::arg("paddr", _abortedBase),
                     trace::arg("reason", reason)});
     }
-    SHRIMP_DTRACE("Nic", curTick(), name(), "transfer from ",
-                  _abortedBase, " aborted: ", reason);
 }
 
 void

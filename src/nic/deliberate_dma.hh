@@ -151,13 +151,13 @@ class DeliberateDma : public SimObject
     EventFunctionWrapper _chunkEvent;
 
     stats::Group _stats;
-    stats::Counter _transfers{"transfers", "transfers started"};
-    stats::Counter _bytes{"bytes", "payload bytes transferred"};
-    stats::Counter _rejectedStarts{"rejectedStarts",
+    stats::Counter _transfers{_stats, "transfers", "transfers started"};
+    stats::Counter _bytes{_stats, "bytes", "payload bytes transferred"};
+    stats::Counter _rejectedStarts{_stats, "rejectedStarts",
                                    "start attempts while busy"};
-    stats::Counter _fifoStalls{"fifoStalls",
+    stats::Counter _fifoStalls{_stats, "fifoStalls",
                                "chunks stalled on outgoing FIFO space"};
-    stats::Counter _aborts{"aborts",
+    stats::Counter _aborts{_stats, "aborts",
                            "transfers aborted (mapping lost or crash)"};
 };
 

@@ -54,9 +54,6 @@ class PacketFifo
                           params.highThresholdBytes &&
                       params.highThresholdBytes <= params.capacityBytes,
                       "inconsistent FIFO thresholds");
-        _stats.addStat(&_pushes);
-        _stats.addStat(&_maxFill);
-        _stats.addStat(&_depth);
     }
 
     /** Fired when fill first exceeds the high threshold. */
@@ -166,11 +163,11 @@ class PacketFifo
     Addr _fillBytes = 0;
 
     stats::Group _stats;
-    stats::Counter _pushes{"pushes", "packets pushed"};
+    stats::Counter _pushes{_stats, "pushes", "packets pushed"};
     /** Self-tracking peak: a resetAll() genuinely restarts it, so
      *  post-reset peaks below an old high-water mark are not lost. */
-    stats::Peak _maxFill{"maxFillBytes", "peak fill level"};
-    stats::Histogram _depth{"depthPackets",
+    stats::Peak _maxFill{_stats, "maxFillBytes", "peak fill level"};
+    stats::Histogram _depth{_stats, "depthPackets",
                             "queue depth (packets) observed at push"};
 };
 

@@ -52,7 +52,6 @@ class PramNi : public SimObject, public BusTarget
           _sram(sramBytes, 0),
           _stats(this->name())
     {
-        _stats.addStat(&_writesPropagated);
         bus.addTarget(params.sramBase, sramBytes, this);
     }
 
@@ -112,7 +111,7 @@ class PramNi : public SimObject, public BusTarget
     PramNi *_peer = nullptr;
 
     stats::Group _stats;
-    stats::Counter _writesPropagated{"writesPropagated",
+    stats::Counter _writesPropagated{_stats, "writesPropagated",
                                      "writes mirrored to the peer"};
 };
 

@@ -24,19 +24,6 @@ RetransmitBuffer::RetransmitBuffer(EventQueue &eq, std::string name,
     SHRIMP_ASSERT(params.congestion.paceBucketPackets == 0 ||
                       params.congestion.paceRefillInterval > 0,
                   "pacer enabled with a zero refill interval");
-    _stats.addStat(&_retxTimeout);
-    _stats.addStat(&_retxNack);
-    _stats.addStat(&_acksProcessed);
-    _stats.addStat(&_packetsAcked);
-    _stats.addStat(&_channelsFailed);
-    _stats.addStat(&_maxBackoffExp);
-    _stats.addStat(&_peakRto);
-    _stats.addStat(&_retxPaced);
-    _stats.addStat(&_peakPacedRetx);
-    _stats.addStat(&_ecnBackoffs);
-    _stats.addStat(&_lossBackoffs);
-    _stats.addStat(&_peakCwnd);
-    _stats.addStat(&_staleNackFails);
 }
 
 std::uint64_t
@@ -292,12 +279,6 @@ RetransmitBuffer::onNack(NodeId src, std::uint64_t missing)
             // Ignore same-tick duplicates of one NACK packet.
             if (now - st.staleNackAt >= _params.rtoBase / 2) {
                 ++_staleNackFails;
-                SHRIMP_DTRACE("Retx", now, name(),
-                              "receiver ", src,
-                              " regressed to seq ", missing,
-                              " behind window base ",
-                              st.window.front().pkt.rseq,
-                              "; failing channel");
                 failChannel(src, st);
             }
         } else {
@@ -345,8 +326,6 @@ RetransmitBuffer::onNack(NodeId src, std::uint64_t missing)
                     trace::arg("rseq", missing),
                     trace::arg("try", head.retries)});
     }
-    SHRIMP_DTRACE("Retx", now, name(), "NACK fast retransmit seq ",
-                  missing, " -> node ", src);
     if (_hooks.retransmit)
         _hooks.retransmit(NetPacket{head.pkt});
 
@@ -402,9 +381,6 @@ RetransmitBuffer::timeout()
         _maxBackoffExp.observe(static_cast<double>(st.backoffExp));
         _peakRto.observe(static_cast<double>(rtoOf(st)));
         cutWindow(st, false);
-        SHRIMP_DTRACE("Retx", now, name(), "timeout retransmit seq ",
-                      head.pkt.rseq, " -> node ", dst, " try ",
-                      head.retries, " rto ", rtoOf(st));
         if (_hooks.retransmit)
             _hooks.retransmit(NetPacket{head.pkt});
         st.deadline = now + rtoOf(st) + jitterOf(rtoOf(st));
@@ -425,10 +401,16 @@ RetransmitBuffer::forceFail(NodeId dst)
 void
 RetransmitBuffer::resetChannel(NodeId dst)
 {
-    _tx.at(dst) = TxState{};
+    TxState &st = _tx.at(dst);
+    if (auto *t = eventQueue().tracer()) {
+        // The reset discards the unacked window; say how much.
+        t->instant(curTick(), name(), "rel", "channelReset",
+                   {trace::arg("dst", static_cast<std::uint64_t>(dst)),
+                    trace::arg("unacked", static_cast<std::uint64_t>(
+                                              st.window.size()))});
+    }
+    st = TxState{};
     rearm();
-    SHRIMP_DTRACE("Retx", curTick(), name(), "channel toward node ", dst,
-                  " reset");
 }
 
 void
@@ -447,9 +429,6 @@ RetransmitBuffer::failChannel(NodeId dst, TxState &st)
                    {trace::arg("dst",
                                static_cast<std::uint64_t>(dst))});
     }
-    SHRIMP_DTRACE("Retx", curTick(), name(), "destination ", dst,
-                  " declared unreachable after ", _params.maxRetries,
-                  " retries");
     rearm();
     if (_hooks.failed)
         _hooks.failed(dst);

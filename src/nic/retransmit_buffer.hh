@@ -302,33 +302,33 @@ class RetransmitBuffer : public SimObject
     bool _windowSpaceAgain = false;
 
     stats::Group _stats;
-    stats::Counter _retxTimeout{"retxTimeout",
+    stats::Counter _retxTimeout{_stats, "retxTimeout",
                                 "retransmissions driven by timeout"};
-    stats::Counter _retxNack{"retxNack",
+    stats::Counter _retxNack{_stats, "retxNack",
                              "fast retransmissions driven by NACK"};
-    stats::Counter _acksProcessed{"acksProcessed",
+    stats::Counter _acksProcessed{_stats, "acksProcessed",
                                   "cumulative ACKs applied"};
-    stats::Counter _packetsAcked{"packetsAcked",
+    stats::Counter _packetsAcked{_stats, "packetsAcked",
                                  "window entries retired by ACKs"};
-    stats::Counter _channelsFailed{"channelsFailed",
+    stats::Counter _channelsFailed{_stats, "channelsFailed",
                                    "destinations declared unreachable"};
-    stats::Peak _maxBackoffExp{"maxBackoffExp",
+    stats::Peak _maxBackoffExp{_stats, "maxBackoffExp",
                                "largest backoff exponent reached"};
-    stats::Peak _peakRto{"peakRtoTicks",
+    stats::Peak _peakRto{_stats, "peakRtoTicks",
                          "largest backed-off retransmission timeout"};
-    stats::Counter _retxPaced{"retxPaced",
+    stats::Counter _retxPaced{_stats, "retxPaced",
                               "retransmissions deferred by the pacer"};
     stats::Peak _peakPacedRetx{
-        "peakPacedRetransmits",
+        _stats, "peakPacedRetransmits",
         "most retransmissions deferred in one timer pass"};
-    stats::Counter _ecnBackoffs{"ecnBackoffs",
+    stats::Counter _ecnBackoffs{_stats, "ecnBackoffs",
                                 "cwnd halvings from ECN echoes"};
     stats::Counter _lossBackoffs{
-        "lossBackoffs", "cwnd halvings from timeouts and NACK losses"};
-    stats::Peak _peakCwnd{"peakCwnd",
+        _stats, "lossBackoffs", "cwnd halvings from timeouts and NACK losses"};
+    stats::Peak _peakCwnd{_stats, "peakCwnd",
                           "largest AIMD congestion window reached"};
     stats::Counter _staleNackFails{
-        "staleNackFails",
+        _stats, "staleNackFails",
         "channels failed fast on receiver sequence regression"};
 };
 

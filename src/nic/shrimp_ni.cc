@@ -60,35 +60,6 @@ ShrimpNi::ShrimpNi(EventQueue &eq, std::string name, NodeId node,
                   params.maxPayloadBytes <= PAGE_SIZE,
                   "bad max payload size");
 
-    _stats.addStat(&_pktsSent);
-    _stats.addStat(&_pktsDelivered);
-    _stats.addStat(&_bytesSent);
-    _stats.addStat(&_bytesDelivered);
-    _stats.addStat(&_dropsCrc);
-    _stats.addStat(&_dropsUnmapped);
-    _stats.addStat(&_mergedWrites);
-    _stats.addStat(&_mergeFlushTimeout);
-    _stats.addStat(&_ignoredStarts);
-    _stats.addStat(&_arrivalInterrupts);
-    _stats.addStat(&_relAcksSent);
-    _stats.addStat(&_relAcksRcvd);
-    _stats.addStat(&_relNacksSent);
-    _stats.addStat(&_relNacksRcvd);
-    _stats.addStat(&_relDupsSuppressed);
-    _stats.addStat(&_relReorderFixes);
-    _stats.addStat(&_relOooDrops);
-    _stats.addStat(&_relMappingsErrored);
-    _stats.addStat(&_relDroppedFailed);
-    _stats.addStat(&_crashDrops);
-    _stats.addStat(&_heartbeatsForwarded);
-    _stats.addStat(&_sendOverflowDrops);
-    _stats.addStat(&_ecnMarksSeen);
-    _stats.addStat(&_ecnEchoesSent);
-    _stats.addStat(&_watchdogStalls);
-    _stats.addStat(&_staleEpochDrops);
-    _stats.addStat(&_deliveryLatency);
-    _stats.addStat(&_deliveryLatencyHist);
-
     if (_params.reliability.enabled) {
         _rx.resize(backplane.numNodes());
         // Salt the backoff-jitter seed per node so every NI draws a
@@ -315,9 +286,6 @@ ShrimpNi::emitPacket(NodeId dst, Addr dst_addr,
                     {});
     }
 
-    SHRIMP_DTRACE("Nic", curTick(), name(),
-                  "packet -> node ", dst, " paddr ", dst_addr,
-                  " bytes ", pkt.payload.size(), " seq ", pkt.seq);
     _bytesSent += pkt.payload.size();
     _outFifo.push(std::move(pkt), ready);
 
@@ -579,9 +547,6 @@ ShrimpNi::sinkDeliver(NetPacket &&pkt)
     bool coords_ok = pkt.dstX == _backplane.xOf(_node) &&
                      pkt.dstY == _backplane.yOf(_node);
     if (!coords_ok || !pkt.crcOk()) {
-        SHRIMP_DTRACE("Nic", curTick(), name(),
-                      "DROP bad crc/coords from node ", pkt.srcNode,
-                      " seq ", pkt.seq);
         ++_dropsCrc;
         if (auto *t = eventQueue().tracer(); t && pkt.traceId) {
             t->flowEnd(curTick(), name(), "packet", "dropped",
@@ -617,11 +582,6 @@ ShrimpNi::sinkDeliver(NetPacket &&pkt)
                            pkt.traceId,
                            {trace::arg("reason", "staleEpoch")});
             }
-            SHRIMP_DTRACE("Nic", curTick(), name(),
-                          "fenced packet from node ", pkt.srcNode,
-                          " epoch ", pkt.srcEpoch, " < ", rx.epoch);
-            if (onStaleEpochDrop)
-                onStaleEpochDrop(pkt.srcNode);
             return;
         }
         if (pkt.srcEpoch > rx.epoch) {
@@ -700,9 +660,6 @@ ShrimpNi::receiveReliableData(NetPacket &&pkt)
                                    static_cast<std::uint64_t>(src)),
                         trace::arg("rseq", pkt.rseq)});
         }
-        SHRIMP_DTRACE("Nic", curTick(), name(), "DUP seq ", pkt.rseq,
-                      " from node ", src, " (expected ", rx.expected,
-                      ")");
         sendAckNow(src);
         return;
     }
@@ -715,8 +672,6 @@ ShrimpNi::receiveReliableData(NetPacket &&pkt)
 
     // Sequence gap: hold the packet for in-order delivery and request
     // the missing one.
-    SHRIMP_DTRACE("Nic", curTick(), name(), "GAP got ", pkt.rseq,
-                  " expected ", rx.expected, " from node ", src);
     if (rx.ooo.size() < _params.reliability.reorderBufferPackets &&
         rx.ooo.find(pkt.rseq) == rx.ooo.end()) {
         rx.ooo.emplace(pkt.rseq, std::move(pkt));
@@ -1068,14 +1023,14 @@ ShrimpNi::drainIncoming()
     }
 
     Tick done;
-    if (_params.eisaIncoming) {
+    if (_params.nextGenDatapath) {
+        XpressBus::Grant g = _bus.acquire(now, bytes);
+        done = g.end + _mem.accessLatency();
+    } else {
         EisaBus::Grant g = _eisa.acquire(now, bytes);
         // The EISA bridge's writes also occupy the memory bus.
         _bus.acquire(g.start, bytes);
         done = g.end;
-    } else {
-        XpressBus::Grant g = _bus.acquire(now, bytes);
-        done = g.end + _mem.accessLatency();
     }
 
     _draining = true;
@@ -1084,9 +1039,9 @@ ShrimpNi::drainIncoming()
                     {trace::arg("bytes", bytes),
                      trace::arg("packets",
                                 static_cast<std::uint64_t>(count)),
-                     trace::arg("path", _params.eisaIncoming
-                                            ? "eisa"
-                                            : "xpress")});
+                     trace::arg("path", _params.nextGenDatapath
+                                            ? "xpress"
+                                            : "eisa")});
     }
     eventQueue().scheduleFn(
         [this, count, epoch = _epoch]() {
@@ -1107,9 +1062,6 @@ ShrimpNi::commitArrival(NetPacket &&pkt)
     // Functional write into main memory; snooping caches invalidate.
     _bus.functionalWrite(pkt.dstPaddr, pkt.payload.data(),
                          pkt.payload.size(), BusMaster::EISA_DMA);
-    SHRIMP_DTRACE("Nic", curTick(), name(),
-                  "delivered from node ", pkt.srcNode, " paddr ",
-                  pkt.dstPaddr, " bytes ", pkt.payload.size());
     ++_pktsDelivered;
     _bytesDelivered += pkt.payload.size();
     noteProgress();

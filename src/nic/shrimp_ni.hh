@@ -96,8 +96,12 @@ class ShrimpNi : public SimObject,
         Tick injectOverhead = 50 * ONE_NS;
         /** Coalescing limit for one incoming drain burst. */
         Addr maxDrainBurstBytes = 4096;
-        /** Prototype (EISA) or next-generation (Xpress) receive path. */
-        bool eisaIncoming = true;
+        /**
+         * Use the next-generation datapath: incoming packets bypass
+         * the EISA bus and drive the Xpress bus directly (Section 5.1
+         * predicts < 1 us latency and ~70 MB/s with this path).
+         */
+        bool nextGenDatapath = false;
 
         PacketFifo::Params outFifo{64 * 1024, 48 * 1024, 16 * 1024};
         PacketFifo::Params inFifo{64 * 1024, 56 * 1024, 32 * 1024};
@@ -133,7 +137,6 @@ class ShrimpNi : public SimObject,
 
     // ---- command space geometry ----
     Addr cmdBase() const { return _params.cmdBase; }
-    Addr cmdSpaceSize() const { return _mem.size(); }
 
     /** Command-space address controlling the given DRAM address. */
     Addr
@@ -175,10 +178,6 @@ class ShrimpNi : public SimObject,
     /** A HEARTBEAT keepalive arrived carrying the sender's packed
      *  (incarnation, view) stamp (fed to the health service). */
     std::function<void(NodeId src, std::uint64_t stamp)> onHeartbeat;
-
-    /** A reliable packet was fenced: it came from an older life of
-     *  its sender (the kernel rolls this into staleEpochRejects). */
-    std::function<void(NodeId src)> onStaleEpochDrop;
 
     // ---- liveness / failure support ----
 
@@ -446,59 +445,62 @@ class ShrimpNi : public SimObject,
     EventFunctionWrapper _watchdogEvent;
 
     stats::Group _stats;
-    stats::Counter _pktsSent{"pktsSent", "packets injected"};
-    stats::Counter _pktsDelivered{"pktsDelivered",
+    stats::Counter _pktsSent{_stats, "pktsSent", "packets injected"};
+    stats::Counter _pktsDelivered{_stats, "pktsDelivered",
                                   "packets delivered to memory"};
-    stats::Counter _bytesSent{"bytesSent", "payload bytes injected"};
-    stats::Counter _bytesDelivered{"bytesDelivered",
+    stats::Counter _bytesSent{_stats, "bytesSent", "payload bytes injected"};
+    stats::Counter _bytesDelivered{_stats, "bytesDelivered",
                                    "payload bytes delivered"};
-    stats::Counter _dropsCrc{"dropsCrc",
+    stats::Counter _dropsCrc{_stats, "dropsCrc",
                              "packets dropped: bad CRC or coords"};
-    stats::Counter _dropsUnmapped{"dropsUnmapped",
+    stats::Counter _dropsUnmapped{_stats, "dropsUnmapped",
                                   "packets dropped: page not mapped in"};
-    stats::Counter _mergedWrites{"mergedWrites",
+    stats::Counter _mergedWrites{_stats, "mergedWrites",
                                  "writes merged into a pending packet"};
-    stats::Counter _mergeFlushTimeout{"mergeFlushTimeout",
+    stats::Counter _mergeFlushTimeout{_stats, "mergeFlushTimeout",
                                       "merge buffers flushed by timer"};
-    stats::Counter _ignoredStarts{"ignoredStarts",
+    stats::Counter _ignoredStarts{_stats, "ignoredStarts",
                                   "command writes ignored (engine busy)"};
-    stats::Counter _arrivalInterrupts{"arrivalInterrupts",
+    stats::Counter _arrivalInterrupts{_stats, "arrivalInterrupts",
                                       "arrival interrupts raised"};
-    stats::Counter _relAcksSent{"relAcksSent",
+    stats::Counter _relAcksSent{_stats, "relAcksSent",
                                 "cumulative ACK packets sent"};
-    stats::Counter _relAcksRcvd{"relAcksRcvd", "ACK packets received"};
-    stats::Counter _relNacksSent{"relNacksSent", "NACK packets sent"};
-    stats::Counter _relNacksRcvd{"relNacksRcvd", "NACK packets received"};
+    stats::Counter _relAcksRcvd{_stats, "relAcksRcvd", "ACK packets received"};
+    stats::Counter _relNacksSent{_stats, "relNacksSent", "NACK packets sent"};
+    stats::Counter _relNacksRcvd{_stats, "relNacksRcvd",
+                                 "NACK packets received"};
     stats::Counter _relDupsSuppressed{
-        "relDupsSuppressed", "duplicate data packets suppressed"};
+        _stats, "relDupsSuppressed", "duplicate data packets suppressed"};
     stats::Counter _relReorderFixes{
-        "relReorderFixes", "out-of-order packets restored to order"};
+        _stats, "relReorderFixes", "out-of-order packets restored to order"};
     stats::Counter _relOooDrops{
-        "relOooDrops", "out-of-order packets dropped (buffer full)"};
+        _stats, "relOooDrops", "out-of-order packets dropped (buffer full)"};
     stats::Counter _relMappingsErrored{
-        "relMappingsErrored", "mapping halves marked errored"};
+        _stats, "relMappingsErrored", "mapping halves marked errored"};
     stats::Counter _relDroppedFailed{
-        "relDroppedFailed", "packets dropped toward failed destinations"};
+        _stats, "relDroppedFailed",
+        "packets dropped toward failed destinations"};
     stats::Counter _crashDrops{
-        "crashDrops", "packets discarded while the node was crashed"};
+        _stats, "crashDrops", "packets discarded while the node was crashed"};
     stats::Counter _heartbeatsForwarded{
-        "heartbeatsForwarded", "HEARTBEAT packets accepted off the wire"};
+        _stats, "heartbeatsForwarded",
+        "HEARTBEAT packets accepted off the wire"};
     stats::Counter _sendOverflowDrops{
-        "sendOverflowDrops",
+        _stats, "sendOverflowDrops",
         "packets dropped at the sender: outgoing FIFO full"};
     stats::Counter _ecnMarksSeen{
-        "ecnMarksSeen", "congestion marks latched off arriving data"};
+        _stats, "ecnMarksSeen", "congestion marks latched off arriving data"};
     stats::Counter _ecnEchoesSent{
-        "ecnEchoesSent", "ACKs sent carrying a congestion echo"};
+        _stats, "ecnEchoesSent", "ACKs sent carrying a congestion echo"};
     stats::Counter _watchdogStalls{
-        "watchdogStalls", "no-forward-progress windows flagged"};
+        _stats, "watchdogStalls", "no-forward-progress windows flagged"};
     stats::Counter _staleEpochDrops{
-        "staleEpochDrops",
+        _stats, "staleEpochDrops",
         "reliable packets fenced: stale sender channel epoch"};
     stats::Distribution _deliveryLatency{
-        "deliveryLatency", "injection-to-memory latency (ticks)"};
+        _stats, "deliveryLatency", "injection-to-memory latency (ticks)"};
     stats::Histogram _deliveryLatencyHist{
-        "deliveryLatencyHist",
+        _stats, "deliveryLatencyHist",
         "injection-to-memory latency distribution (ticks, log2 buckets)"};
 };
 

@@ -4,6 +4,7 @@
 
 #include "os/kernel.hh"
 #include "sim/logging.hh"
+#include "sim/trace.hh"
 
 namespace shrimp
 {
@@ -37,14 +38,6 @@ Dsm::Dsm(Kernel &kernel, const DsmConfig &cfg)
     SHRIMP_ASSERT(_cfg.numPages > 0, "DSM window is empty");
     SHRIMP_ASSERT(pageOffset(_cfg.baseVaddr) == 0,
                   "DSM base address not page aligned");
-    _stats.addStat(&_faults);
-    _stats.addStat(&_fetches);
-    _stats.addStat(&_invalidations);
-    _stats.addStat(&_rehomes);
-    _stats.addStat(&_hostdown);
-    _stats.addStat(&_pagesSent);
-    _stats.addStat(&_fencedWritebacks);
-    _stats.addStat(&_faultLatency);
 
     // The deliberate-DMA engine reports completion through a single
     // callback that the NX service claimed at kernel construction;
@@ -634,7 +627,7 @@ Dsm::postMsgRpc(NodeId dst)
     rpc.onResponse = [this, dst, gen](const std::uint32_t *resp) {
         msgAcked(dst, gen, resp);
     };
-    _kernel.mapManager().postRpc(dst, std::move(rpc));
+    _kernel.mapManager().sendRpc(dst, std::move(rpc));
 }
 
 void
@@ -693,12 +686,6 @@ Dsm::dmaCompleted(Addr base)
 // everything a handler copies out of a bounce frame is copied before
 // the acknowledgement is written)
 // ---------------------------------------------------------------------
-
-bool
-Dsm::handlesRpc(std::uint32_t type)
-{
-    return type >= channel::DSM_GET && type <= channel::DSM_INVAL;
-}
 
 std::uint32_t
 Dsm::handleRpc(NodeId peer, std::uint32_t type,
@@ -815,11 +802,15 @@ Dsm::handleWb(NodeId peer, const std::uint32_t *p)
          Incarnation::observed(d.granteeIncarnation) &&
          !Incarnation::sameLife(inc, d.granteeIncarnation))) {
         ++_fencedWritebacks;
-        _kernel.noteFencedDrop();
-        SHRIMP_DTRACE("Dsm", _kernel.curTick(), "dsm",
-                      "fenced writeback of page ", page, " from node ",
-                      peer, " inc ", inc, " (owner ", d.owner,
-                      " grantee inc ", d.granteeIncarnation, ")");
+        if (auto *t = _kernel.eventQueue().tracer()) {
+            t->instant(
+                _kernel.curTick(), _kernel.name(), "dsm", "fencedWriteback",
+                {trace::arg("page", page),
+                 trace::arg("src", static_cast<std::uint64_t>(peer)),
+                 trace::arg("inc", inc),
+                 trace::arg("owner", static_cast<std::uint64_t>(d.owner)),
+                 trace::arg("granteeInc", d.granteeIncarnation)});
+        }
         return rc(err::STALE_EPOCH);
     }
     // Land the data in the home frame before acknowledging: once the

@@ -128,9 +128,6 @@ class Dsm
 
     // ---- RPC plumbing (called from MapManager dispatch) ----
 
-    /** Is @p type one of ours (DSM_GET .. DSM_INVAL)? */
-    static bool handlesRpc(std::uint32_t type);
-
     /** Handle an incoming DSM request; returns resp[0] (an errno). */
     std::uint32_t handleRpc(NodeId peer, std::uint32_t type,
                             const std::uint32_t *payload,
@@ -374,23 +371,23 @@ class Dsm
     std::vector<PeerLink> _links;
 
     stats::Group _stats;
-    stats::Counter _faults{"dsmFaults",
+    stats::Counter _faults{_stats, "dsmFaults",
                            "DSM faults not satisfied locally"};
-    stats::Counter _fetches{"dsmFetches",
+    stats::Counter _fetches{_stats, "dsmFetches",
                             "fetch-page recalls sent to owners"};
     stats::Counter _invalidations{
-        "dsmInvalidations", "sharer shootdowns applied locally"};
+        _stats, "dsmInvalidations", "sharer shootdowns applied locally"};
     stats::Counter _rehomes{
-        "dsmRehomes", "errored pages re-homed after owner recovery"};
+        _stats, "dsmRehomes", "errored pages re-homed after owner recovery"};
     stats::Counter _hostdown{
-        "dsmHostdownFaults", "DSM faults failed with err::HOSTDOWN"};
+        _stats, "dsmHostdownFaults", "DSM faults failed with err::HOSTDOWN"};
     stats::Counter _pagesSent{
-        "dsmPagesSent", "page images DMA-ed to peers"};
+        _stats, "dsmPagesSent", "page images DMA-ed to peers"};
     stats::Counter _fencedWritebacks{
-        "dsmFencedWritebacks",
+        _stats, "dsmFencedWritebacks",
         "writebacks fenced: not from the granted owner's life"};
     stats::Histogram _faultLatency{
-        "dsmFaultLatency",
+        _stats, "dsmFaultLatency",
         "fault-to-resume latency of DSM faults, in ticks"};
 };
 

@@ -37,13 +37,6 @@ HealthMonitor::HealthMonitor(EventQueue &eq, std::string name,
                   "suspect timeout shorter than one heartbeat");
     SHRIMP_ASSERT(_params.deadTimeout > _params.suspectTimeout,
                   "dead timeout must exceed suspect timeout");
-    _stats.addStat(&_heartbeatsSent);
-    _stats.addStat(&_heartbeatsReceived);
-    _stats.addStat(&_suspects);
-    _stats.addStat(&_peersDeclaredDead);
-    _stats.addStat(&_peersRecovered);
-    _stats.addStat(&_partitionsDeclared);
-    _stats.addStat(&_staleEpochRejects);
 }
 
 void
@@ -108,8 +101,6 @@ HealthMonitor::bumpIncarnation(const char *why)
                                static_cast<std::uint64_t>(_selfInc)),
                     trace::arg("why", why)});
     }
-    SHRIMP_DTRACE("Health", curTick(), name(), "incarnation -> ",
-                  _selfInc, " (", why, ")");
     if (_hooks.selfEpochBumped)
         _hooks.selfEpochBumped(_selfInc);
 }
@@ -178,17 +169,8 @@ HealthMonitor::checkStamp(NodeId src, std::uint64_t stamp)
                  trace::arg("view", static_cast<std::uint64_t>(view)),
                  trace::arg("reason", reason)});
         }
-        SHRIMP_DTRACE("Health", curTick(), name(), "fenced msg from ",
-                      src, " inc ", inc, " view ", view, " (", reason,
-                      ")");
     }
     return verdict;
-}
-
-void
-HealthMonitor::noteFencedDrop()
-{
-    ++_staleEpochRejects;
 }
 
 bool
@@ -282,9 +264,6 @@ HealthMonitor::tick()
                         {trace::arg("peer",
                                     static_cast<std::uint64_t>(peer))});
                 }
-                SHRIMP_DTRACE("Health", now, name(), "peer ", peer,
-                              " past dead timeout but no quorum; "
-                              "stalling at SUSPECT");
             }
         }
     }
@@ -305,8 +284,6 @@ HealthMonitor::transition(NodeId peer, PeerHealth to)
                     trace::arg("from", peerHealthName(from)),
                     trace::arg("to", peerHealthName(to))});
     }
-    SHRIMP_DTRACE("Health", curTick(), name(), "peer ", peer, " ",
-                  peerHealthName(from), " -> ", peerHealthName(to));
 
     switch (to) {
       case PeerHealth::SUSPECT:

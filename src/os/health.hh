@@ -27,7 +27,10 @@
  *    sender's (incarnation, view-of-receiver) stamp; admitStamp()
  *    fences every message stamped with a stale incarnation of either
  *    endpoint, so a healed link cannot replay traffic from a peer's
- *    previous life (staleEpochRejects counts every fenced drop).
+ *    previous life. staleEpochRejects counts what checkStamp()
+ *    fences; the NI's channel-epoch gate and the DSM writeback fence
+ *    count on their own stat paths (ni.staleEpochDrops,
+ *    kernel.dsm.dsmFencedWritebacks).
  *
  *  - Quorum-gated death. Silence alone only declares a peer DEAD when
  *    this node can still reach a strict majority of the machine
@@ -199,10 +202,6 @@ class HealthMonitor : public SimObject
         STALE_VIEW,     //!< live sender, but it has not seen our bump
     };
 
-    /** A layer above fenced a message itself (e.g. the DSM writeback
-     *  fence): account for it in the global stale-epoch counter. */
-    void noteFencedDrop();
-
     /** Can this node still reach a strict majority of the machine? */
     bool quorumReachable() const;
 
@@ -256,21 +255,21 @@ class HealthMonitor : public SimObject
     Hooks _hooks;
 
     stats::Group _stats;
-    stats::Counter _heartbeatsSent{"heartbeatsSent",
+    stats::Counter _heartbeatsSent{_stats, "heartbeatsSent",
                                    "keepalive packets emitted"};
-    stats::Counter _heartbeatsReceived{"heartbeatsReceived",
+    stats::Counter _heartbeatsReceived{_stats, "heartbeatsReceived",
                                        "keepalive packets accepted"};
-    stats::Counter _suspects{"suspects",
+    stats::Counter _suspects{_stats, "suspects",
                              "peer transitions into SUSPECT"};
-    stats::Counter _peersDeclaredDead{"peersDeclaredDead",
+    stats::Counter _peersDeclaredDead{_stats, "peersDeclaredDead",
                                       "peer transitions into DEAD"};
-    stats::Counter _peersRecovered{"peersRecovered",
+    stats::Counter _peersRecovered{_stats, "peersRecovered",
                                    "DEAD peers that spoke again"};
     stats::Counter _partitionsDeclared{
-        "partitionsDeclared",
+        _stats, "partitionsDeclared",
         "dead timeouts stalled at SUSPECT for lack of a quorum"};
     stats::Counter _staleEpochRejects{
-        "staleEpochRejects",
+        _stats, "staleEpochRejects",
         "messages fenced: stale incarnation of either endpoint"};
 };
 

@@ -36,17 +36,6 @@ Kernel::Kernel(EventQueue &eq, std::string name, NodeId node,
       _quantumEvent([this] { quantumExpired(); }, "quantum"),
       _stats(this->name())
 {
-    _stats.addStat(&_switches);
-    _stats.addStat(&_interruptCount);
-    _stats.addStat(&_fifoStalls);
-    _stats.addStat(&_fifoStallTicks);
-    _stats.addStat(&_pageEvictions);
-    _stats.addStat(&_pageIns);
-    _stats.addStat(&_mappingErrors);
-    _stats.addStat(&_crashes);
-    _stats.addStat(&_restarts);
-    _stats.addStat(&_sendsRejected);
-
     _cpu.setTrapHandler(this);
     _ni.onArrival = [this](PageNum page, Addr) {
         _cpu.postInterrupt(
@@ -55,13 +44,11 @@ Kernel::Kernel(EventQueue &eq, std::string name, NodeId node,
     _ni.onOutFifoAboveThreshold = [this] { outFifoFull(); };
     _ni.onOutFifoDrained = [this] { outFifoDrained(); };
     _ni.onMappingError = [this](NodeId dst, unsigned halves) {
-        // The NI's reliability layer gave up on dst: record it so
-        // user-visible state (mappingErrors / peerFailed) reflects the
-        // degradation instead of data silently vanishing.
+        // The NI's reliability layer gave up on dst (and warned): record
+        // it so user-visible state (mappingErrors / peerFailed) reflects
+        // the degradation instead of data silently vanishing.
         _mappingErrors += halves;
         _failedPeers.insert(dst);
-        SHRIMP_WARN(this->name(), ": peer ", dst, " unreachable, ",
-                    halves, " mapping halves errored");
         // Retry-cap exhaustion is hard failure evidence: feed it to
         // the detector so full teardown runs via the peerDead hook.
         if (_health)
@@ -399,15 +386,6 @@ Kernel::enableDsm(const DsmConfig &cfg)
     _dsm->allocatePages();
 }
 
-std::uint32_t
-Kernel::dsmRpc(NodeId peer, std::uint32_t type,
-               const std::uint32_t *payload, std::uint32_t *resp)
-{
-    if (!_dsm || !Dsm::handlesRpc(type))
-        return static_cast<std::uint32_t>(err::INVAL);
-    return _dsm->handleRpc(peer, type, payload, resp);
-}
-
 PageNum
 Kernel::channelInFrame(NodeId peer) const
 {
@@ -461,11 +439,6 @@ Kernel::enableHealth(const HealthParams &params)
     _ni.onHeartbeat = [this](NodeId src, std::uint64_t stamp) {
         _health->heartbeatFrom(src, stamp);
     };
-    _ni.onStaleEpochDrop = [this](NodeId) {
-        // The NI channel-epoch gate fenced a data packet; roll it into
-        // the machine-wide stale-epoch accounting.
-        _health->noteFencedDrop();
-    };
     _ni.startNewEpoch(_health->selfIncarnation());
     _health->start();
 }
@@ -480,13 +453,6 @@ std::uint32_t
 Kernel::peerIncarnation(NodeId peer) const
 {
     return _health ? _health->peerIncarnation(peer) : 0;
-}
-
-void
-Kernel::noteFencedDrop()
-{
-    if (_health)
-        _health->noteFencedDrop();
 }
 
 void
@@ -768,11 +734,6 @@ Kernel::mapDirectRange(Process &src_proc, Addr src_vaddr, Addr nbytes,
         out_rec.dstFrame = dst_pte->frame;
         out_rec.mode = mode;
         out_rec.flags = in_rec.flags;
-        // Treat "covers the whole remainder of the page" as the
-        // canonical full/low half so unsplit pages stay unsplit.
-        if (out_rec.halfBegin == 0 && out_rec.halfEnd == PAGE_SIZE) {
-            // whole page
-        }
         _mapManager->recordOutDirect(out_rec, src_pte->frame);
 
         // Mapped-out pages must be write-through so the NI snoops

@@ -138,12 +138,6 @@ class Kernel : public SimObject, public TrapHandler
     /** The DSM service, or nullptr unless enableDsm ran. */
     Dsm *dsm() { return _dsm.get(); }
 
-    /** Dispatch a DSM RPC from the kernel channel; err::INVAL when
-     *  the type is unknown or the DSM service is off. */
-    std::uint32_t dsmRpc(NodeId peer, std::uint32_t type,
-                         const std::uint32_t *payload,
-                         std::uint32_t *resp);
-
     void
     setConsistencyPolicy(ConsistencyPolicy policy)
     {
@@ -161,7 +155,6 @@ class Kernel : public SimObject, public TrapHandler
      * tick).
      */
     void setCurrentGang(std::uint32_t gang);
-    std::uint32_t currentGang() const { return _currentGang; }
 
     // ---- processes ----
 
@@ -223,10 +216,6 @@ class Kernel : public SimObject, public TrapHandler
 
     /** Last observed incarnation of @p peer (0 = unknown/health off). */
     std::uint32_t peerIncarnation(NodeId peer) const;
-
-    /** A layer fenced a stale-epoch message itself: route the drop
-     *  into health's staleEpochRejects accounting. */
-    void noteFencedDrop();
 
     /**
      * Peer @p peer started a new life (incarnation @p inc): everything
@@ -489,22 +478,22 @@ class Kernel : public SimObject, public TrapHandler
     bool _crashed = false;
 
     stats::Group _stats;
-    stats::Counter _switches{"contextSwitches", "context switches"};
-    stats::Counter _interruptCount{"interrupts",
+    stats::Counter _switches{_stats, "contextSwitches", "context switches"};
+    stats::Counter _interruptCount{_stats, "interrupts",
                                    "arrival interrupts handled"};
-    stats::Counter _fifoStalls{"fifoStalls",
+    stats::Counter _fifoStalls{_stats, "fifoStalls",
                                "outgoing-FIFO threshold stalls"};
-    stats::Counter _fifoStallTicks{"fifoStallTicks",
+    stats::Counter _fifoStallTicks{_stats, "fifoStallTicks",
                                    "ticks stalled on outgoing FIFO"};
-    stats::Counter _pageEvictions{"pageEvictions", "pages evicted"};
-    stats::Counter _pageIns{"pageIns", "pages brought back from swap"};
+    stats::Counter _pageEvictions{_stats, "pageEvictions", "pages evicted"};
+    stats::Counter _pageIns{_stats, "pageIns", "pages brought back from swap"};
     stats::Counter _mappingErrors{
-        "mappingErrors",
+        _stats, "mappingErrors",
         "mapping halves errored by the reliability layer"};
-    stats::Counter _crashes{"crashes", "node crash events"};
-    stats::Counter _restarts{"restarts", "node restart events"};
+    stats::Counter _crashes{_stats, "crashes", "node crash events"};
+    stats::Counter _restarts{_stats, "restarts", "node restart events"};
     stats::Counter _sendsRejected{
-        "sendsRejected", "sends refused by admission control"};
+        _stats, "sendsRejected", "sends refused by admission control"};
 
     /** Peers declared unreachable by the NI reliability layer. */
     std::set<NodeId> _failedPeers;

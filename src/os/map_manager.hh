@@ -234,10 +234,7 @@ class MapManager
 
     /** Queue an RPC on the shared kernel channel toward @p peer (the
      *  DSM service rides the same ordered, retransmitted path). */
-    void postRpc(NodeId peer, KernelRpc rpc)
-    {
-        sendRpc(peer, std::move(rpc));
-    }
+    void sendRpc(NodeId peer, KernelRpc rpc);
 
     const std::vector<OutRecord> &outRecords() const { return _out; }
 
@@ -259,7 +256,6 @@ class MapManager
         std::uint32_t lastRespSeen = 0;
     };
 
-    void sendRpc(NodeId peer, KernelRpc rpc);
     void transmit(NodeId peer, PeerState &state);
 
     /** Stamp (incarnation, view-of-peer) into payload words [4],[5]

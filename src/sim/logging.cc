@@ -3,22 +3,9 @@
 #include <cstdlib>
 #include <iostream>
 #include <stdexcept>
-#include <unordered_set>
 
 namespace shrimp
 {
-
-namespace
-{
-
-std::unordered_set<std::string> &
-debugFlags()
-{
-    static std::unordered_set<std::string> flags;
-    return flags;
-}
-
-} // namespace
 
 namespace logging_detail
 {
@@ -54,31 +41,5 @@ informImpl(const std::string &msg)
 }
 
 } // namespace logging_detail
-
-void
-setDebugFlag(const std::string &flag)
-{
-    debugFlags().insert(flag);
-}
-
-void
-clearDebugFlag(const std::string &flag)
-{
-    debugFlags().erase(flag);
-}
-
-bool
-debugFlagEnabled(const std::string &flag)
-{
-    return debugFlags().count(flag) != 0;
-}
-
-void
-debugTraceLine(const std::string &flag, Tick when, const std::string &who,
-               const std::string &msg)
-{
-    std::cout << when << ": " << who << " [" << flag << "] " << msg
-              << std::endl;
-}
 
 } // namespace shrimp

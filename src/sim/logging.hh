@@ -1,11 +1,11 @@
 /**
  * @file
- * Error reporting and debug tracing.
+ * Error reporting.
  *
  * Follows the gem5 convention: panic() for internal simulator bugs
  * (aborts), fatal() for user/configuration errors (exits), warn() and
- * inform() for status. Debug tracing is gated on named flags so tests
- * and tools can enable per-subsystem traces.
+ * inform() for status. Event logging is the tracer's job (sim/trace.hh):
+ * it is the one event log, and costs one pointer test when off.
  */
 
 #ifndef SHRIMP_SIM_LOGGING_HH
@@ -13,8 +13,6 @@
 
 #include <sstream>
 #include <string>
-
-#include "sim/types.hh"
 
 namespace shrimp
 {
@@ -41,19 +39,6 @@ void informImpl(const std::string &msg);
 
 } // namespace logging_detail
 
-/** Enable a named debug-trace flag (e.g. "Nic", "Router"). */
-void setDebugFlag(const std::string &flag);
-
-/** Disable a named debug-trace flag. */
-void clearDebugFlag(const std::string &flag);
-
-/** Query whether a debug-trace flag is enabled. */
-bool debugFlagEnabled(const std::string &flag);
-
-/** Emit one debug-trace line (already gated by the caller). */
-void debugTraceLine(const std::string &flag, Tick when,
-                    const std::string &who, const std::string &msg);
-
 } // namespace shrimp
 
 /** Internal simulator invariant violated: print and abort. */
@@ -75,19 +60,6 @@ void debugTraceLine(const std::string &flag, Tick when,
 #define SHRIMP_INFORM(...)                                                  \
     ::shrimp::logging_detail::informImpl(                                   \
         ::shrimp::logging_detail::format(__VA_ARGS__))
-
-/**
- * Debug trace gated on a named flag. `when` is the current tick and
- * `who` the emitting component's name.
- */
-#define SHRIMP_DTRACE(flag, when, who, ...)                                 \
-    do {                                                                    \
-        if (::shrimp::debugFlagEnabled(flag)) {                             \
-            ::shrimp::debugTraceLine(                                       \
-                flag, when, who,                                            \
-                ::shrimp::logging_detail::format(__VA_ARGS__));             \
-        }                                                                   \
-    } while (0)
 
 /** Assert an internal invariant with a formatted message. */
 #define SHRIMP_ASSERT(cond, ...)                                            \

@@ -66,6 +66,12 @@ pathMatches(std::string_view pattern, std::string_view path)
 
 } // namespace
 
+Stat::Stat(Group &group, std::string name, std::string desc)
+    : _name(std::move(name)), _desc(std::move(desc))
+{
+    group._stats.push_back(this);
+}
+
 void
 Counter::dump(std::ostream &os, const std::string &prefix) const
 {

@@ -25,13 +25,21 @@ namespace shrimp
 namespace stats
 {
 
-/** Base class for all statistics. */
+class Group;
+
+/**
+ * Base class for all statistics. A stat registers with its owning
+ * group when it is constructed, so no stat exists outside a group:
+ * `stats::Counter _pkts{_stats, "pkts", "packets sent"};`. The group
+ * keeps the stat's address, hence no copies.
+ */
 class Stat
 {
   public:
-    Stat(std::string name, std::string desc)
-        : _name(std::move(name)), _desc(std::move(desc))
-    {}
+    Stat(Group &group, std::string name, std::string desc);
+
+    Stat(const Stat &) = delete;
+    Stat &operator=(const Stat &) = delete;
 
     virtual ~Stat() = default;
 
@@ -241,9 +249,6 @@ class Group
 
     const std::string &name() const { return _name; }
 
-    /** Register a stat owned by the component (not by the group). */
-    void addStat(Stat *s) { _stats.push_back(s); }
-
     /** Dump this group's stats and all children, prefixed by path. */
     void dump(std::ostream &os) const;
 
@@ -264,6 +269,8 @@ class Group
     void resetAll();
 
   private:
+    friend class Stat;     // a stat registers itself on construction
+
     /** A stat and its group path (dotted, trailing `.`). */
     using StatFn =
         std::function<void(const std::string &prefix, const Stat &stat)>;

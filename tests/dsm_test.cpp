@@ -9,7 +9,13 @@
 
 #include <gtest/gtest.h>
 
+#include <map>
+#include <set>
+#include <sstream>
+#include <string>
+
 #include "os/dsm.hh"
+#include "sim/json.hh"
 #include "test_util.hh"
 
 namespace shrimp
@@ -295,19 +301,87 @@ TEST(Dsm, WritebackFenceRejectsNonOwnerAndSupersededLife)
         return home.handleRpc(from, channel::DSM_WB, wb, resp);
     };
     const auto stale = static_cast<std::uint32_t>(err::STALE_EPOCH);
+    auto rejects = [&sys] {
+        return sys.snapshot().sum("node0.kernel.health.staleEpochRejects");
+    };
+    const std::uint64_t rejects_before = rejects();
 
     EXPECT_EQ(writeback(1, sys.kernel(1).selfIncarnation()), stale);
     EXPECT_EQ(writeback(2, 1), stale);
     EXPECT_EQ(home_copy(), before);
     EXPECT_EQ(home.ownerOf(page), 2u);
+    // The fence counts on its own stat path only: health's counter is
+    // for the messages health itself fences.
     EXPECT_EQ(sys.snapshot().sum("node0.kernel.dsm.dsmFencedWritebacks"),
               2u);
+    EXPECT_EQ(rejects(), rejects_before);
 
     // The granted life's writeback lands.
     EXPECT_EQ(writeback(2, sys.kernel(2).selfIncarnation()),
               static_cast<std::uint32_t>(err::OK));
     EXPECT_EQ(home_copy(), junk);
     EXPECT_EQ(home.ownerOf(page), INVALID_NODE);
+}
+
+TEST(Dsm, EpochChannelResetAndFencedWritebackAreTraced)
+{
+    // The tracer records both facts: the TX channel resets a health
+    // epoch change causes, and a writeback the DSM fence refuses.
+    SystemConfig cfg = dsmConfig(3, true);
+    cfg.traceEnabled = true;
+    ShrimpSystem sys(cfg);
+    const std::uint32_t page = 0;       // homed at node 0
+    sys.runFor(ONE_MS);
+
+    const Tick bumped = sys.curTick();
+    sys.kernel(2).health()->bumpIncarnation("test");
+    sys.runFor(ONE_MS);
+    std::uint64_t st;
+    acquire(sys, 2, page, true, st);
+    sys.runFor(5 * ONE_MS);
+    ASSERT_EQ(st, err::OK);
+    // A writeback from node 2's first life, which the grant outlived.
+    std::uint32_t wb[channel::payloadWords] = {page, 0, 0, 0, 1, 0};
+    std::uint32_t resp[channel::payloadWords] = {};
+    ASSERT_EQ(sys.kernel(0).dsm()->handleRpc(2, channel::DSM_WB, wb, resp),
+              static_cast<std::uint32_t>(err::STALE_EPOCH));
+
+    std::ostringstream os;
+    sys.tracer()->exportJson(os);
+    const json::Value root = json::parse(os.str());
+    const json::Value *events = root.find("traceEvents");
+    ASSERT_TRUE(events && events->isArray());
+    std::map<double, std::string> track;    // tid -> component
+    for (const json::Value &ev : events->arr) {
+        if (ev.find("ph")->str == "M" &&
+            ev.find("name")->str == "thread_name") {
+            track[ev.find("tid")->number] =
+                ev.find("args")->find("name")->str;
+        }
+    }
+    std::set<double> reset_dsts;            // node 2's, after the bump
+    unsigned fenced = 0;
+    for (const json::Value &ev : events->arr) {
+        if (ev.find("ph")->str != "i")
+            continue;
+        const std::string &who = track[ev.find("tid")->number];
+        const std::string &what = ev.find("name")->str;
+        const json::Value *args = ev.find("args");
+        if (what == "channelReset" && who == "node2.ni.retx" &&
+            ev.find("ts")->number >=
+                static_cast<double>(bumped) / ONE_US) {
+            reset_dsts.insert(args->find("dst")->number);
+        }
+        if (what == "fencedWriteback" && who == "node0.kernel") {
+            ++fenced;
+            EXPECT_EQ(args->find("page")->number, page);
+            EXPECT_EQ(args->find("src")->number, 2.0);
+            EXPECT_EQ(args->find("inc")->number, 1.0);
+            EXPECT_EQ(args->find("owner")->number, 2.0);
+        }
+    }
+    EXPECT_EQ(reset_dsts, (std::set<double>{0.0, 1.0}));
+    EXPECT_EQ(fenced, 1u);
 }
 
 TEST(Dsm, FaultDrivenProgramTouchesWindow)

@@ -1,6 +1,6 @@
-// Raw console I/O inside src/: bypasses the logging package's flag
-// gating, interleaves with stats/trace output, and cannot be silenced
-// by tests. Use SHRIMP_WARN / SHRIMP_INFORM / SHRIMP_DTRACE.
+// Raw console I/O inside src/: bypasses the logging package,
+// interleaves with stats/trace output, and cannot be silenced by
+// tests. Use SHRIMP_WARN / SHRIMP_INFORM, or the tracer for events.
 #include <cstdio>
 #include <iostream>
 

@@ -1,17 +1,20 @@
-// Stats registered without a description: `stats dump` and the JSON
-// export are the bench/chaos regression currency, and an undescribed
-// counter is unreviewable in either.
+// A stat constructed with an empty description: `stats dump` and the
+// JSON export are the bench/chaos regression currency, and an
+// undescribed counter is unreviewable in either.
 namespace stats
 {
+struct Group
+{
+    explicit Group(const char *name);
+};
 struct Counter
 {
-    Counter(const char *name, const char *desc);
-    explicit Counter(const char *name);
+    Counter(Group &group, const char *name, const char *desc);
 };
 } // namespace stats
 
 struct RouterStats
 {
-    stats::Counter _drops{"drops", ""};
-    stats::Counter _spins{"spins"};
+    stats::Group _stats{"router"};
+    stats::Counter _drops{_stats, "drops", ""};
 };

@@ -7,9 +7,13 @@ using Tick = unsigned long long;
 
 namespace stats
 {
+struct Group
+{
+    explicit Group(const char *name);
+};
 struct Counter
 {
-    Counter(const char *name, const char *desc);
+    Counter(Group &group, const char *name, const char *desc);
 };
 } // namespace stats
 
@@ -29,8 +33,9 @@ struct MeshCell
 
 struct RouterStats
 {
-    stats::Counter _drops{"drops", "packets dropped at this router"};
-    stats::Counter _spins{"spins",
+    stats::Group _stats{"router"};
+    stats::Counter _drops{_stats, "drops", "packets dropped at this router"};
+    stats::Counter _spins{_stats, "spins",
                           "allocation passes that made no progress"};
 };
 

@@ -50,15 +50,6 @@ TEST(Names, PolicyAndStateNames)
     EXPECT_STREQ(procStateName(ProcState::EXITED), "exited");
 }
 
-TEST(Logging, DebugFlagsToggle)
-{
-    EXPECT_FALSE(debugFlagEnabled("TestFlag"));
-    setDebugFlag("TestFlag");
-    EXPECT_TRUE(debugFlagEnabled("TestFlag"));
-    clearDebugFlag("TestFlag");
-    EXPECT_FALSE(debugFlagEnabled("TestFlag"));
-}
-
 TEST(Logging, WarnAndInformDoNotThrow)
 {
     EXPECT_NO_THROW(SHRIMP_WARN("warn test ", 42));

@@ -104,7 +104,7 @@ TEST_F(NiFixture, NextGenDatapathUnderOneMicrosecond)
 {
     // H2: bypassing the EISA bus brings latency under 1 us.
     SystemConfig cfg = test::twoNodeConfig();
-    cfg.nextGenDatapath = true;
+    cfg.ni.nextGenDatapath = true;
     build(cfg);
     Addr src = procA->allocate(1);
     Addr dst = procB->allocate(1);

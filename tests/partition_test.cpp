@@ -235,21 +235,17 @@ TEST(Partition, OwnerRestartBeforeRtoFencesStaleLife)
     EXPECT_EQ(sys.kernel(0).dsm()->ownerOf(page), 1u);
 }
 
-TEST(FaultModelTest, ValidatedClampsAndSwapsWindow)
+TEST(FaultModelTest, ValidatedClampsOutOfRangeParams)
 {
     FaultModel::Params p;
     p.dropProb = 1.7;
     p.corruptProb = -0.3;
     p.linkDownProb = 0.5;
     p.linkDownTicks = 0;
-    p.downFrom = 200 * ONE_US;      // inverted on purpose
-    p.downUntil = 100 * ONE_US;
     FaultModel::Params v = FaultModel::validated(p);
     EXPECT_DOUBLE_EQ(v.dropProb, 1.0);
     EXPECT_DOUBLE_EQ(v.corruptProb, 0.0);
     EXPECT_GT(v.linkDownTicks, 0u);
-    EXPECT_EQ(v.downFrom, 100 * ONE_US);
-    EXPECT_EQ(v.downUntil, 200 * ONE_US);
 }
 
 TEST(FaultModelTest, AsymmetricForcedWindowAndRuntimeForce)
@@ -257,11 +253,9 @@ TEST(FaultModelTest, AsymmetricForcedWindowAndRuntimeForce)
     // A forced window on one FaultModel takes down exactly that
     // direction of the link, deterministically, with no sampled
     // faults configured at all.
-    FaultModel::Params down;
-    down.downFrom = 100 * ONE_US;
-    down.downUntil = 200 * ONE_US;
-    FaultModel a(down, 1);
+    FaultModel a(FaultModel::Params{}, 1);
     FaultModel b(FaultModel::Params{}, 2);   // the reverse direction
+    a.forceDown(100 * ONE_US, 100 * ONE_US);
 
     EXPECT_EQ(a.decide(50 * ONE_US), FaultModel::Action::PASS);
     EXPECT_EQ(a.decide(150 * ONE_US), FaultModel::Action::LINK_DOWN);

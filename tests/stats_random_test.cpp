@@ -21,7 +21,8 @@ namespace
 
 TEST(Stats, CounterAccumulates)
 {
-    stats::Counter c("pkts", "packets");
+    stats::Group g("node0");
+    stats::Counter c(g, "pkts", "packets");
     ++c;
     c += 9;
     EXPECT_EQ(c.value(), 10u);
@@ -31,7 +32,8 @@ TEST(Stats, CounterAccumulates)
 
 TEST(Stats, DistributionMoments)
 {
-    stats::Distribution d("lat", "latency");
+    stats::Group g("node0");
+    stats::Distribution d(g, "lat", "latency");
     for (double v : {1.0, 2.0, 3.0, 4.0})
         d.sample(v);
     EXPECT_EQ(d.count(), 4u);
@@ -49,7 +51,8 @@ TEST(Stats, DistributionStddevNoCancellation)
     // squares agree to ~24 digits and a double keeps ~16, so the
     // subtraction returned garbage (often 0, sometimes NaN from a
     // negative variance). Welford's update has no such subtraction.
-    stats::Distribution d("lat", "latency");
+    stats::Group g("node0");
+    stats::Distribution d(g, "lat", "latency");
     for (double off : {0.0, 1.0, 2.0})
         d.sample(1e12 + off);
     EXPECT_EQ(d.count(), 3u);
@@ -61,7 +64,8 @@ TEST(Stats, DistributionStddevNoCancellation)
 
 TEST(Stats, DistributionResetRestartsMoments)
 {
-    stats::Distribution d("lat", "latency");
+    stats::Group g("node0");
+    stats::Distribution d(g, "lat", "latency");
     d.sample(100.0);
     d.sample(300.0);
     d.reset();
@@ -74,7 +78,8 @@ TEST(Stats, DistributionResetRestartsMoments)
 
 TEST(Stats, PeakTracksAndResets)
 {
-    stats::Peak p("peak", "high-water mark");
+    stats::Group g("node0");
+    stats::Peak p(g, "peak", "high-water mark");
     p.observe(10.0);
     p.observe(4.0);
     EXPECT_DOUBLE_EQ(p.value(), 10.0);
@@ -95,7 +100,8 @@ TEST(Stats, HistogramLog2Buckets)
     EXPECT_EQ(stats::Histogram::bucketLow(1), 1u);
     EXPECT_EQ(stats::Histogram::bucketLow(3), 4u);
 
-    stats::Histogram h("depth", "queue depth");
+    stats::Group g("node0");
+    stats::Histogram h(g, "depth", "queue depth");
     for (std::uint64_t v : {0ull, 1ull, 2ull, 3ull, 1000ull})
         h.sample(v);
     EXPECT_EQ(h.count(), 5u);
@@ -116,12 +122,9 @@ TEST(Stats, GroupDumpJsonParses)
 {
     stats::Group root("node0");
     stats::Group child("nic", &root);
-    stats::Counter c("pkts", "packets sent");
-    stats::Distribution d("lat", "latency");
-    stats::Histogram h("depth", "queue depth");
-    child.addStat(&c);
-    child.addStat(&d);
-    child.addStat(&h);
+    stats::Counter c(child, "pkts", "packets sent");
+    stats::Distribution d(child, "lat", "latency");
+    stats::Histogram h(child, "depth", "queue depth");
     c += 3;
     d.sample(10.0);
     d.sample(20.0);
@@ -168,7 +171,8 @@ TEST(Json, ParseRoundtrip)
 
 TEST(Stats, EmptyDistributionIsSafe)
 {
-    stats::Distribution d("lat", "latency");
+    stats::Group g("node0");
+    stats::Distribution d(g, "lat", "latency");
     EXPECT_EQ(d.count(), 0u);
     EXPECT_DOUBLE_EQ(d.mean(), 0.0);
     EXPECT_DOUBLE_EQ(d.stddev(), 0.0);
@@ -178,8 +182,7 @@ TEST(Stats, GroupDumpContainsPaths)
 {
     stats::Group root("node0");
     stats::Group child("nic", &root);
-    stats::Counter c("pkts", "packets sent");
-    child.addStat(&c);
+    stats::Counter c(child, "pkts", "packets sent");
     c += 3;
 
     std::ostringstream os;
@@ -201,22 +204,15 @@ struct SnapshotFixture
     stats::Group retx0{"retx", &nic0};
     stats::Group node12{"node12"};
     stats::Group nic12{"nic", &node12};
-    stats::Counter pkts0{"pkts", "packets sent"};
-    stats::Counter retx0Pkts{"pkts", "packets retransmitted"};
-    stats::Counter pkts12{"pkts", "packets sent"};
-    stats::Peak peak{"peak", "a high-water mark"};
-    stats::Distribution lat{"lat", "latency"};
-    stats::Histogram depth{"depth", "queue depth"};
+    stats::Counter pkts0{nic0, "pkts", "packets sent"};
+    stats::Counter retx0Pkts{retx0, "pkts", "packets retransmitted"};
+    stats::Counter pkts12{nic12, "pkts", "packets sent"};
+    stats::Peak peak{nic0, "peak", "a high-water mark"};
+    stats::Distribution lat{nic0, "lat", "latency"};
+    stats::Histogram depth{nic0, "depth", "queue depth"};
 
     SnapshotFixture()
     {
-        nic0.addStat(&pkts0);
-        retx0.addStat(&retx0Pkts);
-        nic12.addStat(&pkts12);
-        for (stats::Stat *s : std::initializer_list<stats::Stat *>{
-                 &peak, &lat, &depth}) {
-            nic0.addStat(s);
-        }
         pkts0 += 3;
         retx0Pkts += 5;
         pkts12 += 7;

@@ -666,9 +666,8 @@ Linter::checkTokens(const SourceFile &f)
                       code.find("stderr") != std::string::npos;
             if (raw)
                 add(f, line, "shrimp-logging-raw-io",
-                    "raw console I/O in src/; use "
-                    "SHRIMP_WARN/SHRIMP_INFORM/SHRIMP_DTRACE "
-                    "(sim/logging.hh)");
+                    "raw console I/O in src/; use SHRIMP_WARN/"
+                    "SHRIMP_INFORM (sim/logging.hh) or the tracer");
         }
     }
 }
@@ -876,8 +875,10 @@ Linter::checkStatsDesc(const SourceFile &f)
             if (!trim(cur).empty())
                 args.push_back(trim(cur));
 
+            // A stat is constructed as (group, name, description).
+            const std::size_t descArg = 2;
             std::size_t line = f.lineAt[pos];
-            if (args.size() < 2) {
+            if (args.size() <= descArg) {
                 add(f, line, "shrimp-stats-desc",
                     std::string(ty) +
                         " constructed without a description");
@@ -885,7 +886,7 @@ Linter::checkStatsDesc(const SourceFile &f)
             }
             // String bodies are blanked, so an originally-empty
             // description is exactly `""`.
-            if (args[1] == "\"\"")
+            if (args[descArg] == "\"\"")
                 add(f, line, "shrimp-stats-desc",
                     std::string(ty) + " has an empty description");
         }

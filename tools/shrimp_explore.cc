@@ -125,7 +125,7 @@ cmdStats(int argc, char **argv)
     SystemConfig cfg;
     cfg.meshWidth = 2;
     cfg.meshHeight = 1;
-    cfg.nextGenDatapath = hasFlag(argc, argv, "--nextgen");
+    cfg.ni.nextGenDatapath = hasFlag(argc, argv, "--nextgen");
     // What-if: a lossy fabric healed by the NI reliability layer.
     cfg.ni.reliability.enabled = hasFlag(argc, argv, "--reliable");
     cfg.linkFaults.dropProb =
