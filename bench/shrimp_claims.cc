@@ -202,9 +202,8 @@ const std::vector<Claim> table = {
      "the majority declares the isolated node DEAD"},
     {"P1", "Partition/*", "time_to_heal_us", gt(0),
      "every node sees every other ALIVE after the heal"},
-    {"P1", "Partition/*", "stale_epoch_rejects",
-     rel(Op::GE, 1, "", {"fenced_writebacks", "ni_stale_drops"}),
-     "fence accounting: rejects cover every layered drop"},
+    {"P1", "Partition/*", "stale_epoch_rejects", gt(0),
+     "the heal's incarnation bumps fence the isolated node's relics"},
     {"P1", "Partition/*", "dsm_rehomes", eq(1),
      "the stranded page re-homes exactly once"},
     {"P1", "Partition/*", "all_ok", eq(1),

@@ -57,7 +57,7 @@ main()
 
     // Page 0, word 0: the ticket (whose turn it is, monotonically
     // increasing). Word 1: the shared counter.
-    const Addr base = cfg.dsm.baseVaddr;
+    const Addr base = Dsm::baseVaddr;
     const Addr ticket_off = 0;
     const Addr counter_off = 4;
 

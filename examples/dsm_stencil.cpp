@@ -60,7 +60,7 @@ main()
     sys.kernel(0).dsm()->attach(*a);
     sys.kernel(1).dsm()->attach(*b);
 
-    const Addr base = cfg.dsm.baseVaddr;
+    const Addr base = Dsm::baseVaddr;
     const Addr flag_a_off = 4 * kCells;       // A's completed round
     const Addr flag_b_off = 4 * kCells + 4;   // B's completed round
 

@@ -66,7 +66,7 @@ main()
     // 0 of it holds the whole workload. Layout: words 0..kWords-1 =
     // data; word kWords / kWords+1 = A's / B's done flag; +2 / +3 =
     // the result sums.
-    const Addr base = cfg.dsm.baseVaddr;
+    const Addr base = Dsm::baseVaddr;
     const Addr flag_a_off = 4 * kWords;
     const Addr flag_b_off = 4 * kWords + 4;
     const Addr sum_a_off = 4 * kWords + 8;

@@ -86,7 +86,6 @@ runChaos(const ChaosParams &p)
     // The soak's whole point: reliable channels over a fault-tolerant
     // mesh with liveness detection wired into every kernel.
     cfg.ni.reliability.enabled = true;
-    cfg.router.faultTolerant = true;
     cfg.health.enabled = true;
     cfg.health.heartbeatPeriod = 100 * ONE_US;
     cfg.health.suspectTimeout = 400 * ONE_US;

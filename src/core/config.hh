@@ -1,18 +1,16 @@
 /**
  * @file
- * SystemConfig: every tunable of a simulated SHRIMP machine in one
- * place, with defaults matching the paper's published hardware: 60 MHz
- * Pentium-class nodes, a 33.3 MHz 64-bit Xpress memory bus, a 33 MB/s
- * burst EISA expansion bus on the prototype receive path, and a
- * Paragon-style 2-D mesh backplane.
+ * SystemConfig: every setting a caller varies on a simulated SHRIMP
+ * machine, in one place. The paper's published hardware is fixed as
+ * constants of the classes that model it: 60 MHz Pentium-class nodes
+ * (Cpu), a 33.3 MHz 64-bit Xpress memory bus (XpressBus), a 33 MB/s
+ * burst EISA expansion bus on the prototype receive path (EisaBus),
+ * and a Paragon-style 2-D mesh backplane (Router).
  */
 
 #ifndef SHRIMP_CORE_CONFIG_HH
 #define SHRIMP_CORE_CONFIG_HH
 
-#include "cpu/cpu.hh"
-#include "mem/cache.hh"
-#include "mem/eisa_bus.hh"
 #include "net/fault_model.hh"
 #include "net/router.hh"
 #include "nic/shrimp_ni.hh"
@@ -40,14 +38,7 @@ struct SystemConfig
      * the 4 MB default runs out and boot panics asking for more.
      */
     Addr memBytesPerNode = 4 * 1024 * 1024;
-    Tick memAccessLatency = 60 * ONE_NS;
 
-    std::uint64_t xpressBusFreqHz = 33'333'333;
-    unsigned xpressBusWidthBytes = 8;
-
-    Cpu::Params cpu{};
-    Cache::Params cache{};
-    EisaBus::Params eisa{};
     Router::Params router{};
     ShrimpNi::Params ni{};
     Kernel::Costs kernel{};
@@ -80,12 +71,9 @@ struct SystemConfig
      * Distributed shared memory over VMMC (dsm.enabled): a window of
      * dsm.numPages pages, home-interleaved across the nodes, demand-
      * paged over the kernel RPC channel with deliberate-DMA page
-     * transfers. Requires bootKernelServices. Off by default.
+     * transfers. Off by default.
      */
     DsmConfig dsm{};
-
-    /** Wire the kernel channels + NX service at boot. */
-    bool bootKernelServices = true;
 
     /**
      * Record a structured event trace (packet lifecycles, DMA bursts,

@@ -38,7 +38,6 @@ class GangCoordinator : public SimObject
         schedule(_tick, curTick() + _epoch);
     }
 
-    std::uint32_t currentGang() const { return _gangs[_index]; }
     std::uint64_t rotations() const { return _rotations; }
 
   private:

@@ -37,14 +37,11 @@ class Node
          MeshBackplane &backplane)
         : _id(id),
           _name("node" + std::to_string(id)),
-          mem(eq, _name + ".mem", cfg.memBytesPerNode,
-              cfg.memAccessLatency),
-          bus(eq, _name + ".xpress", cfg.xpressBusFreqHz,
-              cfg.xpressBusWidthBytes),
-          eisa(eq, _name + ".eisa", cfg.eisa),
-          cache(eq, _name + ".cache", cfg.cpu.freqHz, bus, mem,
-                cfg.cache),
-          cpu(eq, _name + ".cpu", cfg.cpu, cache, bus, mem),
+          mem(eq, _name + ".mem", cfg.memBytesPerNode),
+          bus(eq, _name + ".xpress"),
+          eisa(eq, _name + ".eisa"),
+          cache(eq, _name + ".cache", Cpu::freqHz, bus, mem),
+          cpu(eq, _name + ".cpu", cache, bus, mem),
           ni(eq, _name + ".ni", id, cfg.ni, bus, eisa, mem, backplane),
           kernel(eq, _name + ".kernel", id, backplane.numNodes(), cpu,
                  mem, bus, ni, cfg.kernel)

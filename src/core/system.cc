@@ -26,38 +26,33 @@ ShrimpSystem::ShrimpSystem(const SystemConfig &cfg) : _cfg(cfg)
     for (auto &node : _nodes)
         node->kernel.setAdmission(cfg.admission);
 
-    if (cfg.bootKernelServices) {
-        // Phase 1: every kernel allocates its channel and NX frames
-        // (plus DSM home/bounce frames when the service is on).
-        for (auto &node : _nodes) {
-            node->kernel.allocateChannels();
+    // Phase 1: every kernel allocates its channel and NX frames
+    // (plus DSM home/bounce frames when the service is on).
+    for (auto &node : _nodes) {
+        node->kernel.allocateChannels();
+        if (cfg.dsm.enabled)
+            node->kernel.enableDsm(cfg.dsm);
+    }
+
+    // Phase 2: cross-wire outgoing mappings now that every receiver
+    // frame is known (the real machine does this during coordinated
+    // boot).
+    for (NodeId a = 0; a < cfg.numNodes(); ++a) {
+        for (NodeId b = 0; b < cfg.numNodes(); ++b) {
+            if (a == b)
+                continue;
+            Kernel &ka = _nodes[a]->kernel;
+            Kernel &kb = _nodes[b]->kernel;
+            ka.wireChannelOut(b, kb.channelInFrame(a));
+
+            std::vector<PageNum> data_frames;
+            for (std::size_t i = 0; i < NxService::slotPages; ++i)
+                data_frames.push_back(kb.nxService().dataInFrame(a, i));
+            ka.nxService().wireTo(b, data_frames,
+                                  kb.nxService().ctlInFrame(a));
+
             if (cfg.dsm.enabled)
-                node->kernel.enableDsm(cfg.dsm);
-        }
-
-        // Phase 2: cross-wire outgoing mappings now that every
-        // receiver frame is known (the real machine does this during
-        // coordinated boot).
-        for (NodeId a = 0; a < cfg.numNodes(); ++a) {
-            for (NodeId b = 0; b < cfg.numNodes(); ++b) {
-                if (a == b)
-                    continue;
-                Kernel &ka = _nodes[a]->kernel;
-                Kernel &kb = _nodes[b]->kernel;
-                ka.wireChannelOut(b, kb.channelInFrame(a));
-
-                std::vector<PageNum> data_frames;
-                for (std::size_t i = 0; i < NxService::slotPages; ++i)
-                    data_frames.push_back(
-                        kb.nxService().dataInFrame(a, i));
-                ka.nxService().wireTo(b, data_frames,
-                                      kb.nxService().ctlInFrame(a));
-
-                if (cfg.dsm.enabled) {
-                    ka.dsm()->wireTo(b,
-                                     kb.dsm()->bounceInFrame(a));
-                }
-            }
+                ka.dsm()->wireTo(b, kb.dsm()->bounceInFrame(a));
         }
     }
 

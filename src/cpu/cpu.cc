@@ -5,10 +5,9 @@
 namespace shrimp
 {
 
-Cpu::Cpu(EventQueue &eq, std::string name, const Params &params,
-         Cache &cache, XpressBus &bus, MainMemory &mem)
-    : ClockedObject(eq, std::move(name), params.freqHz),
-      _params(params),
+Cpu::Cpu(EventQueue &eq, std::string name, Cache &cache, XpressBus &bus,
+         MainMemory &mem)
+    : ClockedObject(eq, std::move(name), freqHz),
       _cache(cache),
       _bus(bus),
       _mem(mem),
@@ -267,12 +266,12 @@ Cpu::executeOne(ExecContext &ctx, const Instruction &instr, Tick now)
         ctx.syscalls++;
         ctx.pc = next_pc;
         SHRIMP_ASSERT(_trapHandler, "SYSCALL with no trap handler");
-        Tick entered = now + cyclesToTicks(_params.trapEntryCycles);
+        Tick entered = now + cyclesToTicks(trapEntryCycles);
         auto resume = _trapHandler->syscall(
             ctx, static_cast<std::uint64_t>(instr.imm), entered);
         if (!resume)
             return MAX_TICK;
-        return *resume + cyclesToTicks(_params.trapExitCycles);
+        return *resume + cyclesToTicks(trapExitCycles);
       }
     }
 
@@ -351,10 +350,10 @@ Cpu::takeFault(ExecContext &ctx, FaultKind kind, Addr vaddr, bool write,
     ctx.faults++;
     SHRIMP_ASSERT(_trapHandler, "memory fault with no trap handler: va=",
                   vaddr, " write=", write);
-    Tick entered = now + cyclesToTicks(_params.trapEntryCycles);
+    Tick entered = now + cyclesToTicks(trapEntryCycles);
     auto resume = _trapHandler->fault(ctx, kind, vaddr, write, entered);
     if (resume)
-        resumeAt(*resume + cyclesToTicks(_params.trapExitCycles));
+        resumeAt(*resume + cyclesToTicks(trapExitCycles));
 }
 
 } // namespace shrimp

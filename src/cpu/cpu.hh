@@ -70,15 +70,12 @@ using InterruptHandler = std::function<Tick(Tick now)>;
 class Cpu : public ClockedObject
 {
   public:
-    struct Params
-    {
-        std::uint64_t freqHz = 60'000'000;
-        unsigned trapEntryCycles = 60;  //!< user->kernel crossing
-        unsigned trapExitCycles = 40;   //!< kernel->user crossing
-    };
+    static constexpr std::uint64_t freqHz = 60'000'000;
+    static constexpr unsigned trapEntryCycles = 60; //!< user->kernel crossing
+    static constexpr unsigned trapExitCycles = 40;  //!< kernel->user crossing
 
-    Cpu(EventQueue &eq, std::string name, const Params &params,
-        Cache &cache, XpressBus &bus, MainMemory &mem);
+    Cpu(EventQueue &eq, std::string name, Cache &cache, XpressBus &bus,
+        MainMemory &mem);
 
     void setTrapHandler(TrapHandler *handler) { _trapHandler = handler; }
 
@@ -112,7 +109,6 @@ class Cpu : public ClockedObject
      */
     Tick chargeKernel(ExecContext *ctx, std::uint64_t instructions);
 
-    const Params &params() const { return _params; }
     Cache &cache() { return _cache; }
 
     std::uint64_t instructionsExecuted() const
@@ -144,7 +140,6 @@ class Cpu : public ClockedObject
     void takeFault(ExecContext &ctx, FaultKind kind, Addr vaddr,
                    bool write, Tick now);
 
-    Params _params;
     Cache &_cache;
     XpressBus &_bus;
     MainMemory &_mem;

@@ -60,17 +60,6 @@ struct ExecContext
     std::uint64_t faults = 0;
     std::uint64_t syscalls = 0;
 
-    /** Reset instrumentation (not architectural state). */
-    void
-    resetCounters()
-    {
-        regionInstrs.fill(0);
-        totalInstrs = 0;
-        kernelInstrs = 0;
-        faults = 0;
-        syscalls = 0;
-    }
-
     std::uint64_t
     regionCount(std::uint8_t r) const
     {

@@ -1,7 +1,5 @@
 #include "mem/cache.hh"
 
-#include "sim/logging.hh"
-
 namespace shrimp
 {
 
@@ -53,37 +51,33 @@ WriteBuffer::retire(Tick now)
 }
 
 Cache::Cache(EventQueue &eq, std::string name, std::uint64_t freq_hz,
-             XpressBus &bus, MainMemory &mem, const Params &params)
+             XpressBus &bus, MainMemory &mem)
     : ClockedObject(eq, std::move(name), freq_hz),
       _bus(bus),
       _mem(mem),
-      _params(params),
-      _writeBuffer(params.writeBufferEntries),
+      _lines(sizeBytes / lineBytes),
+      _writeBuffer(writeBufferEntries),
       _stats(this->name())
 {
-    SHRIMP_ASSERT(params.sizeBytes % params.lineBytes == 0,
-                  "cache size not a multiple of line size");
-    _lines.resize(params.sizeBytes / params.lineBytes);
-
     bus.addSnooper(this);
 }
 
 std::size_t
 Cache::indexOf(Addr paddr) const
 {
-    return (paddr / _params.lineBytes) % _lines.size();
+    return (paddr / lineBytes) % _lines.size();
 }
 
 Addr
 Cache::tagOf(Addr paddr) const
 {
-    return paddr / _params.sizeBytes;
+    return paddr / sizeBytes;
 }
 
 Addr
 Cache::lineBase(Addr paddr) const
 {
-    return paddr - paddr % _params.lineBytes;
+    return paddr - paddr % lineBytes;
 }
 
 Tick
@@ -97,12 +91,12 @@ Cache::fill(Addr paddr, Tick now)
         // functional write -- and without snooper noise, which is
         // faithful: only mapped pages matter to the NIC and mapped-out
         // pages are forced write-through, never dirty.
-        _bus.acquire(now, _params.lineBytes);
+        _bus.acquire(now, lineBytes);
         ++_writebacks;
     }
 
-    XpressBus::Grant grant = _bus.acquire(now, _params.lineBytes);
-    Tick avail = grant.end + _mem.accessLatency();
+    XpressBus::Grant grant = _bus.acquire(now, lineBytes);
+    Tick avail = grant.end + MainMemory::accessLatency;
 
     line.valid = true;
     line.dirty = false;
@@ -118,17 +112,17 @@ Cache::load(Addr paddr, unsigned size, CachePolicy policy, Tick now)
         // DRAM adds its access latency; device space (the NIC command
         // pages) answers within the bus transaction.
         bool is_dram = paddr < _mem.size();
-        return grant.end + (is_dram ? _mem.accessLatency() : 0);
+        return grant.end + (is_dram ? MainMemory::accessLatency : 0);
     }
 
     const Line &line = _lines[indexOf(paddr)];
     if (line.valid && line.tag == tagOf(paddr)) {
         ++_hits;
-        return now + cyclesToTicks(_params.hitCycles);
+        return now + cyclesToTicks(hitCycles);
     }
 
     ++_misses;
-    return fill(paddr, now) + cyclesToTicks(_params.hitCycles);
+    return fill(paddr, now) + cyclesToTicks(hitCycles);
 }
 
 Tick
@@ -146,7 +140,7 @@ Cache::store(Addr paddr, const void *buf, Addr len, CachePolicy policy,
         }
         line.dirty = true;
         _mem.write(paddr, buf, len);    // functional data is in memory
-        return ready + cyclesToTicks(_params.hitCycles);
+        return ready + cyclesToTicks(hitCycles);
     }
 
     // Write-through and uncacheable stores go to the bus via the posted
@@ -161,7 +155,7 @@ Cache::store(Addr paddr, const void *buf, Addr len, CachePolicy policy,
     }
 
     Tick proceed = _writeBuffer.post(_bus, paddr, buf, len, now);
-    return proceed + cyclesToTicks(_params.hitCycles);
+    return proceed + cyclesToTicks(hitCycles);
 }
 
 XpressBus::Grant
@@ -195,8 +189,7 @@ Cache::snoopWrite(Addr paddr, const void *buf, Addr len, BusMaster master)
     if (master == BusMaster::CPU)
         return;     // our own traffic
 
-    for (Addr a = lineBase(paddr); a < paddr + len;
-         a += _params.lineBytes) {
+    for (Addr a = lineBase(paddr); a < paddr + len; a += lineBytes) {
         Line &line = _lines[indexOf(a)];
         if (line.valid && line.tag == tagOf(a)) {
             line.valid = false;

@@ -68,16 +68,15 @@ class WriteBuffer
 class Cache : public ClockedObject, public BusSnooper
 {
   public:
-    struct Params
-    {
-        Addr sizeBytes = 256 * 1024;
-        Addr lineBytes = 32;
-        unsigned hitCycles = 1;         //!< at the cache clock
-        unsigned writeBufferEntries = 4;
-    };
+    static constexpr Addr sizeBytes = 256 * 1024;
+    static constexpr Addr lineBytes = 32;
+    static constexpr unsigned hitCycles = 1;    //!< at the cache clock
+    static constexpr unsigned writeBufferEntries = 4;
+    static_assert(sizeBytes % lineBytes == 0,
+                  "cache size not a multiple of line size");
 
     Cache(EventQueue &eq, std::string name, std::uint64_t freq_hz,
-          XpressBus &bus, MainMemory &mem, const Params &params);
+          XpressBus &bus, MainMemory &mem);
 
     /**
      * Timing for a load. The functional value is read by the caller
@@ -146,7 +145,6 @@ class Cache : public ClockedObject, public BusSnooper
 
     XpressBus &_bus;
     MainMemory &_mem;
-    Params _params;
     std::vector<Line> _lines;
     WriteBuffer _writeBuffer;
 

@@ -32,16 +32,12 @@ class EisaBus : public SimObject
         Tick end;       //!< last byte transferred
     };
 
-    struct Params
-    {
-        std::uint64_t burstBytesPerSec = 33'000'000;
-        Tick setupTime = 900 * ONE_NS;  //!< arbitration + DMA setup
-    };
+    static constexpr std::uint64_t burstBytesPerSec = 33'000'000;
+    /** Arbitration + DMA setup, paid once per burst. */
+    static constexpr Tick setupTime = 900 * ONE_NS;
 
-    EisaBus(EventQueue &eq, std::string name, const Params &params)
-        : SimObject(eq, std::move(name)),
-          _params(params),
-          _stats(this->name())
+    EisaBus(EventQueue &eq, std::string name)
+        : SimObject(eq, std::move(name)), _stats(this->name())
     {}
 
     /**
@@ -53,9 +49,8 @@ class EisaBus : public SimObject
     {
         Tick start = earliest > _busyUntil ? earliest : _busyUntil;
         Tick data_time =
-            (bytes * ONE_SEC + _params.burstBytesPerSec - 1) /
-            _params.burstBytesPerSec;
-        Tick end = start + _params.setupTime + data_time;
+            (bytes * ONE_SEC + burstBytesPerSec - 1) / burstBytesPerSec;
+        Tick end = start + setupTime + data_time;
         _busyUntil = end;
         ++_bursts;
         _bytes += bytes;
@@ -63,13 +58,11 @@ class EisaBus : public SimObject
     }
 
     Tick busyUntil() const { return _busyUntil; }
-    const Params &params() const { return _params; }
     std::uint64_t bytesCarried() const { return _bytes.value(); }
     std::uint64_t burstsCarried() const { return _bursts.value(); }
     stats::Group &statGroup() { return _stats; }
 
   private:
-    Params _params;
     Tick _busyUntil = 0;
 
     stats::Group _stats;

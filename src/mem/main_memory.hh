@@ -38,11 +38,11 @@ namespace shrimp
 class MainMemory : public SimObject, public BusTarget
 {
   public:
-    MainMemory(EventQueue &eq, std::string name, Addr bytes,
-               Tick access_latency = 60 * ONE_NS)
-        : SimObject(eq, std::move(name)),
-          _pages(bytes / PAGE_SIZE),
-          _accessLatency(access_latency)
+    /** DRAM access latency (row access, simplified). */
+    static constexpr Tick accessLatency = 60 * ONE_NS;
+
+    MainMemory(EventQueue &eq, std::string name, Addr bytes)
+        : SimObject(eq, std::move(name)), _pages(bytes / PAGE_SIZE)
     {
         SHRIMP_ASSERT(bytes % PAGE_SIZE == 0,
                       "memory size must be page aligned");
@@ -62,9 +62,6 @@ class MainMemory : public SimObject, public BusTarget
             std::count_if(_pages.begin(), _pages.end(),
                           [](const auto &p) { return p != nullptr; }));
     }
-
-    /** DRAM access latency (row access, simplified). */
-    Tick accessLatency() const { return _accessLatency; }
 
     /** Functional read of @p len bytes at @p paddr. */
     void
@@ -149,7 +146,6 @@ class MainMemory : public SimObject, public BusTarget
 
     /** One slot per page frame; null reads as zeros. */
     std::vector<std::unique_ptr<Page>> _pages;
-    Tick _accessLatency;
 };
 
 } // namespace shrimp

@@ -7,14 +7,9 @@
 namespace shrimp
 {
 
-XpressBus::XpressBus(EventQueue &eq, std::string name,
-                     std::uint64_t freq_hz, unsigned width_bytes)
-    : ClockedObject(eq, std::move(name), freq_hz),
-      _widthBytes(width_bytes),
-      _stats(this->name())
-{
-    SHRIMP_ASSERT(width_bytes > 0, "zero bus width");
-}
+XpressBus::XpressBus(EventQueue &eq, std::string name)
+    : ClockedObject(eq, std::move(name), freqHz), _stats(this->name())
+{}
 
 void
 XpressBus::addTarget(Addr base, Addr len, BusTarget *target)

@@ -26,7 +26,7 @@
 namespace shrimp
 {
 
-/** The Xpress memory bus (64-bit, 33.3 MHz by default). */
+/** The Xpress memory bus (64-bit, 33.3 MHz). */
 class XpressBus : public ClockedObject
 {
   public:
@@ -37,8 +37,10 @@ class XpressBus : public ClockedObject
         Tick end;
     };
 
-    XpressBus(EventQueue &eq, std::string name,
-              std::uint64_t freq_hz = 33'333'333, unsigned width_bytes = 8);
+    static constexpr std::uint64_t freqHz = 33'333'333;
+    static constexpr unsigned widthBytes = 8;
+
+    XpressBus(EventQueue &eq, std::string name);
 
     /** Route [base, base+len) to @p target. Ranges must not overlap. */
     void addTarget(Addr base, Addr len, BusTarget *target);
@@ -54,7 +56,7 @@ class XpressBus : public ClockedObject
     transactionCycles(Addr bytes) const
     {
         // One address phase plus one data phase per bus-width chunk.
-        return 1 + (bytes + _widthBytes - 1) / _widthBytes;
+        return 1 + (bytes + widthBytes - 1) / widthBytes;
     }
 
     /**
@@ -114,7 +116,6 @@ class XpressBus : public ClockedObject
     void notifySnoopers(Addr paddr, const void *buf, Addr len,
                         BusMaster master);
 
-    unsigned _widthBytes;
     Tick _busyUntil = 0;
     std::vector<Range> _ranges;
     std::vector<BusSnooper *> _snoopers;

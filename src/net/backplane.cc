@@ -10,8 +10,7 @@ MeshBackplane::MeshBackplane(EventQueue &eq, std::string name,
                              const Router::Params &params)
     : SimObject(eq, std::move(name)),
       _width(width),
-      _height(height),
-      _params(params)
+      _height(height)
 {
     SHRIMP_ASSERT(width > 0 && height > 0, "degenerate mesh");
 

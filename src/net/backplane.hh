@@ -48,7 +48,6 @@ class MeshBackplane : public SimObject
     }
 
     Router &router(NodeId node) { return *_routers.at(node); }
-    const Router::Params &routerParams() const { return _params; }
 
     /**
      * Attach @p faults to every inter-router link in the mesh (each
@@ -63,7 +62,6 @@ class MeshBackplane : public SimObject
   private:
     unsigned _width;
     unsigned _height;
-    Router::Params _params;
     std::vector<std::unique_ptr<Router>> _routers;
 };
 

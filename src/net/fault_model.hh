@@ -32,6 +32,10 @@ namespace shrimp
 class FaultModel
 {
   public:
+    /** Extra arrival delay of a reordered packet; anything larger
+     *  than one serialization time lets successors overtake. */
+    static constexpr Tick reorderDelay = 2 * ONE_US;
+
     struct Params
     {
         double dropProb = 0.0;      //!< packet silently lost on the wire
@@ -41,9 +45,6 @@ class FaultModel
         /** Per-packet chance the link fails for linkDownTicks. */
         double linkDownProb = 0.0;
         Tick linkDownTicks = 100 * ONE_US;
-        /** Extra arrival delay of a reordered packet; anything larger
-         *  than one serialization time lets successors overtake. */
-        Tick reorderDelay = 2 * ONE_US;
         std::uint64_t seed = 0x0f00d5eed;
 
         bool

@@ -124,8 +124,7 @@ Router::inject(NetPacket &&pkt)
     ++_injected;
     reserveCredit(LOCAL);
     // Local injection still pays the routing decision latency.
-    headerArrive(LOCAL, std::move(pkt),
-                 curTick() + _params.routingLatency);
+    headerArrive(LOCAL, std::move(pkt), curTick() + routingLatency);
 }
 
 Router::Port
@@ -163,7 +162,7 @@ Router::linkUsable(Port out, Tick now) const
     if (!_neighbor[out] || _linkDeadExt[out])
         return false;
     const FaultModel *fm = _faults[out].get();
-    return !(fm && fm->downLongerThan(now, _params.routeAroundAfter));
+    return !(fm && fm->downLongerThan(now, routeAroundAfter));
 }
 
 Router::RouteDecision
@@ -172,9 +171,9 @@ Router::routeOf(const NetPacket &pkt, Tick now) const
     Port pref = preferredPort(pkt);
     if (pref == LOCAL)
         return {LOCAL, false, false};
-    if (!_params.faultTolerant || linkUsable(pref, now))
+    if (linkUsable(pref, now))
         return {pref, false, false};
-    if (pkt.misroutes >= _params.misrouteBudget)
+    if (pkt.misroutes >= misrouteBudget)
         return {NUM_PORTS, false, false};
 
     // Misroute one hop perpendicular to the dead dimension, preferring
@@ -390,8 +389,8 @@ Router::advance()
             ++_faultCorrupts;
         }
 
-        Tick header_at = now + _params.linkLatency;
-        Tick decoded_at = header_at + _params.routingLatency;
+        Tick header_at = now + linkLatency;
+        Tick decoded_at = header_at + routingLatency;
 
         if (act == FaultModel::Action::REORDER) {
             // Hold the packet past its successors: its header enters
@@ -400,7 +399,7 @@ Router::advance()
             // ahead of it. The downstream credit is already reserved,
             // keeping buffer accounting exact.
             ++_faultReorders;
-            Tick delay = fm->params().reorderDelay;
+            Tick delay = FaultModel::reorderDelay;
             eventQueue().scheduleFn(
                 [nbr, nbr_in, decoded_at, delay,
                  pkt = std::move(pkt)]() mutable {
@@ -422,7 +421,7 @@ Router::advance()
                         nbr->reserveCredit(nbr_in);
                         nbr->headerArrive(nbr_in, std::move(copy),
                                           curTick() +
-                                              _params.routingLatency);
+                                              routingLatency);
                     },
                     now + ser, EventPriority::DEFAULT, "duplicate");
             }

@@ -5,6 +5,9 @@
  * (X then Y) routing, which is oblivious and deadlock-free and, with
  * FIFO links, preserves per-sender/receiver packet order. These are
  * exactly the three properties Section 3 of the paper relies on.
+ * Only a failed link changes the route: one advertised dead
+ * (setLinkDead) or down longer than routeAroundAfter is detoured
+ * around, within a per-packet misroute budget (routeOf).
  *
  * Timing is virtual cut-through at packet granularity: a hop charges a
  * fixed routing latency for the header plus wire serialization for the
@@ -63,28 +66,24 @@ class Router : public SimObject
         NUM_PORTS,
     };
 
+    /** Header decision, per hop. */
+    static constexpr Tick routingLatency = 40 * ONE_NS;
+    /** Wire propagation. */
+    static constexpr Tick linkLatency = 8 * ONE_NS;
+    /** 16-bit-flit Paragon-style links; comfortably more than twice
+     *  the EISA bottleneck, as the paper requires. */
+    static constexpr std::uint64_t linkBytesPerSec = 80'000'000;
+
+    /** Outage age before a flapping link is routed around; shorter
+     *  flaps are left to the NI's retransmission layer. */
+    static constexpr Tick routeAroundAfter = 200 * ONE_US;
+    /** Detours one packet may take before the router gives up and
+     *  drops it (livelock guard under multiple failures). */
+    static constexpr unsigned misrouteBudget = 8;
+
     struct Params
     {
         unsigned inputBufferPackets = 4;
-        Tick routingLatency = 40 * ONE_NS;  //!< header decision per hop
-        Tick linkLatency = 8 * ONE_NS;      //!< wire propagation
-        /** 16-bit-flit Paragon-style links; comfortably more than
-         *  twice the EISA bottleneck, as the paper requires. */
-        std::uint64_t linkBytesPerSec = 80'000'000;
-
-        /**
-         * Fault-tolerant routing: detour around links that are
-         * externally advertised dead (setLinkDead) or that the fault
-         * model has held down for longer than routeAroundAfter. Off by
-         * default: plain dimension-order, exactly the paper's fabric.
-         */
-        bool faultTolerant = false;
-        /** Outage age before a flapping link is routed around; shorter
-         *  flaps are left to the NI's retransmission layer. */
-        Tick routeAroundAfter = 200 * ONE_US;
-        /** Detours one packet may take before the router gives up and
-         *  drops it (livelock guard under multiple failures). */
-        unsigned misrouteBudget = 8;
 
         /**
          * ECN-style marking: a reliable DATA packet arriving at an
@@ -144,8 +143,8 @@ class Router : public SimObject
     /**
      * Externally advertise the output link behind @p out as dead (or
      * alive again) -- the health service / backplane uses this when a
-     * peer or cable is known down. Only consulted in fault-tolerant
-     * mode. Reviving a link kicks the pipeline so parked traffic
+     * peer or cable is known down, and routing detours around it.
+     * Reviving a link kicks the pipeline so parked traffic
      * immediately retries the preferred route.
      */
     void setLinkDead(Port out, bool dead);
@@ -153,11 +152,11 @@ class Router : public SimObject
     /**
      * Force the directed link behind @p out into an outage starting
      * now, for @p duration ticks (0 = until forceLinkUp). Unlike
-     * setLinkDead -- a routing advertisement only honored in
-     * fault-tolerant mode -- this kills the wire itself: transmissions
-     * die as linkDownDrops in every routing mode, and only in this
-     * direction. Lazily attaches a quiet FaultModel when none is
-     * configured.
+     * setLinkDead -- a routing advertisement -- this kills the wire
+     * itself: transmissions die as linkDownDrops, and only in this
+     * direction; routing detours only once the outage is older than
+     * routeAroundAfter. Lazily attaches a quiet FaultModel when none
+     * is configured.
      */
     void forceLinkDown(Port out, Tick duration = 0);
 
@@ -199,8 +198,8 @@ class Router : public SimObject
     Tick
     serializationTime(const NetPacket &pkt) const
     {
-        return (pkt.wireBytes() * ONE_SEC + _params.linkBytesPerSec - 1) /
-               _params.linkBytesPerSec;
+        return (pkt.wireBytes() * ONE_SEC + linkBytesPerSec - 1) /
+               linkBytesPerSec;
     }
 
     stats::Group &statGroup() { return _stats; }
@@ -235,7 +234,7 @@ class Router : public SimObject
     /** Plain dimension-order preference (honoring pkt.yFirst). */
     Port preferredPort(const NetPacket &pkt) const;
 
-    /** Can @p out carry traffic at @p now (fault-tolerant mode)? */
+    /** Can @p out carry traffic at @p now? */
     bool linkUsable(Port out, Tick now) const;
 
     RouteDecision routeOf(const NetPacket &pkt, Tick now) const;

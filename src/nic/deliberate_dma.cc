@@ -8,10 +8,8 @@ namespace shrimp
 {
 
 DeliberateDma::DeliberateDma(EventQueue &eq, std::string name,
-                             const Params &params, XpressBus &bus,
-                             MainMemory &mem, Hooks hooks)
+                             XpressBus &bus, MainMemory &mem, Hooks hooks)
     : SimObject(eq, std::move(name)),
-      _params(params),
       _bus(bus),
       _mem(mem),
       _hooks(std::move(hooks)),
@@ -56,7 +54,7 @@ DeliberateDma::start(Addr src_paddr, std::uint32_t nwords)
                                static_cast<std::uint64_t>(nwords))});
     }
 
-    reschedule(_chunkEvent, curTick() + _params.startLatency);
+    reschedule(_chunkEvent, curTick() + startLatency);
     return true;
 }
 
@@ -103,8 +101,8 @@ DeliberateDma::transferChunk()
 
     Addr bytes_left = Addr{_wordsRemaining} * wordBytes;
     Addr chunk = bytes_left;
-    if (chunk > _params.maxChunkBytes)
-        chunk = _params.maxChunkBytes;
+    if (chunk > maxChunkBytes)
+        chunk = maxChunkBytes;
     // A chunk must stay within one mapping half (split pages).
     if (chunk > lookup.bytesToMappingEnd)
         chunk = lookup.bytesToMappingEnd;
@@ -122,7 +120,7 @@ DeliberateDma::transferChunk()
     // bus; the snooping datapath captures it (modeled by handing the
     // data straight to the packetizer at the read's completion).
     XpressBus::Grant grant = _bus.acquire(curTick(), chunk);
-    Tick data_ready = grant.end + _mem.accessLatency();
+    Tick data_ready = grant.end + MainMemory::accessLatency;
 
     std::vector<std::uint8_t> payload(chunk);
     _mem.read(_cursor, payload.data(), chunk);

@@ -62,13 +62,10 @@ class DeliberateDma : public SimObject
     /** Transfer word size (the CMPXCHG count is in 4-byte words). */
     static constexpr Addr wordBytes = 4;
 
-    struct Params
-    {
-        /** Max bytes per network packet the engine emits. */
-        Addr maxChunkBytes = 512;
-        /** Engine startup cost per transfer (command decode). */
-        Tick startLatency = 200 * ONE_NS;
-    };
+    /** Max bytes per network packet the engine emits. */
+    static constexpr Addr maxChunkBytes = 512;
+    /** Engine startup cost per transfer (command decode). */
+    static constexpr Tick startLatency = 200 * ONE_NS;
 
     /** Services the engine needs from the enclosing NI. */
     struct Hooks
@@ -85,8 +82,8 @@ class DeliberateDma : public SimObject
         std::function<void()> waitForFifoSpace;
     };
 
-    DeliberateDma(EventQueue &eq, std::string name, const Params &params,
-                  XpressBus &bus, MainMemory &mem, Hooks hooks);
+    DeliberateDma(EventQueue &eq, std::string name, XpressBus &bus,
+                  MainMemory &mem, Hooks hooks);
 
     /**
      * Fired when a transfer's last chunk has been handed to the
@@ -98,7 +95,6 @@ class DeliberateDma : public SimObject
 
     bool busy() const { return _busy; }
     Addr currentBase() const { return _base; }
-    std::uint32_t wordsRemaining() const { return _wordsRemaining; }
 
     /**
      * Command-page read cycle for source address @p src_paddr:
@@ -134,7 +130,6 @@ class DeliberateDma : public SimObject
   private:
     void transferChunk();
 
-    Params _params;
     XpressBus &_bus;
     MainMemory &_mem;
     Hooks _hooks;

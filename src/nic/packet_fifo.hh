@@ -70,7 +70,6 @@ class PacketFifo
     bool empty() const { return _items.empty(); }
     std::size_t packets() const { return _items.size(); }
     Addr fillBytes() const { return _fillBytes; }
-    const Params &params() const { return _params; }
 
     /** Would @p bytes more fit without exceeding capacity? */
     bool

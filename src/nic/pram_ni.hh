@@ -58,7 +58,6 @@ class PramNi : public SimObject, public BusTarget
     /** Connect to the peer interface (symmetric; call on both). */
     void connectPeer(PramNi *peer) { _peer = peer; }
 
-    const Params &params() const { return _params; }
     Addr sramBase() const { return _params.sramBase; }
     PageNum sramBasePage() const { return pageOf(_params.sramBase); }
     std::size_t sramPages() const { return sramBytes / PAGE_SIZE; }

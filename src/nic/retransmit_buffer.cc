@@ -45,10 +45,9 @@ RetransmitBuffer::windowLimit(const TxState &st) const
     const CongestionParams &cc = _params.congestion;
     if (!cc.enabled)
         return _params.windowPackets;
-    unsigned floor = cc.minWindowPackets > 0 ? cc.minWindowPackets : 1;
     unsigned w = st.cwnd != 0 ? st.cwnd : cc.initialWindowPackets;
-    if (w < floor)
-        w = floor;
+    if (w < minWindowPackets)
+        w = minWindowPackets;
     if (w > _params.windowPackets)
         w = _params.windowPackets;
     return w;
@@ -89,8 +88,7 @@ RetransmitBuffer::cutWindow(TxState &st, bool ecn)
         return;
     st.lastCwndCutAt = now;
     unsigned before = windowLimit(st);
-    unsigned floor = cc.minWindowPackets > 0 ? cc.minWindowPackets : 1;
-    st.cwnd = before / 2 > floor ? before / 2 : floor;
+    st.cwnd = before / 2 > minWindowPackets ? before / 2 : minWindowPackets;
     st.ackCredits = 0;
     if (ecn)
         ++_ecnBackoffs;

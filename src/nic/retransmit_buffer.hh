@@ -53,7 +53,6 @@ struct CongestionParams
      *  timeouts / NACK losses / ECN echoes halve it. */
     bool enabled = false;
     unsigned initialWindowPackets = 4;  //!< cwnd after (re)boot
-    unsigned minWindowPackets = 1;      //!< multiplicative-decrease floor
 
     /**
      * Retry-storm suppression: a per-NI token bucket paces how many
@@ -75,7 +74,8 @@ struct CongestionParams
     std::uint64_t jitterSeed = 0x5EEDBACCULL;   //!< salted per NI
 };
 
-/** Tunables of the NI reliability layer (sender and receiver side). */
+/** Tunables of the NI reliability layer. The receiver side's are
+ *  constants of ShrimpNi (ackEvery, ackDelay, reorderBufferPackets). */
 struct ReliabilityParams
 {
     /** Master switch; off preserves the paper's exact wire format. */
@@ -94,17 +94,15 @@ struct ReliabilityParams
 
     /** End-to-end congestion control (AIMD + pacer + jitter). */
     CongestionParams congestion{};
-
-    // ---- receiver (ShrimpNi) ----
-    unsigned ackEvery = 4;          //!< cumulative-ACK coalescing count
-    Tick ackDelay = 5 * ONE_US;     //!< delayed-ACK window
-    unsigned reorderBufferPackets = 16; //!< out-of-order hold per source
 };
 
 /** Sender-side window/retransmission engine, one per ShrimpNi. */
 class RetransmitBuffer : public SimObject
 {
   public:
+    /** AIMD multiplicative-decrease floor (congestion control). */
+    static constexpr unsigned minWindowPackets = 1;
+
     struct Hooks
     {
         /** Queue a copy of @p pkt for (re)injection into the mesh. */

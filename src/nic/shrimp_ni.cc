@@ -34,7 +34,7 @@ ShrimpNi::ShrimpNi(EventQueue &eq, std::string name, NodeId node,
       _nipt(mem.numPages()),
       _outFifo(this->name() + ".outFifo", params.outFifo),
       _inFifo(this->name() + ".inFifo", params.inFifo),
-      _dma(eq, this->name() + ".dma", params.dma, bus, mem,
+      _dma(eq, this->name() + ".dma", bus, mem,
            DeliberateDma::Hooks{
                [this](Addr paddr) { return _nipt.lookupOut(paddr); },
                [this](Addr wire) { return _outFifo.wouldFit(wire); },
@@ -44,7 +44,7 @@ ShrimpNi::ShrimpNi(EventQueue &eq, std::string name, NodeId node,
                    // given destination stays in program order.
                    flushMergeBuffer();
                    emitPacket(dst, dst_addr, std::move(payload),
-                              curTick() + _params.packetizeLatency);
+                              curTick() + packetizeLatency);
                },
                [this] { _dmaWaitingForFifo = true; }}),
       _injectEvent([this] { tryInject(); }, "ni inject"),
@@ -54,11 +54,7 @@ ShrimpNi::ShrimpNi(EventQueue &eq, std::string name, NodeId node,
       _watchdogEvent([this] { watchdogTick(); }, "progress watchdog"),
       _stats(this->name())
 {
-    SHRIMP_ASSERT(params.cmdBase >= mem.size(),
-                  "command space overlaps DRAM");
-    SHRIMP_ASSERT(params.maxPayloadBytes >= 8 &&
-                  params.maxPayloadBytes <= PAGE_SIZE,
-                  "bad max payload size");
+    SHRIMP_ASSERT(cmdBase >= mem.size(), "command space overlaps DRAM");
 
     if (_params.reliability.enabled) {
         _rx.resize(backplane.numNodes());
@@ -82,7 +78,7 @@ ShrimpNi::ShrimpNi(EventQueue &eq, std::string name, NodeId node,
 
     // Wire ourselves into the node and the mesh.
     bus.addSnooper(this);
-    bus.addTarget(params.cmdBase, mem.size(), this);
+    bus.addTarget(cmdBase, mem.size(), this);
     _router.setSink(this);
     _router.setInjectWaiter([this] {
         if (!_injectEvent.scheduled())
@@ -166,7 +162,7 @@ ShrimpNi::handleAutoSingle(const OutLookup &lookup, const void *buf,
     std::vector<std::uint8_t> payload(static_cast<std::size_t>(len));
     std::memcpy(payload.data(), buf, payload.size());
     emitPacket(lookup.dstNode, lookup.dstAddr, std::move(payload),
-               curTick() + _params.packetizeLatency);
+               curTick() + packetizeLatency);
 }
 
 void
@@ -179,7 +175,7 @@ ShrimpNi::handleAutoBlock(const OutLookup &lookup, Addr paddr,
         _merge.valid && _merge.dstNode == lookup.dstNode &&
         paddr == _merge.srcNext &&
         pageOf(paddr) == pageOf(_merge.srcNext - 1) &&
-        _merge.data.size() + len <= _params.maxPayloadBytes &&
+        _merge.data.size() + len <= maxPayloadBytes &&
         now - _merge.lastWrite <= _params.mergeTimeout;
 
     if (!mergeable)
@@ -201,7 +197,7 @@ ShrimpNi::handleAutoBlock(const OutLookup &lookup, Addr paddr,
     _merge.srcNext += len;
     _merge.lastWrite = now;
 
-    if (_merge.data.size() >= _params.maxPayloadBytes) {
+    if (_merge.data.size() >= maxPayloadBytes) {
         flushMergeBuffer();
     } else {
         // (Re)arm the merge window timer.
@@ -219,7 +215,7 @@ ShrimpNi::flushMergeBuffer()
 
     _merge.valid = false;
     emitPacket(_merge.dstNode, _merge.dstStart, std::move(_merge.data),
-               curTick() + _params.packetizeLatency);
+               curTick() + packetizeLatency);
     _merge.data = {};
 }
 
@@ -315,7 +311,7 @@ ShrimpNi::tryInject()
         NetPacket pkt = std::move(_ctrl.front());
         _ctrl.pop_front();
         Tick ser = _router.serializationTime(pkt);
-        _nextInjectOk = now + _params.injectOverhead + ser;
+        _nextInjectOk = now + injectOverhead + ser;
         if (auto *t = eventQueue().tracer(); t && pkt.traceId) {
             // A control-queue packet with a flow id is a
             // retransmission of a traced DATA packet. The original
@@ -369,7 +365,7 @@ ShrimpNi::tryInject()
 
     NetPacket pkt = _outFifo.pop();
     Tick ser = _router.serializationTime(pkt);
-    _nextInjectOk = now + _params.injectOverhead + ser;
+    _nextInjectOk = now + injectOverhead + ser;
     ++_pktsSent;
     if (auto *t = eventQueue().tracer(); t && pkt.traceId) {
         t->flowStep(now, name(), "packet", "inject", pkt.traceId,
@@ -457,7 +453,7 @@ ShrimpNi::busRead(Addr paddr, unsigned size)
     (void)size;
     if (_crashed)
         return 0;
-    Addr rel = paddr - _params.cmdBase;
+    Addr rel = paddr - cmdBase;
     Addr off = pageOffset(rel);
     if (off >= ctrlRegionOffset)
         return 0;
@@ -476,7 +472,7 @@ ShrimpNi::busWrite(Addr paddr, const void *buf, Addr len)
 {
     if (_crashed)
         return;
-    Addr rel = paddr - _params.cmdBase;
+    Addr rel = paddr - cmdBase;
     Addr off = pageOffset(rel);
     PageNum page = pageOf(rel);
 
@@ -552,8 +548,6 @@ ShrimpNi::sinkDeliver(NetPacket &&pkt)
             t->flowEnd(curTick(), name(), "packet", "dropped",
                        pkt.traceId, {trace::arg("reason", "crc")});
         }
-        if (onDropped)
-            onDropped(pkt);
         // Reliability: ask for the retransmission immediately instead
         // of waiting out the sender's timeout. The corruption may have
         // hit any field, but our fault model only touches payload/CRC
@@ -672,7 +666,7 @@ ShrimpNi::receiveReliableData(NetPacket &&pkt)
 
     // Sequence gap: hold the packet for in-order delivery and request
     // the missing one.
-    if (rx.ooo.size() < _params.reliability.reorderBufferPackets &&
+    if (rx.ooo.size() < reorderBufferPackets &&
         rx.ooo.find(pkt.rseq) == rx.ooo.end()) {
         rx.ooo.emplace(pkt.rseq, std::move(pkt));
     } else {
@@ -757,13 +751,13 @@ void
 ShrimpNi::scheduleAck(NodeId src)
 {
     RxState &rx = _rx[src];
-    if (rx.unacked >= _params.reliability.ackEvery) {
+    if (rx.unacked >= ackEvery) {
         sendAckNow(src);
         return;
     }
     rx.ackPending = true;
     if (!_ackEvent.scheduled())
-        schedule(_ackEvent, curTick() + _params.reliability.ackDelay);
+        schedule(_ackEvent, curTick() + ackDelay);
 }
 
 void
@@ -796,10 +790,8 @@ ShrimpNi::sendNack(NodeId src)
     Tick now = curTick();
     // One NACK per gap per delayed-ACK window; every out-of-order
     // arrival would otherwise emit one.
-    if (rx.lastNackSeq == rx.expected &&
-        now - rx.lastNackAt < _params.reliability.ackDelay) {
+    if (rx.lastNackSeq == rx.expected && now - rx.lastNackAt < ackDelay)
         return;
-    }
     rx.lastNackSeq = rx.expected;
     rx.lastNackAt = now;
     ++_relNacksSent;
@@ -987,8 +979,6 @@ ShrimpNi::drainIncoming()
                            dropped.traceId,
                            {trace::arg("reason", "unmapped")});
             }
-            if (onDropped)
-                onDropped(dropped);
             if (!_inFifo.empty())
                 reschedule(_drainEvent, now);
             return;
@@ -1009,10 +999,8 @@ ShrimpNi::drainIncoming()
             break;
         if (!_nipt.mappedIn(pageOf(item.pkt.dstPaddr)))
             break;
-        if (bytes + item.pkt.payload.size() > _params.maxDrainBurstBytes
-            && count > 0) {
+        if (bytes + item.pkt.payload.size() > maxDrainBurstBytes && count > 0)
             break;
-        }
         bytes += item.pkt.payload.size();
         next_addr += item.pkt.payload.size();
         ++count;
@@ -1025,7 +1013,7 @@ ShrimpNi::drainIncoming()
     Tick done;
     if (_params.nextGenDatapath) {
         XpressBus::Grant g = _bus.acquire(now, bytes);
-        done = g.end + _mem.accessLatency();
+        done = g.end + MainMemory::accessLatency;
     } else {
         EisaBus::Grant g = _eisa.acquire(now, bytes);
         // The EISA bridge's writes also occupy the memory bus.

@@ -82,20 +82,31 @@ class ShrimpNi : public SimObject,
         DELIBERATE = 2,
     };
 
+    /** Base physical address of the command space. */
+    static constexpr Addr cmdBase = 0x4000'0000;
+    /** Snoop capture -> packet in Outgoing FIFO. */
+    static constexpr Tick packetizeLatency = 100 * ONE_NS;
+    /** Max payload per packet (merged or DMA chunk). */
+    static constexpr Addr maxPayloadBytes = 512;
+    static_assert(maxPayloadBytes >= 8 && maxPayloadBytes <= PAGE_SIZE,
+                  "bad max payload size");
+    /** Per-packet NIC chip injection overhead. */
+    static constexpr Tick injectOverhead = 50 * ONE_NS;
+    /** Coalescing limit for one incoming drain burst. */
+    static constexpr Addr maxDrainBurstBytes = 4096;
+
+    // ---- reliability receiver (params.reliability.enabled) ----
+    /** Cumulative-ACK coalescing count. */
+    static constexpr unsigned ackEvery = 4;
+    /** Delayed-ACK window. */
+    static constexpr Tick ackDelay = 5 * ONE_US;
+    /** Out-of-order hold per source. */
+    static constexpr unsigned reorderBufferPackets = 16;
+
     struct Params
     {
-        /** Base physical address of the command space. */
-        Addr cmdBase = 0x4000'0000;
-        /** Snoop capture -> packet in Outgoing FIFO. */
-        Tick packetizeLatency = 100 * ONE_NS;
         /** Blocked-write merge window ("programmable time limit"). */
         Tick mergeTimeout = 1 * ONE_US;
-        /** Max payload per packet (merged or DMA chunk). */
-        Addr maxPayloadBytes = 512;
-        /** Per-packet NIC chip injection overhead. */
-        Tick injectOverhead = 50 * ONE_NS;
-        /** Coalescing limit for one incoming drain burst. */
-        Addr maxDrainBurstBytes = 4096;
         /**
          * Use the next-generation datapath: incoming packets bypass
          * the EISA bus and drive the Xpress bus directly (Section 5.1
@@ -105,8 +116,6 @@ class ShrimpNi : public SimObject,
 
         PacketFifo::Params outFifo{64 * 1024, 48 * 1024, 16 * 1024};
         PacketFifo::Params inFifo{64 * 1024, 56 * 1024, 32 * 1024};
-
-        DeliberateDma::Params dma{};
 
         /** End-to-end reliable delivery (off = paper wire format). */
         ReliabilityParams reliability{};
@@ -133,24 +142,14 @@ class ShrimpNi : public SimObject,
     DeliberateDma &dma() { return _dma; }
     PacketFifo &outgoingFifo() { return _outFifo; }
     PacketFifo &incomingFifo() { return _inFifo; }
-    const Params &params() const { return _params; }
 
     // ---- command space geometry ----
-    Addr cmdBase() const { return _params.cmdBase; }
 
     /** Command-space address controlling the given DRAM address. */
-    Addr
-    cmdAddrFor(Addr dram_paddr) const
-    {
-        return _params.cmdBase + dram_paddr;
-    }
+    static Addr cmdAddrFor(Addr dram_paddr) { return cmdBase + dram_paddr; }
 
     /** Command page number controlling DRAM page @p page. */
-    PageNum
-    cmdPageFor(PageNum page) const
-    {
-        return pageOf(_params.cmdBase) + page;
-    }
+    static PageNum cmdPageFor(PageNum page) { return pageOf(cmdBase) + page; }
 
     // ---- kernel / instrumentation hooks ----
 
@@ -161,9 +160,6 @@ class ShrimpNi : public SimObject,
 
     /** Data arrived for a page whose NIPT entry requests interrupts. */
     std::function<void(PageNum page, Addr dst_paddr)> onArrival;
-
-    /** A packet was dropped (bad CRC, wrong coords, not mapped in). */
-    std::function<void(const NetPacket &pkt)> onDropped;
 
     /** A packet's payload reached destination main memory. */
     std::function<void(const NetPacket &pkt, Tick when)> onDelivered;

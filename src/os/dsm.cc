@@ -36,8 +36,6 @@ Dsm::Dsm(Kernel &kernel, const DsmConfig &cfg)
       _stats("dsm", &kernel.statGroup())
 {
     SHRIMP_ASSERT(_cfg.numPages > 0, "DSM window is empty");
-    SHRIMP_ASSERT(pageOffset(_cfg.baseVaddr) == 0,
-                  "DSM base address not page aligned");
 
     // The deliberate-DMA engine reports completion through a single
     // callback that the NX service claimed at kernel construction;
@@ -109,8 +107,8 @@ Dsm::attach(Process &proc)
 bool
 Dsm::managesFault(const Process &proc, Addr vaddr) const
 {
-    return _proc == &proc && vaddr >= _cfg.baseVaddr &&
-           vaddr < _cfg.baseVaddr + Addr{_cfg.numPages} * PAGE_SIZE;
+    return _proc == &proc && vaddr >= baseVaddr &&
+           vaddr < baseVaddr + Addr{_cfg.numPages} * PAGE_SIZE;
 }
 
 void
@@ -119,7 +117,7 @@ Dsm::faultOn(Process &proc, Addr vaddr, bool write,
 {
     SHRIMP_ASSERT(managesFault(proc, vaddr),
                   "fault outside the DSM window");
-    acquire(static_cast<std::uint32_t>(pageOf(vaddr - _cfg.baseVaddr)),
+    acquire(static_cast<std::uint32_t>(pageOf(vaddr - baseVaddr)),
             write, std::move(done));
 }
 
@@ -293,7 +291,7 @@ Dsm::pump(std::uint32_t page)
     // Post-grant hold: give the previous grantee time to re-execute
     // its faulting instruction before the next waiter can recall or
     // invalidate the page out from under it (anti-livelock).
-    const Tick earliest = d.lastGrant + _cfg.grantHold;
+    const Tick earliest = d.lastGrant + grantHold;
     if (_kernel.curTick() < earliest) {
         if (d.pumpDeferred)
             return;
@@ -1103,7 +1101,7 @@ Dsm::readFrame(PageNum frame) const
 Addr
 Dsm::windowVaddr(std::uint32_t page) const
 {
-    return _cfg.baseVaddr + Addr{page} * PAGE_SIZE;
+    return baseVaddr + Addr{page} * PAGE_SIZE;
 }
 
 } // namespace shrimp

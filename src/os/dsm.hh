@@ -60,20 +60,6 @@ struct DsmConfig
     bool enabled = false;
     /** Pages in the shared window, interleaved home = page % nodes. */
     std::uint32_t numPages = 16;
-    /** Base virtual address of the shared window in attached
-     *  processes (well above the user heap's bump allocator). */
-    Addr baseVaddr = 0x4000'0000;
-    /**
-     * Minimum time the home waits after granting a page before
-     * serving the next waiter for it. Without this, a recall or
-     * shootdown can reach the grantee before its CPU re-executes the
-     * faulting instruction, and under contention (spin-waiters
-     * against a writer) the page ping-pongs forever with nobody
-     * making progress. The window must cover the page-data DMA plus
-     * the trap-exit and re-execution time; it only costs anything on
-     * contended pages (an empty waiter queue never waits).
-     */
-    Tick grantHold = 200 * ONE_US;
 };
 
 /** Local state of one DSM page on one node. */
@@ -88,6 +74,24 @@ enum class DsmPageState : std::uint8_t
 class Dsm
 {
   public:
+    /** Base virtual address of the shared window in attached
+     *  processes (well above the user heap's bump allocator). */
+    static constexpr Addr baseVaddr = 0x4000'0000;
+    static_assert(pageOffset(baseVaddr) == 0,
+                  "DSM base address not page aligned");
+
+    /**
+     * Minimum time the home waits after granting a page before
+     * serving the next waiter for it. Without this, a recall or
+     * shootdown can reach the grantee before its CPU re-executes the
+     * faulting instruction, and under contention (spin-waiters
+     * against a writer) the page ping-pongs forever with nobody
+     * making progress. The window must cover the page-data DMA plus
+     * the trap-exit and re-execution time; it only costs anything on
+     * contended pages (an empty waiter queue never waits).
+     */
+    static constexpr Tick grantHold = 200 * ONE_US;
+
     Dsm(Kernel &kernel, const DsmConfig &cfg);
 
     // ---- boot wiring (mirrors the kernel channel / NX wiring) ----
@@ -170,7 +174,6 @@ class Dsm
     // ---- introspection (tests, chaos invariants) ----
 
     std::uint32_t numPages() const { return _cfg.numPages; }
-    Addr baseVaddr() const { return _cfg.baseVaddr; }
     NodeId homeNode(std::uint32_t page) const;
     bool isHome(std::uint32_t page) const;
 

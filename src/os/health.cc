@@ -1,5 +1,6 @@
 #include "os/health.hh"
 
+#include "os/kernel.hh"
 #include "sim/logging.hh"
 #include "sim/trace.hh"
 
@@ -20,17 +21,14 @@ peerHealthName(PeerHealth s)
     return "?";
 }
 
-HealthMonitor::HealthMonitor(EventQueue &eq, std::string name,
-                             NodeId self, unsigned num_nodes,
-                             const HealthParams &params, Hooks hooks,
-                             stats::Group *parent_stats)
-    : SimObject(eq, std::move(name)),
+HealthMonitor::HealthMonitor(Kernel &kernel, const HealthParams &params)
+    : SimObject(kernel.eventQueue(), kernel.name() + ".health"),
+      _kernel(kernel),
       _params(params),
-      _self(self),
-      _peers(num_nodes),
+      _self(kernel.nodeId()),
+      _peers(kernel.numNodes()),
       _tickEvent([this] { tick(); }, "health tick"),
-      _hooks(std::move(hooks)),
-      _stats("health", parent_stats)
+      _stats("health", &kernel.statGroup())
 {
     SHRIMP_ASSERT(_params.heartbeatPeriod > 0, "zero heartbeat period");
     SHRIMP_ASSERT(_params.suspectTimeout >= _params.heartbeatPeriod,
@@ -101,8 +99,7 @@ HealthMonitor::bumpIncarnation(const char *why)
                                static_cast<std::uint64_t>(_selfInc)),
                     trace::arg("why", why)});
     }
-    if (_hooks.selfEpochBumped)
-        _hooks.selfEpochBumped(_selfInc);
+    _kernel.selfEpochBumped(_selfInc);
 }
 
 bool
@@ -147,8 +144,7 @@ HealthMonitor::checkStamp(NodeId src, std::uint64_t stamp)
                             trace::arg("inc",
                                        static_cast<std::uint64_t>(inc))});
             }
-            if (_hooks.peerEpochChanged)
-                _hooks.peerEpochChanged(src, inc);
+            _kernel.peerEpochChanged(src, inc);
         }
     }
 
@@ -237,10 +233,8 @@ HealthMonitor::tick()
             continue;
         // Keep heartbeating DEAD peers too: a restarted node learns we
         // are alive from our keepalives, just as we learn from its.
-        if (_hooks.sendHeartbeat) {
-            ++_heartbeatsSent;
-            _hooks.sendHeartbeat(peer);
-        }
+        ++_heartbeatsSent;
+        _kernel.ni().sendHeartbeat(peer, stampFor(peer));
         PeerState &p = _peers[peer];
         Tick silence = now - p.lastSeen;
         if (p.state == PeerHealth::ALIVE &&
@@ -292,8 +286,7 @@ HealthMonitor::transition(NodeId peer, PeerHealth to)
       case PeerHealth::DEAD:
         p.quorumStalled = false;
         ++_peersDeclaredDead;
-        if (_hooks.peerDead)
-            _hooks.peerDead(peer);
+        _kernel.peerDied(peer);
         break;
       case PeerHealth::ALIVE:
         if (from == PeerHealth::DEAD || p.quorumStalled) {
@@ -309,8 +302,7 @@ HealthMonitor::transition(NodeId peer, PeerHealth to)
         }
         if (from == PeerHealth::DEAD) {
             ++_peersRecovered;
-            if (_hooks.peerRecovered)
-                _hooks.peerRecovered(peer);
+            _kernel.peerRecovered(peer);
         }
         break;
     }

@@ -11,12 +11,13 @@
  * records a per-peer last-seen tick, and drives a three-state machine
  *
  *     ALIVE --silence >= suspectTimeout--> SUSPECT
- *     SUSPECT --silence >= deadTimeout--> DEAD (peerDead hook fires)
- *     DEAD --heartbeat arrives--> ALIVE (peerRecovered hook fires)
+ *     SUSPECT --silence >= deadTimeout--> DEAD (Kernel::peerDied)
+ *     DEAD --heartbeat arrives--> ALIVE (Kernel::peerRecovered)
  *
  * External evidence (the retransmit layer exhausting its retry budget
- * toward a peer) can short-circuit straight to DEAD. The kernel hooks
- * peerDead/peerRecovered into mapping teardown and recovery.
+ * toward a peer) can short-circuit straight to DEAD. The monitor calls
+ * its kernel's peerDied/peerRecovered for mapping teardown and
+ * recovery.
  *
  * Partition tolerance (DESIGN.md section 14) adds two mechanisms:
  *
@@ -44,7 +45,6 @@
 #ifndef SHRIMP_OS_HEALTH_HH
 #define SHRIMP_OS_HEALTH_HH
 
-#include <functional>
 #include <vector>
 
 #include "sim/sim_object.hh"
@@ -53,6 +53,8 @@
 
 namespace shrimp
 {
+
+class Kernel;
 
 /**
  * Helpers over incarnation (life) numbers. A raw == on incarnation
@@ -111,26 +113,14 @@ const char *peerHealthName(PeerHealth s);
 class HealthMonitor : public SimObject
 {
   public:
-    struct Hooks
-    {
-        /** Emit one HEARTBEAT packet toward @p peer. */
-        std::function<void(NodeId peer)> sendHeartbeat;
-        /** @p peer crossed into DEAD. */
-        std::function<void(NodeId peer)> peerDead;
-        /** A DEAD @p peer spoke again. */
-        std::function<void(NodeId peer)> peerRecovered;
-        /** @p peer's known incarnation advanced: its previous life's
-         *  channel/ownership state is stale and must be fenced. */
-        std::function<void(NodeId peer, std::uint32_t inc)>
-            peerEpochChanged;
-        /** Our own incarnation was bumped to @p inc: the kernel
-         *  fences this node's previous-life streams and grants. */
-        std::function<void(std::uint32_t inc)> selfEpochBumped;
-    };
-
-    HealthMonitor(EventQueue &eq, std::string name, NodeId self,
-                  unsigned num_nodes, const HealthParams &params,
-                  Hooks hooks, stats::Group *parent_stats);
+    /**
+     * The monitor of @p kernel's node. It heartbeats through the
+     * kernel's NI and reports to the kernel: peerDied when a peer
+     * turns DEAD, peerRecovered when a DEAD peer speaks again,
+     * peerEpochChanged when a peer's known incarnation advances, and
+     * selfEpochBumped when this node's does.
+     */
+    HealthMonitor(Kernel &kernel, const HealthParams &params);
 
     /** Begin heartbeating; peers start with a full grace period. */
     void start();
@@ -246,13 +236,13 @@ class HealthMonitor : public SimObject
 
     void transition(NodeId peer, PeerHealth to);
 
+    Kernel &_kernel;
     HealthParams _params;
     NodeId _self;
     std::vector<PeerState> _peers;
     bool _running = false;
     std::uint32_t _selfInc = 1;
     EventFunctionWrapper _tickEvent;
-    Hooks _hooks;
 
     stats::Group _stats;
     stats::Counter _heartbeatsSent{_stats, "heartbeatsSent",

@@ -417,25 +417,7 @@ Kernel::enableHealth(const HealthParams &params)
                   "node ", _node, ": health needs the NI reliability "
                   "layer; set ni.reliability.enabled with "
                   "health.enabled");
-    HealthMonitor::Hooks hooks;
-    hooks.sendHeartbeat = [this](NodeId peer) {
-        _ni.sendHeartbeat(peer, _health->stampFor(peer));
-    };
-    hooks.peerDead = [this](NodeId peer) { peerDied(peer); };
-    hooks.peerRecovered = [this](NodeId peer) { peerRecovered(peer); };
-    hooks.peerEpochChanged = [this](NodeId peer, std::uint32_t inc) {
-        peerEpochChanged(peer, inc);
-    };
-    hooks.selfEpochBumped = [this](std::uint32_t inc) {
-        // Our old life's streams must not interleave with the new
-        // ones, and grants we hold from before the bump are void.
-        _ni.startNewEpoch(inc);
-        if (_dsm)
-            _dsm->fenceSelf();
-    };
-    _health = std::make_unique<HealthMonitor>(
-        eventQueue(), name() + ".health", _node, _numNodes, params,
-        std::move(hooks), &_stats);
+    _health = std::make_unique<HealthMonitor>(*this, params);
     _ni.onHeartbeat = [this](NodeId src, std::uint64_t stamp) {
         _health->heartbeatFrom(src, stamp);
     };
@@ -453,6 +435,16 @@ std::uint32_t
 Kernel::peerIncarnation(NodeId peer) const
 {
     return _health ? _health->peerIncarnation(peer) : 0;
+}
+
+void
+Kernel::selfEpochBumped(std::uint32_t inc)
+{
+    // Our old life's streams must not interleave with the new ones,
+    // and grants we hold from before the bump are void.
+    _ni.startNewEpoch(inc);
+    if (_dsm)
+        _dsm->fenceSelf();
 }
 
 void

@@ -83,8 +83,6 @@ enum class SchedPolicy : std::uint8_t
 struct AdmissionParams
 {
     bool enabled = false;
-    /** Bound on NX blocked senders queued per destination. */
-    unsigned maxQueuedSendsPerPeer = 16;
     /** Refuse sends toward peers the failure detector calls SUSPECT
      *  (or worse) instead of racing the death timeout. */
     bool rejectSuspectPeers = true;
@@ -99,20 +97,26 @@ class Kernel : public SimObject, public TrapHandler
   public:
     struct Costs
     {
-        std::uint64_t contextSwitch = 80;
-        std::uint64_t syscallDispatch = 20;
-        std::uint64_t mapValidatePerPage = 90;  //!< source-side checks
-        std::uint64_t mapInstallPerPage = 40;   //!< NIPT/PT writes
-        std::uint64_t mapRemotePerPage = 110;   //!< receiver-side work
-        std::uint64_t channelWordWrite = 3;
-        std::uint64_t arrivalInterrupt = 30;
-        std::uint64_t rpcDispatch = 40;
-        std::uint64_t faultHandler = 80;
-        std::uint64_t pageSwap = 400;           //!< evict or page-in
-        std::uint64_t nxCsendFastPath = 222;    //!< iPSC/2 NX/2 numbers
-        std::uint64_t nxCrecvFastPath = 261;
-        std::uint64_t nxInterrupt = 90;
-        std::uint64_t nxCopyPerWord = 1;
+        // Kernel code paths, in instructions.
+        static constexpr std::uint64_t contextSwitch = 80;
+        static constexpr std::uint64_t syscallDispatch = 20;
+        /** Per page: source-side checks, NIPT/PT writes, and the
+         *  receiver-side work. */
+        static constexpr std::uint64_t mapValidatePerPage = 90;
+        static constexpr std::uint64_t mapInstallPerPage = 40;
+        static constexpr std::uint64_t mapRemotePerPage = 110;
+        static constexpr std::uint64_t channelWordWrite = 3;
+        static constexpr std::uint64_t arrivalInterrupt = 30;
+        static constexpr std::uint64_t rpcDispatch = 40;
+        static constexpr std::uint64_t faultHandler = 80;
+        static constexpr std::uint64_t pageSwap = 400; //!< evict or page-in
+        /** The NX/2 baseline, from iPSC/2 NX/2 numbers. */
+        static constexpr std::uint64_t nxCsendFastPath = 222;
+        static constexpr std::uint64_t nxCrecvFastPath = 261;
+        static constexpr std::uint64_t nxInterrupt = 90;
+        static constexpr std::uint64_t nxCopyPerWord = 1;
+
+        /** Scheduling time slice (benches and tests vary it). */
         Tick quantum = 1 * ONE_MS;
     };
 
@@ -146,7 +150,6 @@ class Kernel : public SimObject, public TrapHandler
     ConsistencyPolicy consistencyPolicy() const { return _consistency; }
 
     void setSchedPolicy(SchedPolicy policy) { _schedPolicy = policy; }
-    SchedPolicy schedPolicy() const { return _schedPolicy; }
 
     /**
      * Gang scheduling: make @p gang the runnable gang. Preempts a
@@ -201,8 +204,8 @@ class Kernel : public SimObject, public TrapHandler
     /**
      * Turn on the heartbeat-based failure detector: periodic
      * keepalives to every peer, silence-driven SUSPECT/DEAD
-     * transitions, and full mapping teardown/recovery wired into the
-     * peerDead/peerRecovered hooks. Requires ni.reliability.enabled:
+     * transitions, and full mapping teardown/recovery through
+     * peerDied/peerRecovered. Requires ni.reliability.enabled:
      * peer death fails the reliable channel, and epoch changes restart
      * its streams.
      */
@@ -216,6 +219,10 @@ class Kernel : public SimObject, public TrapHandler
 
     /** Last observed incarnation of @p peer (0 = unknown/health off). */
     std::uint32_t peerIncarnation(NodeId peer) const;
+
+    /** Our own incarnation was bumped to @p inc: fence this node's
+     *  previous-life streams and the DSM grants it held. */
+    void selfEpochBumped(std::uint32_t inc);
 
     /**
      * Peer @p peer started a new life (incarnation @p inc): everything

@@ -126,10 +126,9 @@ NxService::csend(ExecContext &ctx, const NxArgs &args, Tick now)
     // -- when the destination is unhealthy or its send queue is at the
     // bound. EAGAIN-style: the caller sees WOULDBLOCK immediately
     // instead of parking on a queue that can only grow.
-    const AdmissionParams &adm = _kernel.admission();
-    if (adm.enabled &&
+    if (_kernel.admission().enabled &&
         (!_kernel.sendAdmissible(args.node) ||
-         peer.sendWaiters.size() >= adm.maxQueuedSendsPerPeer)) {
+         peer.sendWaiters.size() >= maxQueuedSendsPerPeer)) {
         _kernel.countSendRejected();
         ctx.regs[R0] = err::WOULDBLOCK;
         return t;

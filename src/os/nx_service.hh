@@ -52,6 +52,10 @@ class NxService
     static constexpr Addr ctlNbytes = 8;
     static constexpr Addr ctlCreditSeq = 16;
 
+    /** With admission control on, the bound on blocked senders queued
+     *  per destination. */
+    static constexpr unsigned maxQueuedSendsPerPeer = 16;
+
     explicit NxService(Kernel &kernel);
 
     // ---- boot wiring (mirrors the kernel map channel wiring) ----

@@ -58,7 +58,7 @@ class Parser
     Value
     run()
     {
-        Value v = parseValue();
+        Value v = parseValue(0);
         skipWs();
         if (_pos != _text.size())
             fail("trailing data");
@@ -66,6 +66,11 @@ class Parser
     }
 
   private:
+    /** Deepest array/object nesting accepted. Each level recurses
+     *  once, so the cap turns hostile input into a parse error rather
+     *  than a stack overflow; every artifact nests at most 4 deep. */
+    static constexpr unsigned maxDepth = 256;
+
     [[noreturn]] void
     fail(const char *what)
     {
@@ -147,11 +152,14 @@ class Parser
         }
     }
 
+    /** Parse one value whose enclosing arrays/objects number @p depth. */
     Value
-    parseValue()
+    parseValue(unsigned depth)
     {
         skipWs();
         char c = peek();
+        if ((c == '{' || c == '[') && depth == maxDepth)
+            fail("nesting too deep");
         Value v;
         if (c == '{') {
             ++_pos;
@@ -166,7 +174,7 @@ class Parser
                 std::string key = parseString();
                 skipWs();
                 expect(':');
-                v.obj.emplace_back(std::move(key), parseValue());
+                v.obj.emplace_back(std::move(key), parseValue(depth + 1));
                 skipWs();
                 if (peek() == ',') {
                     ++_pos;
@@ -185,7 +193,7 @@ class Parser
                 return v;
             }
             while (true) {
-                v.arr.push_back(parseValue());
+                v.arr.push_back(parseValue(depth + 1));
                 skipWs();
                 if (peek() == ',') {
                     ++_pos;

@@ -42,7 +42,6 @@ struct Value
     std::vector<Value> arr;
     std::vector<std::pair<std::string, Value>> obj;
 
-    bool isNull() const { return type == Type::NUL; }
     bool isBool() const { return type == Type::BOOLEAN; }
     bool isNumber() const { return type == Type::NUMBER; }
     bool isString() const { return type == Type::STRING; }

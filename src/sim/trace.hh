@@ -149,8 +149,6 @@ class Tracer
         record('e', when, 0, id, who, cat, name, std::move(args));
     }
 
-    std::size_t numEvents() const { return _events.size(); }
-
     /** Write the whole trace as Chrome trace-event JSON. */
     void exportJson(std::ostream &os) const;
 

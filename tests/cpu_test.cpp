@@ -66,8 +66,8 @@ struct CpuFixture : ::testing::Test
     EventQueue eq;
     MainMemory mem{eq, "mem", 1 * 1024 * 1024};
     XpressBus bus{eq, "bus"};
-    Cache cache{eq, "cache", 60'000'000, bus, mem, Cache::Params{}};
-    Cpu cpu{eq, "cpu", Cpu::Params{}, cache, bus, mem};
+    Cache cache{eq, "cache", 60'000'000, bus, mem};
+    Cpu cpu{eq, "cpu", cache, bus, mem};
     FrameAllocator frames{1, 256};
     AddressSpace space{frames};
     RecordingHandler handler;

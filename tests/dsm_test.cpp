@@ -393,7 +393,7 @@ TEST(Dsm, FaultDrivenProgramTouchesWindow)
 
     Process *p = sys.kernel(0).createProcess("dsm-walker");
     sys.kernel(0).dsm()->attach(*p);
-    const Addr base = cfg.dsm.baseVaddr;
+    const Addr base = Dsm::baseVaddr;
 
     Program prog("dsm-walker");
     prog.movi(R1, base);

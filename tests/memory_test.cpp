@@ -323,7 +323,7 @@ TEST(SparseMemory, DeliberateSendOfUnwrittenPageDeliversZeros)
 TEST(EisaBus, BurstTimingMatchesBandwidth)
 {
     EventQueue eq;
-    EisaBus eisa(eq, "eisa", EisaBus::Params{});
+    EisaBus eisa(eq, "eisa");
     // 33 MB/s, 900 ns setup.
     auto g = eisa.acquire(0, 33);
     EXPECT_EQ(g.start, 0u);
@@ -336,7 +336,7 @@ TEST(EisaBus, BurstTimingMatchesBandwidth)
 TEST(EisaBus, LongBurstApproachesPeakBandwidth)
 {
     EventQueue eq;
-    EisaBus eisa(eq, "eisa", EisaBus::Params{});
+    EisaBus eisa(eq, "eisa");
     Addr bytes = 1 * 1024 * 1024;
     auto g = eisa.acquire(0, bytes);
     double secs = static_cast<double>(g.end - g.start) / ONE_SEC;
@@ -350,7 +350,7 @@ struct CacheFixture : ::testing::Test
     EventQueue eq;
     MainMemory mem{eq, "mem", 1 * 1024 * 1024};
     XpressBus bus{eq, "bus"};
-    Cache cache{eq, "cache", 60'000'000, bus, mem, Cache::Params{}};
+    Cache cache{eq, "cache", 60'000'000, bus, mem};
 
     void
     SetUp() override
@@ -463,16 +463,15 @@ TEST_F(CacheFixture, LockedAccessDrainsWriteBuffer)
 
 TEST_F(CacheFixture, DirtyVictimWritesBack)
 {
-    Cache::Params params;
     // Same index, different tags: addresses one cache-size apart.
     std::uint32_t v = 3;
     cache.store(0x1000, &v, 4, CachePolicy::WRITE_BACK, 0);
     EXPECT_TRUE(cache.isDirty(0x1000));
     std::uint64_t before = bus.bytesCarried();
-    cache.load(0x1000 + params.sizeBytes, 4, CachePolicy::WRITE_BACK,
+    cache.load(0x1000 + Cache::sizeBytes, 4, CachePolicy::WRITE_BACK,
                ONE_US);
     // Writeback + fill both appeared on the bus.
-    EXPECT_GE(bus.bytesCarried(), before + 2 * params.lineBytes);
+    EXPECT_GE(bus.bytesCarried(), before + 2 * Cache::lineBytes);
     EXPECT_FALSE(cache.isDirty(0x1000));
 }
 

@@ -103,7 +103,6 @@ TEST(Overload, AdmissionRejectsSendsTowardSuspectPeer)
     SystemConfig cfg = test::twoNodeConfig();
     cfg.ni.reliability.enabled = true;
     cfg.health.enabled = true;
-    cfg.router.faultTolerant = true;    // dead links drop, not wedge
     cfg.admission.enabled = true;
     ShrimpSystem sys(cfg);
 

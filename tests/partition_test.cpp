@@ -26,7 +26,6 @@ partitionConfig(unsigned width, unsigned height, bool dsm)
     cfg.meshWidth = width;
     cfg.meshHeight = height;
     cfg.ni.reliability.enabled = true;
-    cfg.router.faultTolerant = true;
     cfg.health.enabled = true;
     cfg.health.heartbeatPeriod = 50 * ONE_US;
     cfg.health.suspectTimeout = 200 * ONE_US;
@@ -281,7 +280,6 @@ TEST(RouterPartition, FullCutSetExhaustsMisrouteBudgetIntoDrops)
     SystemConfig cfg;
     cfg.meshWidth = 3;
     cfg.meshHeight = 3;
-    cfg.router.faultTolerant = true;
     ShrimpSystem sys(cfg);
 
     Process *a = sys.kernel(0).createProcess("a");

@@ -424,7 +424,6 @@ TEST(Retransmit, AckNackRideOutLinkOutageTraced)
     SystemConfig cfg = test::twoNodeConfig();
     cfg.ni.reliability.enabled = true;
     cfg.ni.reliability.rtoBase = 20 * ONE_US;
-    cfg.router.faultTolerant = true;    // dead links drop, not wedge
     cfg.traceEnabled = true;
     ShrimpSystem sys(cfg);
     EventQueue &eq = sys.eventQueue();

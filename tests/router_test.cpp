@@ -118,7 +118,7 @@ TEST_F(MeshFixture, LatencyGrowsWithHops)
     EXPECT_GT(three_hops, one_hop);
     // Cut-through: each extra hop adds ~(routing + link latency), not
     // a full serialization.
-    Tick per_hop = params.routingLatency + params.linkLatency;
+    Tick per_hop = Router::routingLatency + Router::linkLatency;
     EXPECT_NEAR(static_cast<double>(three_hops - one_hop),
                 static_cast<double>(2 * per_hop),
                 static_cast<double>(per_hop));
@@ -243,6 +243,13 @@ TEST_F(MeshFixture, RandomTrafficAllDeliveredNoDeadlock)
         }
     }
     EXPECT_EQ(total, static_cast<std::size_t>(kPackets));
+
+    // With every link up, routing is pure dimension order: no router
+    // ever detours.
+    stats::Snapshot snap;
+    for (NodeId n = 0; n < 16; ++n)
+        mesh->router(n).statGroup().snapshotInto(snap);
+    EXPECT_EQ(snap.sum("mesh.router*.misroutes"), 0u);
 }
 
 TEST_F(MeshFixture, BlockedUpstreamWokenOncePerReleasedCredit)
@@ -289,7 +296,7 @@ TEST_F(MeshFixture, BlockedUpstreamWokenOncePerReleasedCredit)
     EXPECT_FALSE(r1.upstreamBlocked(Router::WEST));
     Tick ser = r1.serializationTime(sinks[1].got[1]);
     EXPECT_EQ(sinks[1].when[1] - sinks[1].when[0],
-              params.linkLatency + params.routingLatency + ser);
+              Router::linkLatency + Router::routingLatency + ser);
 }
 
 } // namespace

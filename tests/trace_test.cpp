@@ -11,6 +11,7 @@
 #include <memory>
 #include <set>
 #include <sstream>
+#include <stdexcept>
 #include <string>
 #include <vector>
 
@@ -233,6 +234,25 @@ TEST(Trace, StatsJsonParsesAndHasHistograms)
     // FIFO and router groups ride along in the JSON dump.
     EXPECT_TRUE(root.find("node0.ni.outFifo.maxFillBytes"));
     EXPECT_TRUE(root.find("node1.ni.inFifo.depthPackets"));
+}
+
+TEST(Json, NestingDepthIsBounded)
+{
+    // Hostile input fails as a parse error, not a stack overflow.
+    const std::string hostile(100'000, '[');
+    EXPECT_THROW(json::parse(hostile), std::runtime_error);
+
+    // Far deeper than any artifact (at most 4 levels) still parses.
+    constexpr int depth = 64;
+    json::Value v = json::parse(std::string(depth, '[') + "1" +
+                                std::string(depth, ']'));
+    for (int i = 0; i < depth; ++i) {
+        ASSERT_TRUE(v.isArray());
+        ASSERT_EQ(v.arr.size(), 1u);
+        json::Value inner = std::move(v.arr[0]);
+        v = std::move(inner);
+    }
+    EXPECT_DOUBLE_EQ(v.number, 1.0);
 }
 
 } // namespace

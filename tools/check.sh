@@ -1,10 +1,12 @@
 #!/bin/sh
 # CI gate, in three stages, each a ctest run:
 #
-#   --lint   shrimp_lint (project invariants) over the tree and its
-#            fixture self-test (ctest `lint`, `lint_selftest`), then
-#            clang-tidy (generic hygiene, .clang-tidy) over the
-#            exported compile_commands.json
+#   --lint   warnings-as-errors build of the whole tree
+#            (-DSHRIMP_STRICT=ON), then shrimp_lint (project
+#            invariants) over the tree and its fixture self-test
+#            (ctest `lint`, `lint_selftest`), then clang-tidy (generic
+#            hygiene, .clang-tidy) over the exported
+#            compile_commands.json
 #   --asan   ASan+UBSan build: the full ctest suite -- unit tests, the
 #            claims table (`claims`), the trace/stats/chaos artifact
 #            validators, the chaos soaks (with and without partitions)
@@ -46,8 +48,11 @@ fi
 # ---------------------------------------------------------------- lint
 if [ "$run_lint" = 1 ]; then
     lint_build="$repo/build-lint"
-    cmake -B "$lint_build" -S "$repo" -DCMAKE_BUILD_TYPE=RelWithDebInfo
-    cmake --build "$lint_build" -j "$jobs" --target shrimp_lint
+    # Every compiler warning fails the stage: an unused parameter or
+    # variable left behind by a refactor is caught here.
+    cmake -B "$lint_build" -S "$repo" -DCMAKE_BUILD_TYPE=RelWithDebInfo \
+        -DSHRIMP_STRICT=ON
+    cmake --build "$lint_build" -j "$jobs"
 
     # Any finding fails the stage; the self-test proves each rule
     # still fires on its bad fixture.
