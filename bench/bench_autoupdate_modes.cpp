@@ -89,7 +89,8 @@ runStoreStream(UpdateMode mode, unsigned stores, Tick merge_timeout)
                          ONE_SEC) /
                         1e6;
     }
-    r.mergedWrites = static_cast<double>(sys.node(0).ni.mergedWrites());
+    r.mergedWrites =
+        static_cast<double>(sys.snapshot().at("node0.ni.mergedWrites"));
     return r;
 }
 

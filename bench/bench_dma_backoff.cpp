@@ -90,11 +90,11 @@ runContention(bool with_backoff, int pages_each)
     sys.runUntilAllExited(30 * ONE_SEC, 2'000'000'000);
     sys.runFor(50 * ONE_MS);
 
+    stats::Snapshot snap = sys.snapshot();
     ContentionResult r;
-    r.lockedOps = static_cast<double>(sys.node(0).cpu.lockedOps());
+    r.lockedOps = static_cast<double>(snap.at("node0.cpu.lockedOps"));
     r.totalUs = static_cast<double>(sys.curTick()) / ONE_US;
-    r.transfers =
-        static_cast<double>(sys.node(0).ni.dma().transfersStarted());
+    r.transfers = static_cast<double>(snap.at("node0.ni.dma.transfers"));
     return r;
 }
 

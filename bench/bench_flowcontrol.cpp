@@ -81,12 +81,13 @@ runOverload(Addr out_high, Addr in_high, unsigned stores)
     sys.runUntilAllExited(30 * ONE_SEC, 2'000'000'000);
     sys.runFor(200 * ONE_MS);
 
+    stats::Snapshot snap = sys.snapshot();
     FlowResult r;
-    r.stalls = static_cast<double>(sys.kernel(0).fifoStalls());
+    r.stalls = static_cast<double>(snap.at("node0.kernel.fifoStalls"));
     r.stallUs =
-        static_cast<double>(sys.kernel(0).fifoStallTicks()) / ONE_US;
-    r.allDelivered =
-        sys.node(1).ni.packetsDelivered() == stores ? 1 : 0;
+        static_cast<double>(snap.at("node0.kernel.fifoStallTicks")) /
+        ONE_US;
+    r.allDelivered = snap.at("node1.ni.pktsDelivered") == stores ? 1 : 0;
     if (last > first) {
         r.deliveredMBps =
             payload /

@@ -78,14 +78,13 @@ runLossSweep(unsigned drop_per_mille, unsigned words)
     sys.runUntilAllExited(30 * ONE_SEC, 2'000'000'000);
     sys.runFor(500 * ONE_MS);   // let the tail retransmit out
 
+    stats::Snapshot snap = sys.snapshot();
     ReliabilityResult r;
-    auto &tx = sys.node(0).ni;
-    auto &rx = sys.node(1).ni;
-    auto &retx = tx.retransmitBuffer();
-    r.retransmits = static_cast<double>(retx.timeoutRetransmits() +
-                                        retx.nackRetransmits());
-    r.acks = static_cast<double>(rx.acksSent());
-    r.nacks = static_cast<double>(rx.nacksSent());
+    r.retransmits =
+        static_cast<double>(snap.at("node0.ni.retx.retxTimeout") +
+                            snap.at("node0.ni.retx.retxNack"));
+    r.acks = static_cast<double>(snap.at("node1.ni.relAcksSent"));
+    r.nacks = static_cast<double>(snap.at("node1.ni.relNacksSent"));
 
     bool exact = true;
     for (unsigned i = 0; i < words; ++i) {

@@ -168,17 +168,18 @@ main()
                 "(quantum %.0f us)\n",
                 static_cast<double>(cfg.kernel.quantum) / ONE_US);
     std::printf("  ping-pong rounds completed : %d\n", kRounds);
+    stats::Snapshot snap = sys.snapshot();
+    std::uint64_t switches0 = snap.at("node0.kernel.contextSwitches");
+    std::uint64_t switches1 = snap.at("node1.kernel.contextSwitches");
     std::printf("  bulk blocks transferred    : %llu\n",
-                (unsigned long long)
-                    sys.node(0).ni.dma().transfersStarted());
+                (unsigned long long)snap.at("node0.ni.dma.transfers"));
     std::printf("  context switches node0/1   : %llu / %llu\n",
-                (unsigned long long)sys.kernel(0).contextSwitches(),
-                (unsigned long long)sys.kernel(1).contextSwitches());
+                (unsigned long long)switches0,
+                (unsigned long long)switches1);
     std::printf("  simulated time             : %.2f ms\n",
                 static_cast<double>(sys.curTick()) / ONE_MS);
 
-    ok = ok && sys.kernel(0).contextSwitches() >= 4 &&
-         sys.kernel(1).contextSwitches() >= 4;
+    ok = ok && switches0 >= 4 && switches1 >= 4;
     std::printf("%s\n", ok ? "OK" : "FAILED");
     return ok ? 0 : 1;
 }

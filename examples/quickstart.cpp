@@ -104,7 +104,7 @@ main()
                 (unsigned long long)peek(*receiver, 1,
                                          blk_dst + 63 * 4));
     std::printf("  packets sent by node0     = %llu\n",
-                (unsigned long long)sys.node(0).ni.packetsSent());
+                (unsigned long long)sys.snapshot().at("node0.ni.pktsSent"));
     std::printf("  simulated time            = %.2f us\n",
                 static_cast<double>(sys.curTick()) / ONE_US);
 

@@ -121,8 +121,9 @@ main()
 
     std::uint32_t sum_a = peekDsm(sys, 0, sum_a_off);
     std::uint32_t sum_b = peekDsm(sys, 0, sum_b_off);
-    std::uint64_t faults = sys.kernel(0).dsm()->faults() +
-                           sys.kernel(1).dsm()->faults();
+    stats::Snapshot snap = sys.snapshot();
+    std::uint64_t faults = snap.at("node0.kernel.dsm.dsmFaults") +
+                           snap.at("node1.kernel.dsm.dsmFaults");
 
     std::printf("coherent shared memory over the DSM window\n");
     std::printf("  A's sum of B's words: %llu (expect %llu)\n",

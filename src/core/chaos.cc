@@ -488,7 +488,8 @@ runChaos(const ChaosParams &p)
         }
     }
 
-    // ---- data invariants ----
+    // ---- data invariants, read off the report's one snapshot ----
+    report.counters = sys.snapshot();
     for (NodeId s = 0; s < n; ++s) {
         for (NodeId d = 0; d < n; ++d) {
             if (s == d)
@@ -516,7 +517,8 @@ runChaos(const ChaosParams &p)
                          !crashedEver[s] && !crashedEver[d] &&
                          !sys.kernel(s).peerFailed(d) && mappingAlive &&
                          !deliberate(s, d) &&
-                         sys.node(s).ni.sendOverflowDrops() == 0;
+                         report.counters.at("node" + std::to_string(s) +
+                                            ".ni.sendOverflowDrops") == 0;
 
             Translation dt = procs[d]->space().translate(
                 dstBase[d] + s * PAGE_SIZE, false);
@@ -604,8 +606,7 @@ runChaos(const ChaosParams &p)
         }
     }
 
-    // ---- counters and the determinism fingerprint ----
-    report.counters = sys.snapshot();
+    // ---- the harness's counters and the determinism fingerprint ----
     hs.group.snapshotInto(report.counters);
 
     std::ostringstream stats;

@@ -8,7 +8,6 @@
 #ifndef SHRIMP_CORE_NODE_HH
 #define SHRIMP_CORE_NODE_HH
 
-#include <memory>
 #include <string>
 
 #include "core/config.hh"

@@ -111,15 +111,6 @@ class Cpu : public ClockedObject
 
     Cache &cache() { return _cache; }
 
-    std::uint64_t instructionsExecuted() const
-    {
-        return _instructions.value();
-    }
-    std::uint64_t interruptsTaken() const { return _interrupts.value(); }
-
-    /** Locked (CMPXCHG) bus operations executed -- each one costs an
-     *  exclusive bus tenure, which DMA backoff strategies minimize. */
-    std::uint64_t lockedOps() const { return _lockedOps.value(); }
     stats::Group &statGroup() { return _stats; }
 
   private:
@@ -155,6 +146,8 @@ class Cpu : public ClockedObject
                                        "kernel instructions charged"};
     stats::Counter _interrupts{_stats, "interrupts", "interrupts taken"};
     stats::Counter _faults{_stats, "faults", "memory faults taken"};
+    /** Each costs an exclusive bus tenure, which DMA backoff
+     *  strategies minimize. */
     stats::Counter _lockedOps{_stats, "lockedOps",
                               "locked bus operations (CMPXCHG)"};
 };

@@ -121,12 +121,6 @@ class Cache : public ClockedObject, public BusSnooper
                     BusMaster master) override;
 
     stats::Group &statGroup() { return _stats; }
-    std::uint64_t hits() const { return _hits.value(); }
-    std::uint64_t misses() const { return _misses.value(); }
-    std::uint64_t snoopInvalidations() const
-    {
-        return _snoopInvalidations.value();
-    }
 
   private:
     struct Line

@@ -58,8 +58,6 @@ class EisaBus : public SimObject
     }
 
     Tick busyUntil() const { return _busyUntil; }
-    std::uint64_t bytesCarried() const { return _bytes.value(); }
-    std::uint64_t burstsCarried() const { return _bursts.value(); }
     stats::Group &statGroup() { return _stats; }
 
   private:

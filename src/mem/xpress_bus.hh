@@ -103,7 +103,6 @@ class XpressBus : public ClockedObject
 
     /** Per-master transaction and byte counters, for bandwidth checks. */
     stats::Group &statGroup() { return _stats; }
-    std::uint64_t bytesCarried() const { return _bytes.value(); }
 
   private:
     struct Range

@@ -173,9 +173,6 @@ class Router : public SimObject
         return n;
     }
 
-    /** Corrupted-packet count (the historical error-injection stat). */
-    std::uint64_t errorsInjected() const { return _faultCorrupts.value(); }
-
     // ---- used by the upstream router ----
     bool hasCredit(Port in) const;
     void reserveCredit(Port in);

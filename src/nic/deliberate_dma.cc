@@ -1,5 +1,7 @@
 #include "nic/deliberate_dma.hh"
 
+#include <utility>
+
 #include "net/packet.hh"
 #include "sim/logging.hh"
 #include "sim/trace.hh"
@@ -29,7 +31,8 @@ DeliberateDma::statusRead(Addr src_paddr) const
 }
 
 bool
-DeliberateDma::start(Addr src_paddr, std::uint32_t nwords)
+DeliberateDma::start(Addr src_paddr, std::uint32_t nwords,
+                     std::function<void()> done)
 {
     if (_busy) {
         ++_rejectedStarts;
@@ -45,6 +48,7 @@ DeliberateDma::start(Addr src_paddr, std::uint32_t nwords)
     _base = src_paddr;
     _cursor = src_paddr;
     _wordsRemaining = nwords;
+    _done = std::move(done);
     ++_transfers;
 
     if (auto *t = eventQueue().tracer()) {
@@ -75,6 +79,7 @@ DeliberateDma::abort(const char *reason)
     _abortedBase = _base;
     _busy = false;
     _wordsRemaining = 0;
+    _done = nullptr;
     ++_gen;
     if (_chunkEvent.scheduled())
         deschedule(_chunkEvent);
@@ -152,8 +157,10 @@ DeliberateDma::transferChunk()
                 static_cast<std::uint32_t>(chunk / wordBytes);
             if (_wordsRemaining == 0) {
                 _busy = false;
-                if (onComplete)
-                    onComplete(_base);
+                // Taken out first: the completion may start the next
+                // transfer.
+                if (auto done = std::exchange(_done, nullptr))
+                    done();
             } else if (!_chunkEvent.scheduled()) {
                 reschedule(_chunkEvent, curTick());
             }

@@ -85,14 +85,6 @@ class DeliberateDma : public SimObject
     DeliberateDma(EventQueue &eq, std::string name, XpressBus &bus,
                   MainMemory &mem, Hooks hooks);
 
-    /**
-     * Fired when a transfer's last chunk has been handed to the
-     * outgoing datapath (the engine becomes free). Carries the
-     * transfer's base address. The kernel's NX baseline uses this as
-     * its "DMA send interrupt".
-     */
-    std::function<void(Addr base)> onComplete;
-
     bool busy() const { return _busy; }
     Addr currentBase() const { return _base; }
 
@@ -104,27 +96,29 @@ class DeliberateDma : public SimObject
 
     /**
      * Command-page write cycle: start a transfer of @p nwords 4-byte
-     * words from @p src_paddr.
+     * words from @p src_paddr. @p done runs once, when the last chunk
+     * has been handed to the outgoing datapath and the engine is free
+     * again; the kernel's NX and DSM services use it as their "DMA
+     * send interrupt", and user command-page starts leave it empty.
+     * An aborted transfer never runs it.
      *
      * @return false if the engine was busy (write ignored, as the
-     *         hardware would).
+     *         hardware would; @p done never runs).
      */
-    bool start(Addr src_paddr, std::uint32_t nwords);
+    bool start(Addr src_paddr, std::uint32_t nwords,
+               std::function<void()> done = {});
 
     /** The outgoing FIFO freed space; resume a stalled transfer. */
     void kick();
 
     /**
      * Abort the in-flight transfer (mapping torn down or node crash):
-     * the engine frees immediately, no completion fires, and status
-     * reads from the source page report dma_status::ABORTED until the
-     * engine is claimed again. No-op when idle.
+     * the engine frees immediately, its completion is dropped, and
+     * status reads from the source page report dma_status::ABORTED
+     * until the engine is claimed again. No-op when idle.
      */
     void abort(const char *reason);
 
-    std::uint64_t transfersStarted() const { return _transfers.value(); }
-    std::uint64_t transfersAborted() const { return _aborts.value(); }
-    std::uint64_t bytesTransferred() const { return _bytes.value(); }
     stats::Group &statGroup() { return _stats; }
 
   private:
@@ -138,6 +132,7 @@ class DeliberateDma : public SimObject
     Addr _base = 0;             //!< base address of current transfer
     Addr _cursor = 0;           //!< next byte to read
     std::uint32_t _wordsRemaining = 0;
+    std::function<void()> _done;    //!< current transfer's completion
     bool _aborted = false;      //!< ABORTED status latch
     Addr _abortedBase = 0;
     /** Bumped on abort: orphans the in-flight chunk completion. */

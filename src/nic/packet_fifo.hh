@@ -145,8 +145,6 @@ class PacketFifo
         _fillBytes = 0;
     }
 
-    std::uint64_t pushCount() const { return _pushes.value(); }
-
     /** Peak fill since construction or the last stats reset. */
     Addr
     maxFillBytes() const

@@ -200,28 +200,14 @@ class RetransmitBuffer : public SimObject
         return st.window.empty() ? 0 : st.window.front().pkt.rseq;
     }
 
-    std::uint64_t timeoutRetransmits() const
-    {
-        return _retxTimeout.value();
-    }
-    std::uint64_t nackRetransmits() const { return _retxNack.value(); }
-    std::uint64_t pacedRetransmits() const { return _retxPaced.value(); }
     /** Most retransmissions deferred in one timer pass. */
     double peakPacedRetransmits() const { return _peakPacedRetx.value(); }
-    std::uint64_t ecnBackoffs() const { return _ecnBackoffs.value(); }
-    std::uint64_t channelsFailed() const
-    {
-        return _channelsFailed.value();
-    }
-    /** Channels failed fast on a receiver sequence regression. */
-    std::uint64_t staleNackFails() const
-    {
-        return _staleNackFails.value();
-    }
     /** Largest backoff exponent observed since the last stats reset. */
     double peakBackoffExp() const { return _maxBackoffExp.value(); }
     /** Largest backed-off rto (ticks) observed since the last reset. */
     double peakRto() const { return _peakRto.value(); }
+
+    stats::Group &statGroup() { return _stats; }
 
   private:
     struct Unacked

@@ -236,61 +236,9 @@ class ShrimpNi : public SimObject,
     /** Force out any pending blocked-write merge buffer. */
     void flushMergeBuffer();
 
-    // ---- statistics accessors used by tests and benches ----
-    std::uint64_t packetsSent() const { return _pktsSent.value(); }
-    std::uint64_t packetsDelivered() const
-    {
-        return _pktsDelivered.value();
-    }
-    std::uint64_t payloadBytesDelivered() const
-    {
-        return _bytesDelivered.value();
-    }
-    std::uint64_t dropsCrc() const { return _dropsCrc.value(); }
-    std::uint64_t dropsUnmapped() const { return _dropsUnmapped.value(); }
-    std::uint64_t mergedWrites() const { return _mergedWrites.value(); }
-    std::uint64_t ignoredStarts() const
-    {
-        return _ignoredStarts.value();
-    }
-
-    // ---- reliability layer accessors ----
     bool reliabilityEnabled() const { return _params.reliability.enabled; }
     RetransmitBuffer &retransmitBuffer() { return *_retx; }
-    std::uint64_t acksSent() const { return _relAcksSent.value(); }
-    std::uint64_t acksReceived() const { return _relAcksRcvd.value(); }
-    std::uint64_t nacksSent() const { return _relNacksSent.value(); }
-    std::uint64_t nacksReceived() const { return _relNacksRcvd.value(); }
-    std::uint64_t duplicatesSuppressed() const
-    {
-        return _relDupsSuppressed.value();
-    }
-    std::uint64_t reorderFixes() const { return _relReorderFixes.value(); }
-    std::uint64_t mappingsErrored() const
-    {
-        return _relMappingsErrored.value();
-    }
 
-    // ---- congestion / overload accessors ----
-
-    /** Packets discarded because the outgoing FIFO was full (graceful
-     *  send-path degradation instead of an overrun assertion). */
-    std::uint64_t sendOverflowDrops() const
-    {
-        return _sendOverflowDrops.value();
-    }
-    /** Congestion marks latched off arriving DATA packets. */
-    std::uint64_t ecnMarksSeen() const { return _ecnMarksSeen.value(); }
-    /** ACKs sent carrying a congestion echo. */
-    std::uint64_t ecnEchoesSent() const
-    {
-        return _ecnEchoesSent.value();
-    }
-    /** No-forward-progress windows flagged by the watchdog. */
-    std::uint64_t watchdogStalls() const
-    {
-        return _watchdogStalls.value();
-    }
     /** Is the NI currently inside a flagged stall? */
     bool progressStalled() const { return _stalled; }
 
@@ -481,6 +429,8 @@ class ShrimpNi : public SimObject,
     stats::Counter _heartbeatsForwarded{
         _stats, "heartbeatsForwarded",
         "HEARTBEAT packets accepted off the wire"};
+    /** A full outgoing FIFO drops the packet (graceful send-path
+     *  degradation instead of an overrun assertion). */
     stats::Counter _sendOverflowDrops{
         _stats, "sendOverflowDrops",
         "packets dropped at the sender: outgoing FIFO full"};

@@ -36,16 +36,6 @@ Dsm::Dsm(Kernel &kernel, const DsmConfig &cfg)
       _stats("dsm", &kernel.statGroup())
 {
     SHRIMP_ASSERT(_cfg.numPages > 0, "DSM window is empty");
-
-    // The deliberate-DMA engine reports completion through a single
-    // callback that the NX service claimed at kernel construction;
-    // chain it rather than replace it.
-    auto prev = _kernel.ni().dma().onComplete;
-    _kernel.ni().dma().onComplete = [this, prev](Addr base) {
-        if (prev)
-            prev(base);
-        dmaCompleted(base);
-    };
 }
 
 // ---------------------------------------------------------------------
@@ -597,16 +587,16 @@ Dsm::startDma(NodeId dst, std::uint64_t gen)
     PeerLink &l = _links[dst];
     if (l.gen != gen || !l.active)
         return;
-    if (!_kernel.ni().dma().start(pageBase(l.stagingOut),
-                                  PAGE_SIZE / 4)) {
+    if (!_kernel.ni().dma().start(pageBase(l.stagingOut), PAGE_SIZE / 4,
+                                  [this, dst, gen] {
+                                      dmaCompleted(dst, gen);
+                                  })) {
         // Engine claimed by a user deliberate transfer or NX; retry.
         _kernel.eventQueue().scheduleFn(
             [this, dst, gen] { startDma(dst, gen); },
             _kernel.curTick() + 2 * ONE_US, EventPriority::DEFAULT,
             "dsm dma retry");
-        return;
     }
-    l.dmaPending = true;
 }
 
 void
@@ -646,9 +636,8 @@ void
 Dsm::failAllMsgs(NodeId dst)
 {
     PeerLink &l = _links[dst];
-    ++l.gen;    // orphan in-flight acks and DMA retries
+    ++l.gen;    // orphan in-flight acks, DMA retries and completions
     l.active = false;
-    l.dmaPending = false;
     while (!l.queue.empty()) {
         DsmMsg m = std::move(l.queue.front());
         l.queue.pop_front();
@@ -666,17 +655,12 @@ Dsm::failAllMsgs(NodeId dst)
 }
 
 void
-Dsm::dmaCompleted(Addr base)
+Dsm::dmaCompleted(NodeId dst, std::uint64_t gen)
 {
-    for (NodeId dst = 0; dst < _links.size(); ++dst) {
-        PeerLink &l = _links[dst];
-        if (l.active && l.dmaPending &&
-            pageBase(l.stagingOut) == base) {
-            l.dmaPending = false;
-            postMsgRpc(dst);
-            return;
-        }
-    }
+    PeerLink &l = _links[dst];
+    if (l.gen != gen || !l.active)
+        return;     // the queue was torn down while the page was sent
+    postMsgRpc(dst);
 }
 
 // ---------------------------------------------------------------------
@@ -957,7 +941,6 @@ Dsm::reset()
         PeerLink &l = _links[peer];
         ++l.gen;
         l.active = false;
-        l.dmaPending = false;
         l.queue.clear();
     }
     for (std::uint32_t page = 0; page < _cfg.numPages; ++page) {

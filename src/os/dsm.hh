@@ -186,14 +186,6 @@ class Dsm
     bool errored(std::uint32_t page) const;
     PageNum homeFrameOf(std::uint32_t page) const;
 
-    std::uint64_t faults() const { return _faults.value(); }
-    std::uint64_t fetches() const { return _fetches.value(); }
-    std::uint64_t invalidations() const
-    {
-        return _invalidations.value();
-    }
-    std::uint64_t rehomes() const { return _rehomes.value(); }
-    std::uint64_t hostdownFaults() const { return _hostdown.value(); }
     const stats::Histogram &faultLatency() const
     {
         return _faultLatency;
@@ -332,8 +324,8 @@ class Dsm
         PageNum stagingOut = INVALID_PAGE;  //!< DMA source toward peer
         std::deque<DsmMsg> queue;
         bool active = false;        //!< head sent, awaiting its ack
-        bool dmaPending = false;
-        /** Bumped on queue teardown; orphans DMA retries and acks. */
+        /** Bumped on queue teardown; orphans DMA retries, DMA
+         *  completions and acks. */
         std::uint64_t gen = 0;
     };
 
@@ -346,7 +338,9 @@ class Dsm
     /** Fail every queued message toward @p dst with HOSTDOWN
      *  (responses run as deferred events, never re-entrantly). */
     void failAllMsgs(NodeId dst);
-    void dmaCompleted(Addr base);
+    /** The page image toward @p dst is on the wire: send its RPC,
+     *  unless the queue of generation @p gen was torn down since. */
+    void dmaCompleted(NodeId dst, std::uint64_t gen);
 
     // ---- request handlers (home / owner / sharer side) ----
 

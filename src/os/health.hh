@@ -195,27 +195,6 @@ class HealthMonitor : public SimObject
     /** Can this node still reach a strict majority of the machine? */
     bool quorumReachable() const;
 
-    std::uint64_t heartbeatsSent() const
-    {
-        return _heartbeatsSent.value();
-    }
-    std::uint64_t heartbeatsReceived() const
-    {
-        return _heartbeatsReceived.value();
-    }
-    std::uint64_t peersDeclaredDead() const
-    {
-        return _peersDeclaredDead.value();
-    }
-    std::uint64_t peersRecovered() const
-    {
-        return _peersRecovered.value();
-    }
-    std::uint64_t partitionsDeclared() const
-    {
-        return _partitionsDeclared.value();
-    }
-
   private:
     struct PeerState
     {

@@ -359,12 +359,6 @@ class Kernel : public SimObject, public TrapHandler
     /** Arrival count for a user frame (WAIT_ARRIVAL bookkeeping). */
     std::uint64_t arrivalCount(PageNum frame) const;
 
-    std::uint64_t contextSwitches() const { return _switches.value(); }
-
-    /** Mapping halves errored by the NI reliability layer (retry-cap
-     *  exhaustion toward an unreachable peer). */
-    std::uint64_t mappingErrors() const { return _mappingErrors.value(); }
-
     /** Has the reliability layer declared @p peer unreachable? */
     bool
     peerFailed(NodeId peer) const
@@ -392,17 +386,6 @@ class Kernel : public SimObject, public TrapHandler
     /** Record one admission-control rejection. */
     void countSendRejected() { ++_sendsRejected; }
 
-    /** Sends refused with err::WOULDBLOCK by admission control. */
-    std::uint64_t sendsRejected() const
-    {
-        return _sendsRejected.value();
-    }
-
-    std::uint64_t fifoStalls() const { return _fifoStalls.value(); }
-    Tick fifoStallTicks() const
-    {
-        return static_cast<Tick>(_fifoStallTicks.value());
-    }
     stats::Group &statGroup() { return _stats; }
 
   private:
@@ -494,11 +477,13 @@ class Kernel : public SimObject, public TrapHandler
                                    "ticks stalled on outgoing FIFO"};
     stats::Counter _pageEvictions{_stats, "pageEvictions", "pages evicted"};
     stats::Counter _pageIns{_stats, "pageIns", "pages brought back from swap"};
+    /** Retry-cap exhaustion toward an unreachable peer. */
     stats::Counter _mappingErrors{
         _stats, "mappingErrors",
         "mapping halves errored by the reliability layer"};
     stats::Counter _crashes{_stats, "crashes", "node crash events"};
     stats::Counter _restarts{_stats, "restarts", "node restart events"};
+    /** Refused with err::WOULDBLOCK rather than queued. */
     stats::Counter _sendsRejected{
         _stats, "sendsRejected", "sends refused by admission control"};
 

@@ -1,5 +1,8 @@
 #include "os/map_manager.hh"
 
+#include <algorithm>
+#include <memory>
+
 #include "os/dsm.hh"
 #include "os/kernel.hh"
 #include "sim/logging.hh"
@@ -398,45 +401,6 @@ MapManager::recordInDirect(const InRecord &rec, PageNum frame,
 // map()/unmap() protocol (source side)
 // ---------------------------------------------------------------------
 
-namespace
-{
-
-/** Per-syscall protocol state, heap-held across RPC round trips. */
-struct MapOp
-{
-    Process *proc;
-    MapArgs args;
-    std::size_t page = 0;
-    std::function<void(std::uint64_t)> done;
-};
-
-/**
- * The per-page chains below are closures that own themselves through
- * next_fn (they must outlive the start call's frame to serve RPC
- * responses). When an op completes, that reference cycle must be
- * broken or the op state leaks -- deferred one event, because the
- * closure being cleared may still be on the call stack here.
- */
-void
-breakChain(EventQueue &eq,
-           std::shared_ptr<std::function<void()>> next_fn)
-{
-    eq.scheduleFn([next_fn] { *next_fn = nullptr; }, eq.curTick(),
-                  EventPriority::DEFAULT, "map-op cleanup");
-}
-
-/** Break the op's chain cycle and report its result. */
-void
-finishOp(EventQueue &eq, const std::shared_ptr<MapOp> &op,
-         const std::shared_ptr<std::function<void()>> &next_fn,
-         std::uint64_t code)
-{
-    breakChain(eq, next_fn);
-    op->done(code);
-}
-
-} // namespace
-
 void
 MapManager::startMap(Process &proc, const MapArgs &args,
                      std::function<void(std::uint64_t)> done)
@@ -482,58 +446,51 @@ MapManager::startMap(Process &proc, const MapArgs &args,
         done(err::WOULDBLOCK);
         return;
     }
+    mapStep(proc, args, 0, std::move(done));
+}
 
-    auto op = std::make_shared<MapOp>();
-    op->proc = &proc;
-    op->args = args;
-    op->done = std::move(done);
-
-    // Per-page RPC chain.
-    auto next_fn = std::make_shared<std::function<void()>>();
-    *next_fn = [this, op, next_fn]() {
-        if (op->page == op->args.npages) {
-            finishOp(_kernel.eventQueue(), op, next_fn, err::OK);
+void
+MapManager::mapStep(Process &proc, const MapArgs &args, std::uint32_t i,
+                    std::function<void(std::uint64_t)> done)
+{
+    if (i == args.npages) {
+        done(err::OK);
+        return;
+    }
+    KernelRpc rpc;
+    rpc.type = channel::MAP_PAGE;
+    rpc.payload = {args.dstPid,
+                   static_cast<std::uint32_t>(pageOf(args.dstVaddr) + i),
+                   args.mode, args.flags, 0, 0};
+    rpc.onResponse = [this, &proc, args, i, done = std::move(done)](
+                         const std::uint32_t *r) mutable {
+        if (r[0] != err::OK) {
+            done(r[0]);
             return;
         }
-        std::uint32_t i = static_cast<std::uint32_t>(op->page);
-        KernelRpc rpc;
-        rpc.type = channel::MAP_PAGE;
-        rpc.payload = {op->args.dstPid,
-                       static_cast<std::uint32_t>(
-                           pageOf(op->args.dstVaddr) + i),
-                       op->args.mode, op->args.flags, 0, 0};
-        rpc.onResponse = [this, op, next_fn, i](const std::uint32_t *r) {
-            if (r[0] != err::OK) {
-                finishOp(_kernel.eventQueue(), op, next_fn, r[0]);
-                return;
-            }
-            addWork(_kernel.costs().mapInstallPerPage);
+        addWork(_kernel.costs().mapInstallPerPage);
 
-            PageNum vpage = pageOf(op->args.localVaddr) + i;
-            Pte *pte = op->proc->space().pageTable().find(vpage);
-            if (!pte) {
-                finishOp(_kernel.eventQueue(), op, next_fn, err::INVAL);
-                return;
-            }
-            OutRecord rec;
-            rec.pid = op->proc->pid();
-            rec.vpage = vpage;
-            rec.dstNode = op->args.dstNode;
-            rec.dstPid = op->args.dstPid;
-            rec.dstVpage = pageOf(op->args.dstVaddr) + i;
-            rec.dstFrame = r[1];
-            rec.mode = static_cast<UpdateMode>(op->args.mode);
-            rec.flags = op->args.flags;
-            recordOutDirect(rec, pte->frame);
-            // Mapped-out pages are snooped: force write-through.
-            pte->policy = CachePolicy::WRITE_THROUGH;
-
-            op->page++;
-            (*next_fn)();
-        };
-        sendRpc(op->args.dstNode, std::move(rpc));
+        PageNum vpage = pageOf(args.localVaddr) + i;
+        Pte *pte = proc.space().pageTable().find(vpage);
+        if (!pte) {
+            done(err::INVAL);
+            return;
+        }
+        OutRecord rec;
+        rec.pid = proc.pid();
+        rec.vpage = vpage;
+        rec.dstNode = args.dstNode;
+        rec.dstPid = args.dstPid;
+        rec.dstVpage = pageOf(args.dstVaddr) + i;
+        rec.dstFrame = r[1];
+        rec.mode = static_cast<UpdateMode>(args.mode);
+        rec.flags = args.flags;
+        recordOutDirect(rec, pte->frame);
+        // Mapped-out pages are snooped: force write-through.
+        pte->policy = CachePolicy::WRITE_THROUGH;
+        mapStep(proc, args, i + 1, std::move(done));
     };
-    (*next_fn)();
+    sendRpc(args.dstNode, std::move(rpc));
 }
 
 void
@@ -545,60 +502,54 @@ MapManager::startUnmap(Process &proc, const MapArgs &args,
         done(err::HOSTDOWN);
         return;
     }
+    unmapStep(proc, args, 0, std::move(done));
+}
 
-    auto op = std::make_shared<MapOp>();
-    op->proc = &proc;
-    op->args = args;
-    op->done = std::move(done);
+void
+MapManager::unmapStep(Process &proc, const MapArgs &args,
+                      std::uint32_t i,
+                      std::function<void(std::uint64_t)> done)
+{
+    if (i == args.npages) {
+        done(err::OK);
+        return;
+    }
+    PageNum vpage = pageOf(args.localVaddr) + i;
+    PageNum dst_vpage = pageOf(args.dstVaddr) + i;
 
-    auto next_fn = std::make_shared<std::function<void()>>();
-    *next_fn = [this, op, next_fn]() {
-        if (op->page == op->args.npages) {
-            finishOp(_kernel.eventQueue(), op, next_fn, err::OK);
+    // Find and remove our record first.
+    auto it = std::find_if(_out.begin(), _out.end(),
+                           [&](const OutRecord &rec) {
+                               return rec.pid == proc.pid() &&
+                                      rec.vpage == vpage &&
+                                      rec.dstNode == args.dstNode &&
+                                      rec.dstPid == args.dstPid &&
+                                      rec.dstVpage == dst_vpage;
+                           });
+    if (it == _out.end()) {
+        done(err::INVAL);
+        return;
+    }
+    OutRecord removed = *it;
+    _out.erase(it);
+    PageNum frame = frameOf(proc.pid(), vpage);
+    if (frame != INVALID_PAGE && !removed.invalidated)
+        clearOutHalf(frame, removed);
+    addWork(_kernel.costs().mapInstallPerPage);
+
+    KernelRpc rpc;
+    rpc.type = channel::UNMAP_PAGE;
+    rpc.payload = {args.dstPid, static_cast<std::uint32_t>(dst_vpage), 0,
+                   0, 0, 0};
+    rpc.onResponse = [this, &proc, args, i, done = std::move(done)](
+                         const std::uint32_t *r) mutable {
+        if (r[0] != err::OK) {
+            done(r[0]);
             return;
         }
-        std::uint32_t i = static_cast<std::uint32_t>(op->page);
-        PageNum vpage = pageOf(op->args.localVaddr) + i;
-        PageNum dst_vpage = pageOf(op->args.dstVaddr) + i;
-
-        // Find and remove our record first.
-        bool found = false;
-        OutRecord removed;
-        for (auto it = _out.begin(); it != _out.end(); ++it) {
-            if (it->pid == op->proc->pid() && it->vpage == vpage &&
-                it->dstNode == op->args.dstNode &&
-                it->dstPid == op->args.dstPid &&
-                it->dstVpage == dst_vpage) {
-                removed = *it;
-                _out.erase(it);
-                found = true;
-                break;
-            }
-        }
-        if (!found) {
-            finishOp(_kernel.eventQueue(), op, next_fn, err::INVAL);
-            return;
-        }
-        PageNum frame = frameOf(op->proc->pid(), vpage);
-        if (frame != INVALID_PAGE && !removed.invalidated)
-            clearOutHalf(frame, removed);
-        addWork(_kernel.costs().mapInstallPerPage);
-
-        KernelRpc rpc;
-        rpc.type = channel::UNMAP_PAGE;
-        rpc.payload = {op->args.dstPid,
-                       static_cast<std::uint32_t>(dst_vpage), 0, 0, 0, 0};
-        rpc.onResponse = [this, op, next_fn](const std::uint32_t *r) {
-            if (r[0] != err::OK) {
-                finishOp(_kernel.eventQueue(), op, next_fn, r[0]);
-                return;
-            }
-            op->page++;
-            (*next_fn)();
-        };
-        sendRpc(op->args.dstNode, std::move(rpc));
+        unmapStep(proc, args, i + 1, std::move(done));
     };
-    (*next_fn)();
+    sendRpc(args.dstNode, std::move(rpc));
 }
 
 // ---------------------------------------------------------------------
@@ -639,6 +590,19 @@ MapManager::shootdown(PageNum frame, std::function<void()> done)
     }
 }
 
+MapManager::OutRecord *
+MapManager::invalidatedRecord(Pid pid, PageNum vpage,
+                              std::optional<Addr> half_begin)
+{
+    for (OutRecord &rec : _out) {
+        if (rec.pid == pid && rec.vpage == vpage && rec.invalidated &&
+            (!half_begin || rec.halfBegin == *half_begin)) {
+            return &rec;
+        }
+    }
+    return nullptr;
+}
+
 bool
 MapManager::needsRemap(Pid pid, PageNum vpage) const
 {
@@ -653,67 +617,55 @@ void
 MapManager::startRemap(Process &proc, PageNum vpage,
                        std::function<void(std::uint64_t)> done)
 {
-    // Collect indexes of invalidated records for this page.
-    auto targets = std::make_shared<std::vector<std::size_t>>();
-    for (std::size_t i = 0; i < _out.size(); ++i) {
-        if (_out[i].pid == proc.pid() && _out[i].vpage == vpage &&
-            _out[i].invalidated) {
-            targets->push_back(i);
-        }
-    }
-    SHRIMP_ASSERT(!targets->empty(), "remap with nothing to do");
+    const OutRecord *first = invalidatedRecord(proc.pid(), vpage);
+    SHRIMP_ASSERT(first, "remap with nothing to do");
 
-    if (_kernel.peerFailed(_out[targets->front()].dstNode)) {
+    if (_kernel.peerFailed(first->dstNode)) {
         done(err::HOSTDOWN);
         return;
     }
+    remapStep(proc, vpage, std::move(done));
+}
 
-    auto pos = std::make_shared<std::size_t>(0);
-    auto done_fn = std::make_shared<std::function<void(std::uint64_t)>>(
-        std::move(done));
-    auto proc_ptr = &proc;
-
-    auto next_fn = std::make_shared<std::function<void()>>();
-    *next_fn = [this, targets, pos, done_fn, next_fn, proc_ptr,
-                vpage]() {
-        if (*pos == targets->size()) {
-            // All halves re-established: restore write permission.
-            proc_ptr->space().pageTable().setWritable(vpage, true);
-            ++_remaps;
-            breakChain(_kernel.eventQueue(), next_fn);
-            (*done_fn)(err::OK);
+void
+MapManager::remapStep(Process &proc, PageNum vpage,
+                      std::function<void(std::uint64_t)> done)
+{
+    // Each step looks its record up again, by identity: an unmap or a
+    // reap during a round trip erases other records and moves this
+    // one within _out.
+    const OutRecord *next = invalidatedRecord(proc.pid(), vpage);
+    if (!next) {
+        // All halves re-established: restore write permission.
+        proc.space().pageTable().setWritable(vpage, true);
+        ++_remaps;
+        done(err::OK);
+        return;
+    }
+    KernelRpc rpc;
+    rpc.type = channel::MAP_PAGE;
+    rpc.payload = {next->dstPid, static_cast<std::uint32_t>(next->dstVpage),
+                   static_cast<std::uint32_t>(next->mode), next->flags, 0,
+                   0};
+    Addr half = next->halfBegin;
+    rpc.onResponse = [this, &proc, vpage, half, done = std::move(done)](
+                         const std::uint32_t *r) mutable {
+        if (r[0] != err::OK) {
+            done(r[0]);
             return;
         }
-        std::size_t idx = (*targets)[*pos];
-        const OutRecord &rec = _out[idx];
-        KernelRpc rpc;
-        rpc.type = channel::MAP_PAGE;
-        rpc.payload = {rec.dstPid,
-                       static_cast<std::uint32_t>(rec.dstVpage),
-                       static_cast<std::uint32_t>(rec.mode), rec.flags,
-                       0, 0};
-        NodeId peer = rec.dstNode;
-        rpc.onResponse = [this, idx, pos, done_fn, next_fn, proc_ptr,
-                          vpage](const std::uint32_t *r) {
-            if (r[0] != err::OK) {
-                breakChain(_kernel.eventQueue(), next_fn);
-                (*done_fn)(r[0]);
-                return;
-            }
-            OutRecord &rec2 = _out[idx];
-            rec2.dstFrame = r[1];
-            rec2.invalidated = false;
-            PageNum frame = frameOf(rec2.pid, rec2.vpage);
+        if (OutRecord *rec = invalidatedRecord(proc.pid(), vpage, half)) {
+            rec->dstFrame = r[1];
+            rec->invalidated = false;
+            PageNum frame = frameOf(rec->pid, rec->vpage);
             SHRIMP_ASSERT(frame != INVALID_PAGE,
                           "remap of a non-resident source page");
-            installOutHalf(frame, rec2);
+            installOutHalf(frame, *rec);
             addWork(_kernel.costs().mapInstallPerPage);
-            ++*pos;
-            (*next_fn)();
-        };
-        sendRpc(peer, std::move(rpc));
+        }
+        remapStep(proc, vpage, std::move(done));
     };
-    (*next_fn)();
+    sendRpc(next->dstNode, std::move(rpc));
 }
 
 // ---------------------------------------------------------------------

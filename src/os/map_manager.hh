@@ -31,7 +31,6 @@
 #include <deque>
 #include <functional>
 #include <map>
-#include <memory>
 #include <optional>
 #include <vector>
 
@@ -292,6 +291,24 @@ class MapManager
 
     /** Current local frame of (pid, vpage), or INVALID_PAGE. */
     PageNum frameOf(Pid pid, PageNum vpage) const;
+
+    // Each operation's step sends one RPC whose response handler owns
+    // the rest of the operation and runs the next step.
+
+    /** Map page @p i of @p args and the rest of the range. */
+    void mapStep(Process &proc, const MapArgs &args, std::uint32_t i,
+                 std::function<void(std::uint64_t)> done);
+    /** Unmap page @p i of @p args and the rest of the range. */
+    void unmapStep(Process &proc, const MapArgs &args, std::uint32_t i,
+                   std::function<void(std::uint64_t)> done);
+    /** Re-establish the next invalidated half of @p vpage, or finish. */
+    void remapStep(Process &proc, PageNum vpage,
+                   std::function<void(std::uint64_t)> done);
+
+    /** The invalidated record of (@p pid, @p vpage) whose half starts
+     *  at @p half_begin, or with none given the first; else nullptr. */
+    OutRecord *invalidatedRecord(Pid pid, PageNum vpage,
+                                 std::optional<Addr> half_begin = {});
 
     Kernel &_kernel;
     std::vector<PeerState> _peers;

@@ -9,9 +9,6 @@ namespace shrimp
 NxService::NxService(Kernel &kernel)
     : _kernel(kernel), _peers(kernel.numNodes())
 {
-    _kernel.ni().dma().onComplete = [this](Addr base) {
-        dmaCompleted(base);
-    };
 }
 
 // ---------------------------------------------------------------------
@@ -198,43 +195,35 @@ NxService::startNextDmaPage(NodeId node)
         static_cast<std::uint32_t>((bytes + 3) / 4);
     Addr src = pageBase(peer.dataOut[xfer.page]);
 
-    if (!_kernel.ni().dma().start(src, nwords)) {
+    if (!_kernel.ni().dma().start(src, nwords,
+                                  [this, node] { dmaCompleted(node); })) {
         // Engine claimed by a user-level deliberate transfer; retry.
-        xfer.pendingBase = 0;
         _kernel.eventQueue().scheduleFn(
             [this, node] { startNextDmaPage(node); },
             _kernel.curTick() + 2 * ONE_US, EventPriority::DEFAULT,
             "nx dma retry");
-        return;
     }
-    xfer.pendingBase = src;
 }
 
 void
-NxService::dmaCompleted(Addr base)
+NxService::dmaCompleted(NodeId node)
 {
-    for (NodeId node = 0; node < _peers.size(); ++node) {
-        PeerState &peer = _peers[node];
-        if (!peer.xfer.active || peer.xfer.pendingBase != base)
-            continue;
-        // The "DMA send interrupt" of the traditional architecture.
-        _kernel.cpu().postInterrupt([this, node](Tick now) {
-            Tick t = now + _kernel.charge(
-                               nullptr, _kernel.costs().nxInterrupt);
-            PeerState &p = _peers[node];
-            if (!p.xfer.active)
-                return t;
-            Addr sent = Addr{p.xfer.page + 1} * PAGE_SIZE;
-            if (sent < p.xfer.nbytes) {
-                p.xfer.page++;
-                startNextDmaPage(node);
-            } else {
-                finishSend(node);
-            }
+    // The "DMA send interrupt" of the traditional architecture.
+    _kernel.cpu().postInterrupt([this, node](Tick now) {
+        Tick t =
+            now + _kernel.charge(nullptr, _kernel.costs().nxInterrupt);
+        PeerState &p = _peers[node];
+        if (!p.xfer.active)
             return t;
-        });
-        return;
-    }
+        Addr sent = Addr{p.xfer.page + 1} * PAGE_SIZE;
+        if (sent < p.xfer.nbytes) {
+            p.xfer.page++;
+            startNextDmaPage(node);
+        } else {
+            finishSend(node);
+        }
+        return t;
+    });
 }
 
 void

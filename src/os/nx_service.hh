@@ -114,7 +114,6 @@ class NxService
         std::uint32_t type = 0;
         std::uint32_t nbytes = 0;
         std::uint32_t page = 0;         //!< slot page being DMA-ed
-        Addr pendingBase = 0;           //!< DMA base we are waiting on
     };
 
     struct PeerState
@@ -146,8 +145,8 @@ class NxService
     /** Claim the (shared) DMA engine for the next slot page. */
     void startNextDmaPage(NodeId node);
 
-    /** DeliberateDma completion hook; matches against our transfers. */
-    void dmaCompleted(Addr base);
+    /** A slot page toward @p node is on the wire: interrupt the CPU. */
+    void dmaCompleted(NodeId node);
 
     /** Doorbell + sender wakeup once all pages are on the wire. */
     void finishSend(NodeId node);

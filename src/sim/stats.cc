@@ -5,6 +5,7 @@
 #include <iomanip>
 
 #include "sim/json.hh"
+#include "sim/logging.hh"
 
 namespace shrimp
 {
@@ -269,6 +270,15 @@ Snapshot::sum(std::string_view pattern) const
             total += value;
     }
     return total;
+}
+
+std::uint64_t
+Snapshot::at(const std::string &path) const
+{
+    auto it = values.find(path);
+    if (it == values.end())
+        SHRIMP_PANIC("no counter at stat path '", path, "'");
+    return it->second;
 }
 
 } // namespace stats

@@ -218,8 +218,8 @@ class Histogram : public Stat
 /**
  * Every Counter of one or more stat trees, keyed by full dotted path
  * (`node3.ni.ecnEchoesSent`, `mesh.router2.misroutes`). The one place
- * reports, tools and benches read counters from: a new Counter shows
- * up here without any other edit.
+ * reports, tools, benches, tests and examples read counters from: a
+ * new Counter shows up here without any other edit.
  */
 struct Snapshot
 {
@@ -232,6 +232,10 @@ struct Snapshot
      * path selects one counter; no match sums to 0.
      */
     std::uint64_t sum(std::string_view pattern) const;
+
+    /** The counter at exactly @p path; panics, naming the path, when
+     *  no counter has it (where sum() would quietly read 0). */
+    std::uint64_t at(const std::string &path) const;
 };
 
 /**

@@ -75,8 +75,9 @@ TEST_F(CommandPageFixture, UserSwitchesSingleToBlockedWrite)
         EXPECT_EQ(peek32(*sys, 1, *procB, dst + 4 * i),
                   static_cast<std::uint32_t>(0x10 + i));
     // 4 single-write packets + 1 merged packet.
-    EXPECT_EQ(sys->node(0).ni.packetsSent(), 5u);
-    EXPECT_GE(sys->node(0).ni.mergedWrites(), 3u);
+    stats::Snapshot snap = sys->snapshot();
+    EXPECT_EQ(snap.at("node0.ni.pktsSent"), 5u);
+    EXPECT_GE(snap.at("node0.ni.mergedWrites"), 3u);
 }
 
 TEST_F(CommandPageFixture, UserSwitchesBlockedToSingleWrite)
@@ -101,8 +102,9 @@ TEST_F(CommandPageFixture, UserSwitchesBlockedToSingleWrite)
     sys->startAll();
     ASSERT_TRUE(sys->runUntilAllExited());
     sys->runFor(ONE_MS);
-    EXPECT_EQ(sys->node(0).ni.packetsSent(), 4u);   // no merging
-    EXPECT_EQ(sys->node(0).ni.mergedWrites(), 0u);
+    stats::Snapshot snap = sys->snapshot();
+    EXPECT_EQ(snap.at("node0.ni.pktsSent"), 4u);   // no merging
+    EXPECT_EQ(snap.at("node0.ni.mergedWrites"), 0u);
 }
 
 TEST_F(CommandPageFixture, UserRequestsArrivalInterrupt)
@@ -192,9 +194,10 @@ TEST_F(CommandPageFixture, MalformedStartsAreIgnored)
     sys->startAll();
     ASSERT_TRUE(sys->runUntilAllExited());
     sys->runFor(ONE_MS);
-    EXPECT_EQ(sys->node(0).ni.ignoredStarts(), 2u);
-    EXPECT_EQ(sys->node(0).ni.dma().transfersStarted(), 0u);
-    EXPECT_EQ(sys->node(1).ni.packetsDelivered(), 0u);
+    stats::Snapshot snap = sys->snapshot();
+    EXPECT_EQ(snap.at("node0.ni.ignoredStarts"), 2u);
+    EXPECT_EQ(snap.at("node0.ni.dma.transfers"), 0u);
+    EXPECT_EQ(snap.at("node1.ni.pktsDelivered"), 0u);
 }
 
 TEST_F(CommandPageFixture, KernelCanRevokeCommandAccess)
@@ -219,7 +222,7 @@ TEST_F(CommandPageFixture, KernelCanRevokeCommandAccess)
     sys->startAll();
     ASSERT_TRUE(sys->runUntilAllExited());
     EXPECT_EQ(procA->ctx.faults, 1u);
-    EXPECT_EQ(sys->node(0).ni.dma().transfersStarted(), 0u);
+    EXPECT_EQ(sys->snapshot().at("node0.ni.dma.transfers"), 0u);
 }
 
 } // namespace

@@ -171,6 +171,59 @@ TEST_F(ConsistencyFixture, InvalidateShootdownAndFaultDrivenRemap)
     EXPECT_EQ(peek32(*sys, 1, *procB, dst + 4), 0x2222u);
 }
 
+TEST_F(ConsistencyFixture, RemapSurvivesAnEarlierRecordsRemoval)
+{
+    // A remap must find its mapping records afresh after each round
+    // trip: reaping another process while the MAP_PAGE is in flight
+    // shifts the record list, and a remap that remembered positions
+    // repaired a destroyed slot, leaving A's record invalidated.
+    build(ConsistencyPolicy::INVALIDATE);
+    Process *early = sys->kernel(0).createProcess("early");
+    Addr early_src = early->allocate(1);
+    Addr early_dst = procB->allocate(1);
+    Addr src = procA->allocate(1);
+    Addr dst = procB->allocate(1);
+    ASSERT_EQ(sys->kernel(0).mapDirect(*early, early_src, 1,
+                                       sys->kernel(1), *procB, early_dst,
+                                       UpdateMode::AUTO_SINGLE),
+              err::OK);
+    ASSERT_EQ(sys->kernel(0).mapDirect(*procA, src, 1, sys->kernel(1),
+                                       *procB, dst,
+                                       UpdateMode::AUTO_SINGLE),
+              err::OK);
+    MapManager &mm = sys->kernel(0).mapManager();
+    ASSERT_EQ(mm.outRecords().size(), 2u);
+    ASSERT_EQ(mm.outRecords()[1].pid, procA->pid());
+
+    // Paging out A's destination shoots down A's record only.
+    bool evicted = false;
+    sys->kernel(1).evictUserPage(
+        *procB, dst, [&](bool success) { evicted = success; });
+    sys->runFor(ONE_MS);
+    ASSERT_TRUE(evicted);
+    ASSERT_TRUE(mm.needsRemap(procA->pid(), pageOf(src)));
+    ASSERT_FALSE(mm.needsRemap(early->pid(), pageOf(early_src)));
+
+    // Remap A, and reap `early` before the response arrives.
+    std::uint64_t code = err::INVAL;
+    bool done = false;
+    mm.startRemap(*procA, pageOf(src), [&](std::uint64_t e) {
+        done = true;
+        code = e;
+    });
+    sys->kernel(0).reapProcess(*early);
+    ASSERT_FALSE(done);
+    sys->runFor(ONE_MS);
+
+    ASSERT_TRUE(done);
+    EXPECT_EQ(code, err::OK);
+    ASSERT_EQ(mm.outRecords().size(), 1u);
+    EXPECT_EQ(mm.outRecords()[0].pid, procA->pid());
+    EXPECT_FALSE(mm.outRecords()[0].invalidated);
+    EXPECT_FALSE(mm.needsRemap(procA->pid(), pageOf(src)));
+    EXPECT_TRUE(procA->space().translate(src, true).ok());
+}
+
 TEST_F(ConsistencyFixture, ShootdownReachesMultipleSources)
 {
     // Two different nodes map into the same destination page; the

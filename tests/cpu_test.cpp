@@ -15,6 +15,7 @@
 #include "mem/cache.hh"
 #include "mem/main_memory.hh"
 #include "mem/xpress_bus.hh"
+#include "test_util.hh"
 #include "vm/address_space.hh"
 
 namespace shrimp
@@ -284,7 +285,7 @@ TEST_F(CpuFixture, InterruptRunsBetweenInstructions)
     run(p);
     EXPECT_TRUE(taken);
     EXPECT_EQ(ctx.regs[R1], 100u);  // program still completed
-    EXPECT_EQ(cpu.interruptsTaken(), 1u);
+    EXPECT_EQ(test::snapshotOf(cpu.statGroup()).at("cpu.interrupts"), 1u);
 }
 
 TEST_F(CpuFixture, InterruptDeliveredWhenIdle)
@@ -309,7 +310,8 @@ TEST_F(CpuFixture, TimingChargesInstructions)
     run(p);
     // 4 instructions at 60 MHz: at least 3 full cycles elapsed.
     EXPECT_GE(eq.curTick(), 3 * cpu.clockPeriod());
-    EXPECT_EQ(cpu.instructionsExecuted(), 4u);
+    EXPECT_EQ(test::snapshotOf(cpu.statGroup()).at("cpu.instructions"),
+              4u);
 }
 
 TEST(Program, LabelsResolveAndValidate)

@@ -77,8 +77,9 @@ runContention(bool with_backoff, ShrimpSystem &sys)
         EXPECT_EQ(peek32(sys, 1, *recv, dst + i * PAGE_SIZE),
                   0x7100u + i);
     }
-    EXPECT_EQ(sys.node(0).ni.dma().transfersStarted(), 2u);
-    return sys.node(0).cpu.lockedOps();
+    stats::Snapshot snap = sys.snapshot();
+    EXPECT_EQ(snap.at("node0.ni.dma.transfers"), 2u);
+    return snap.at("node0.cpu.lockedOps");
 }
 
 TEST(DmaBackoff, BothStrategiesCompleteTransfers)
@@ -138,7 +139,7 @@ TEST(DmaBackoff, UncontendedCostsStayLow)
     ASSERT_TRUE(sys.runUntilAllExited());
     sys.runFor(ONE_MS);
     EXPECT_EQ(peek32(sys, 1, *b, dst), 0x99u);
-    EXPECT_EQ(sys.node(0).cpu.lockedOps(), 1u);
+    EXPECT_EQ(sys.snapshot().at("node0.cpu.lockedOps"), 1u);
 }
 
 } // namespace

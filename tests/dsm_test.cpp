@@ -88,8 +88,9 @@ TEST(Dsm, ReadShareThenWriteInvalidates)
               DsmPageState::INVALID);
     EXPECT_EQ(home.ownerOf(page), 1u);
     EXPECT_TRUE(home.sharersOf(page).empty());
-    EXPECT_GE(sys.kernel(0).dsm()->invalidations() +
-                  sys.kernel(2).dsm()->invalidations(),
+    stats::Snapshot snap = sys.snapshot();
+    EXPECT_GE(snap.at("node0.kernel.dsm.dsmInvalidations") +
+                  snap.at("node2.kernel.dsm.dsmInvalidations"),
               2u);
 }
 
@@ -116,7 +117,7 @@ TEST(Dsm, DataMigratesThroughHomeRelay)
     ASSERT_EQ(st, err::OK);
     EXPECT_EQ(sys.kernel(2).dsm()->localState(page),
               DsmPageState::READ_SHARED);
-    EXPECT_GE(sys.kernel(1).dsm()->fetches(), 1u);
+    EXPECT_GE(sys.snapshot().at("node1.kernel.dsm.dsmFetches"), 1u);
     PageNum f0 = sys.kernel(0).dsm()->localFrame(page);
     ASSERT_NE(f0, INVALID_PAGE);
     for (unsigned i = 0; i < 16; ++i) {
@@ -180,7 +181,7 @@ TEST(Dsm, OwnerCrashFailsFaultsWithHostdown)
 
     EXPECT_EQ(st0, err::HOSTDOWN);
     EXPECT_TRUE(sys.kernel(1).dsm()->errored(page));
-    EXPECT_GE(sys.kernel(0).dsm()->hostdownFaults(), 1u);
+    EXPECT_GE(sys.snapshot().at("node0.kernel.dsm.dsmHostdownFaults"), 1u);
 
     // The page stays errored for later faults too.
     acquire(sys, 0, page, true, st0);
@@ -213,7 +214,7 @@ TEST(Dsm, RestartRehomesAndRefaultsCleanly)
     sys.runFor(2 * ONE_MS);
     ASSERT_FALSE(sys.kernel(1).peerFailed(2));
     EXPECT_FALSE(sys.kernel(1).dsm()->errored(page));
-    EXPECT_GE(sys.kernel(1).dsm()->rehomes(), 1u);
+    EXPECT_GE(sys.snapshot().at("node1.kernel.dsm.dsmRehomes"), 1u);
 
     // ...new faults succeed again, including from the restarted node
     // (whose local DSM state was wiped by the reset).
@@ -409,7 +410,7 @@ TEST(Dsm, FaultDrivenProgramTouchesWindow)
     EXPECT_EQ(p->state, ProcState::EXITED);
 
     Dsm &d = *sys.kernel(0).dsm();
-    EXPECT_GE(d.faults(), 2u);
+    EXPECT_GE(sys.snapshot().at("node0.kernel.dsm.dsmFaults"), 2u);
     EXPECT_EQ(d.localState(0), DsmPageState::WRITE_EXCLUSIVE);
     EXPECT_EQ(d.localState(1), DsmPageState::WRITE_EXCLUSIVE);
     EXPECT_EQ(test::peek32(sys, 0, *p, base), 0xABCu);

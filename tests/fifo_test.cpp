@@ -7,6 +7,7 @@
 #include <gtest/gtest.h>
 
 #include "nic/packet_fifo.hh"
+#include "test_util.hh"
 
 namespace shrimp
 {
@@ -107,7 +108,7 @@ TEST(PacketFifo, TracksPeakFill)
     fifo.push(pktOfBytes(100), 0);
     fifo.pop();
     fifo.pop();
-    EXPECT_EQ(fifo.pushCount(), 2u);
+    EXPECT_EQ(test::snapshotOf(fifo.statGroup()).at("f.pushes"), 2u);
     EXPECT_EQ(fifo.maxFillBytes(), 2u * 118u);
     EXPECT_TRUE(fifo.empty());
 }
@@ -127,7 +128,8 @@ TEST(PacketFifo, PeakFillResets)
 
     fifo.push(pktOfBytes(100), 0);      // 118 -- well below 1018
     EXPECT_EQ(fifo.maxFillBytes(), 118u);
-    EXPECT_EQ(fifo.pushCount(), 1u);    // counters restarted too
+    // Counters restarted too.
+    EXPECT_EQ(test::snapshotOf(fifo.statGroup()).at("f.pushes"), 1u);
 }
 
 TEST(PacketFifo, ThresholdExactLanding)

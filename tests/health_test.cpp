@@ -54,12 +54,14 @@ TEST(Health, SteadyStateAllAlive)
 {
     ShrimpSystem sys(healthyConfig());
     sys.runFor(5 * ONE_MS);
+    stats::Snapshot snap = sys.snapshot();
     for (NodeId id = 0; id < sys.numNodes(); ++id) {
         HealthMonitor *h = sys.kernel(id).health();
         ASSERT_NE(h, nullptr);
-        EXPECT_GT(h->heartbeatsSent(), 0u);
-        EXPECT_GT(h->heartbeatsReceived(), 0u);
-        EXPECT_EQ(h->peersDeclaredDead(), 0u);
+        std::string health = "node" + std::to_string(id) + ".kernel.health.";
+        EXPECT_GT(snap.at(health + "heartbeatsSent"), 0u);
+        EXPECT_GT(snap.at(health + "heartbeatsReceived"), 0u);
+        EXPECT_EQ(snap.at(health + "peersDeclaredDead"), 0u);
         for (NodeId peer = 0; peer < sys.numNodes(); ++peer) {
             if (peer != id) {
                 EXPECT_EQ(h->peerState(peer), PeerHealth::ALIVE);
@@ -80,11 +82,14 @@ TEST(Health, CrashDetectedWithinDeadTimeout)
     // Detection must land within the dead timeout plus two heartbeat
     // evaluation periods of slack.
     sys.runFor(cfg.health.deadTimeout + 2 * cfg.health.heartbeatPeriod);
+    stats::Snapshot snap = sys.snapshot();
     for (NodeId id : {NodeId{0}, NodeId{2}}) {
         HealthMonitor *h = sys.kernel(id).health();
         EXPECT_EQ(h->peerState(1), PeerHealth::DEAD)
             << "node " << id << " missed the crash";
-        EXPECT_GE(h->peersDeclaredDead(), 1u);
+        EXPECT_GE(snap.at("node" + std::to_string(id) +
+                          ".kernel.health.peersDeclaredDead"),
+                  1u);
         EXPECT_TRUE(sys.kernel(id).peerFailed(1));
     }
     // The victim's own detector is paused, not reporting nonsense.
@@ -181,7 +186,7 @@ TEST(Health, DeliberateDmaAbortsOnPeerDeath)
     EXPECT_TRUE(status == dma_status::ABORTED ||
                 status == ShrimpNi::statusMapError)
         << "status " << status;
-    EXPECT_GE(sys.node(0).ni.dma().transfersAborted(), 1u);
+    EXPECT_GE(sys.snapshot().at("node0.ni.dma.aborts"), 1u);
     // The engine is free again for future transfers.
     EXPECT_FALSE(sys.node(0).ni.dma().busy());
 }
@@ -283,7 +288,7 @@ TEST(Health, RestartAndRemapRestoresDelivery)
     sys.runFor(2 * ONE_MS);
     EXPECT_FALSE(sys.kernel(0).peerFailed(1));
     EXPECT_EQ(sys.kernel(0).health()->peerState(1), PeerHealth::ALIVE);
-    EXPECT_GE(sys.kernel(0).health()->peersRecovered(), 1u);
+    EXPECT_GE(sys.snapshot().at("node0.kernel.health.peersRecovered"), 1u);
 
     // The old mapping was torn down; an explicit remap brings the
     // pair back end to end.

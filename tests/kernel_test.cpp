@@ -84,7 +84,7 @@ TEST_F(KernelFixture, YieldAlternatesProcesses)
     }
     sys->startAll();
     ASSERT_TRUE(sys->runUntilAllExited());
-    EXPECT_GE(k.contextSwitches(), 10u);
+    EXPECT_GE(sys->snapshot().at("node0.kernel.contextSwitches"), 10u);
 }
 
 TEST_F(KernelFixture, QuantumPreemptsCpuBoundProcess)
@@ -114,7 +114,7 @@ TEST_F(KernelFixture, QuantumPreemptsCpuBoundProcess)
     ASSERT_TRUE(sys->runUntilAllExited());
     // ~150k instructions per process at 60 MHz = ~2.5 ms each; a
     // 100 us quantum forces many switches.
-    EXPECT_GT(k.contextSwitches(), 10u);
+    EXPECT_GT(sys->snapshot().at("node0.kernel.contextSwitches"), 10u);
 }
 
 TEST_F(KernelFixture, MapSyscallEstablishesWorkingMapping)
@@ -402,7 +402,7 @@ TEST_F(KernelFixture, CmpxchgClaimIsSafeAcrossContextSwitches)
     sys->runFor(ONE_MS);
 
     // Both transfers completed despite contention.
-    EXPECT_EQ(sys->node(0).ni.dma().transfersStarted(), 2u);
+    EXPECT_EQ(sys->snapshot().at("node0.ni.dma.transfers"), 2u);
     for (int i = 0; i < 2; ++i) {
         EXPECT_EQ(peek32(*sys, 1, *recv, dst + i * PAGE_SIZE),
                   0x5000u + i);

@@ -1,6 +1,7 @@
 // Representative clean simulator code: seeded Rng for randomness,
-// RAII ownership, wide tick arithmetic, described stats, weak_ptr
-// back-edges, logging via the project macros.
+// RAII ownership, wide tick arithmetic, described stats read through
+// the stats tree (only a Peak has an accessor), weak_ptr back-edges,
+// logging via the project macros.
 #include <memory>
 
 using Tick = unsigned long long;
@@ -14,6 +15,12 @@ struct Group
 struct Counter
 {
     Counter(Group &group, const char *name, const char *desc);
+    unsigned long long value() const;
+};
+struct Peak
+{
+    Peak(Group &group, const char *name, const char *desc);
+    double value() const;
 };
 } // namespace stats
 
@@ -37,6 +44,10 @@ struct RouterStats
     stats::Counter _drops{_stats, "drops", "packets dropped at this router"};
     stats::Counter _spins{_stats, "spins",
                           "allocation passes that made no progress"};
+    stats::Peak _peakQueue{_stats, "peakQueue", "deepest input queue"};
+
+    // A snapshot holds counters only, so a Peak keeps its accessor.
+    double peakQueue() const { return _peakQueue.value(); }
 };
 
 struct Link

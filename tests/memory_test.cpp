@@ -312,7 +312,7 @@ TEST(SparseMemory, DeliberateSendOfUnwrittenPageDeliversZeros)
     ASSERT_TRUE(sys.runUntilAllExited());
     sys.runFor(ONE_MS);
 
-    EXPECT_EQ(sys.node(0).ni.dma().bytesTransferred(), PAGE_SIZE);
+    EXPECT_EQ(sys.snapshot().at("node0.ni.dma.bytes"), PAGE_SIZE);
     unsigned nonzero = 0;
     for (Addr off = 0; off < PAGE_SIZE; off += 4)
         nonzero += test::peek32(sys, 1, *b, dst + off) != 0;
@@ -330,7 +330,7 @@ TEST(EisaBus, BurstTimingMatchesBandwidth)
     EXPECT_EQ(g.end, 900 * ONE_NS + ONE_US);    // 33 B @ 33 MB/s = 1 us
     auto g2 = eisa.acquire(0, 33);
     EXPECT_EQ(g2.start, g.end);
-    EXPECT_EQ(eisa.bytesCarried(), 66u);
+    EXPECT_EQ(test::snapshotOf(eisa.statGroup()).at("eisa.bytes"), 66u);
 }
 
 TEST(EisaBus, LongBurstApproachesPeakBandwidth)
@@ -362,14 +362,14 @@ struct CacheFixture : ::testing::Test
 TEST_F(CacheFixture, LoadMissThenHit)
 {
     Tick t1 = cache.load(0x3000, 4, CachePolicy::WRITE_BACK, 0);
-    EXPECT_EQ(cache.misses(), 1u);
+    EXPECT_EQ(test::snapshotOf(cache.statGroup()).at("cache.misses"), 1u);
     EXPECT_TRUE(cache.isCached(0x3000));
     // Miss latency includes a bus line fill plus DRAM access.
     EXPECT_GT(t1, 60 * ONE_NS);
 
     Tick t2 = cache.load(0x3000, 4, CachePolicy::WRITE_BACK,
                          10 * ONE_US);
-    EXPECT_EQ(cache.hits(), 1u);
+    EXPECT_EQ(test::snapshotOf(cache.statGroup()).at("cache.hits"), 1u);
     EXPECT_EQ(t2, 10 * ONE_US + cache.clockPeriod());
 }
 
@@ -379,12 +379,14 @@ TEST_F(CacheFixture, WriteBackStoreStaysOffBus)
     cache.store(0x4000, &v, 4, CachePolicy::WRITE_BACK, 0);
     EXPECT_TRUE(cache.isDirty(0x4000));
     EXPECT_EQ(mem.readInt(0x4000, 4), 7u);  // functional data current
-    std::uint64_t line_fill_bytes = bus.bytesCarried();
+    std::uint64_t line_fill_bytes =
+        test::snapshotOf(bus.statGroup()).at("bus.bytes");
 
     // Another store to the same line: no additional bus traffic.
     v = 9;
     cache.store(0x4004, &v, 4, CachePolicy::WRITE_BACK, ONE_US);
-    EXPECT_EQ(bus.bytesCarried(), line_fill_bytes);
+    EXPECT_EQ(test::snapshotOf(bus.statGroup()).at("bus.bytes"),
+              line_fill_bytes);
 }
 
 TEST_F(CacheFixture, WriteThroughStoreGoesToBus)
@@ -430,7 +432,10 @@ TEST_F(CacheFixture, SnoopInvalidatesOnDmaWrite)
     bus.writeNow(0x7000, buf, 64, BusMaster::EISA_DMA);
     EXPECT_FALSE(cache.isCached(0x7000));
     EXPECT_FALSE(cache.isCached(0x7020));
-    EXPECT_EQ(cache.snoopInvalidations(), 2u);  // 64 B = 2 lines
+    // 64 B = 2 lines.
+    EXPECT_EQ(test::snapshotOf(cache.statGroup())
+                  .at("cache.snoopInvalidations"),
+              2u);
 }
 
 TEST_F(CacheFixture, CpuTrafficDoesNotSelfInvalidate)
@@ -446,7 +451,8 @@ TEST_F(CacheFixture, UncacheableLoadBypassesCache)
 {
     Tick t = cache.load(0x9000, 4, CachePolicy::UNCACHEABLE, 0);
     EXPECT_FALSE(cache.isCached(0x9000));
-    EXPECT_EQ(cache.hits() + cache.misses(), 0u);
+    stats::Snapshot snap = test::snapshotOf(cache.statGroup());
+    EXPECT_EQ(snap.at("cache.hits") + snap.at("cache.misses"), 0u);
     EXPECT_GE(t, 60 * ONE_NS);  // paid DRAM latency
 }
 
@@ -467,11 +473,13 @@ TEST_F(CacheFixture, DirtyVictimWritesBack)
     std::uint32_t v = 3;
     cache.store(0x1000, &v, 4, CachePolicy::WRITE_BACK, 0);
     EXPECT_TRUE(cache.isDirty(0x1000));
-    std::uint64_t before = bus.bytesCarried();
+    std::uint64_t before =
+        test::snapshotOf(bus.statGroup()).at("bus.bytes");
     cache.load(0x1000 + Cache::sizeBytes, 4, CachePolicy::WRITE_BACK,
                ONE_US);
     // Writeback + fill both appeared on the bus.
-    EXPECT_GE(bus.bytesCarried(), before + 2 * Cache::lineBytes);
+    EXPECT_GE(test::snapshotOf(bus.statGroup()).at("bus.bytes"),
+              before + 2 * Cache::lineBytes);
     EXPECT_FALSE(cache.isDirty(0x1000));
 }
 

@@ -66,8 +66,9 @@ TEST_F(NiFixture, AutoSingleWritePropagates)
 
     runAll();
     EXPECT_EQ(peek32(*sys, 1, *procB, dst + 0x10), 0xfeedf00du);
-    EXPECT_EQ(sys->node(0).ni.packetsSent(), 1u);
-    EXPECT_EQ(sys->node(1).ni.packetsDelivered(), 1u);
+    stats::Snapshot snap = sys->snapshot();
+    EXPECT_EQ(snap.at("node0.ni.pktsSent"), 1u);
+    EXPECT_EQ(snap.at("node1.ni.pktsDelivered"), 1u);
 }
 
 TEST_F(NiFixture, SingleWriteLatencyUnderTwoMicroseconds)
@@ -154,8 +155,9 @@ TEST_F(NiFixture, BlockedWriteMergesConsecutiveStores)
                   static_cast<std::uint32_t>(0x100 + i));
     }
     // 16 stores merged into far fewer packets.
-    EXPECT_LT(sys->node(0).ni.packetsSent(), 4u);
-    EXPECT_GT(sys->node(0).ni.mergedWrites(), 10u);
+    stats::Snapshot snap = sys->snapshot();
+    EXPECT_LT(snap.at("node0.ni.pktsSent"), 4u);
+    EXPECT_GT(snap.at("node0.ni.mergedWrites"), 10u);
 }
 
 TEST_F(NiFixture, BlockedWriteNonConsecutiveSplitsPackets)
@@ -181,7 +183,7 @@ TEST_F(NiFixture, BlockedWriteNonConsecutiveSplitsPackets)
     EXPECT_EQ(peek32(*sys, 1, *procB, dst + 0), 1u);
     EXPECT_EQ(peek32(*sys, 1, *procB, dst + 0x100), 2u);
     EXPECT_EQ(peek32(*sys, 1, *procB, dst + 0x104), 3u);
-    EXPECT_EQ(sys->node(0).ni.packetsSent(), 2u);
+    EXPECT_EQ(sys->snapshot().at("node0.ni.pktsSent"), 2u);
 }
 
 TEST_F(NiFixture, DeliberateUpdateViaCommandPage)
@@ -223,8 +225,9 @@ TEST_F(NiFixture, DeliberateUpdateViaCommandPage)
     }
     // Before the send command, local stores produced no packets: the
     // transfer went out as DMA chunks only.
-    EXPECT_EQ(sys->node(0).ni.dma().transfersStarted(), 1u);
-    EXPECT_EQ(sys->node(0).ni.dma().bytesTransferred(), 256u);
+    stats::Snapshot snap = sys->snapshot();
+    EXPECT_EQ(snap.at("node0.ni.dma.transfers"), 1u);
+    EXPECT_EQ(snap.at("node0.ni.dma.bytes"), 256u);
 }
 
 TEST_F(NiFixture, DeliberateMultiPageSend)
@@ -264,7 +267,7 @@ TEST_F(NiFixture, DeliberateMultiPageSend)
         ASSERT_EQ(peek32(*sys, 1, *procB, dst + off), off / 4 + 1)
             << "at offset " << off;
     }
-    EXPECT_EQ(sys->node(0).ni.dma().transfersStarted(), 3u);
+    EXPECT_EQ(sys->snapshot().at("node0.ni.dma.transfers"), 3u);
 }
 
 TEST_F(NiFixture, CorruptedPacketIsDropped)
@@ -288,7 +291,7 @@ TEST_F(NiFixture, CorruptedPacketIsDropped)
     loadProgram(sys->kernel(1), *procB, std::move(pb));
 
     runAll();
-    EXPECT_EQ(sys->node(1).ni.dropsCrc(), 1u);
+    EXPECT_EQ(sys->snapshot().at("node1.ni.dropsCrc"), 1u);
     EXPECT_EQ(peek32(*sys, 1, *procB, dst + 0), 0u);
     EXPECT_EQ(peek32(*sys, 1, *procB, dst + 4), 0x2222u);
 }
@@ -316,7 +319,7 @@ TEST_F(NiFixture, PacketForUnmappedPageIsDropped)
     loadProgram(sys->kernel(1), *procB, std::move(pb));
 
     runAll();
-    EXPECT_EQ(sys->node(1).ni.dropsUnmapped(), 1u);
+    EXPECT_EQ(sys->snapshot().at("node1.ni.dropsUnmapped"), 1u);
     EXPECT_EQ(peek32(*sys, 1, *procB, dst), 0u);
 }
 
@@ -378,8 +381,9 @@ TEST_F(NiFixture, BidirectionalMappingDoesNotEcho)
     EXPECT_EQ(peek32(*sys, 1, *procB, flagB), 7u);
     EXPECT_EQ(peek32(*sys, 0, *procA, flagA + 4), 9u);
     // Exactly one packet each way; echoes would make this explode.
-    EXPECT_EQ(sys->node(0).ni.packetsSent(), 1u);
-    EXPECT_EQ(sys->node(1).ni.packetsSent(), 1u);
+    stats::Snapshot snap = sys->snapshot();
+    EXPECT_EQ(snap.at("node0.ni.pktsSent"), 1u);
+    EXPECT_EQ(snap.at("node1.ni.pktsSent"), 1u);
 }
 
 TEST_F(NiFixture, OutgoingFifoThresholdStallsCpu)
@@ -415,11 +419,12 @@ TEST_F(NiFixture, OutgoingFifoThresholdStallsCpu)
     loadProgram(sys->kernel(1), *procB, std::move(pb));
 
     runAll(20 * ONE_MS);
-    EXPECT_GT(sys->kernel(0).fifoStalls(), 0u);
-    EXPECT_GT(sys->kernel(0).fifoStallTicks(), 0u);
-    EXPECT_EQ(sys->node(0).ni.packetsSent(),
+    stats::Snapshot snap = sys->snapshot();
+    EXPECT_GT(snap.at("node0.kernel.fifoStalls"), 0u);
+    EXPECT_GT(snap.at("node0.kernel.fifoStallTicks"), 0u);
+    EXPECT_EQ(snap.at("node0.ni.pktsSent"),
               static_cast<std::uint64_t>(kStores));
-    EXPECT_EQ(sys->node(1).ni.packetsDelivered(),
+    EXPECT_EQ(snap.at("node1.ni.pktsDelivered"),
               static_cast<std::uint64_t>(kStores));
     EXPECT_EQ(peek32(*sys, 1, *procB, dst), kStores - 1u);
 }
@@ -479,6 +484,64 @@ TEST_F(NiFixture, DmaStatusReadsReportProgress)
     sys->runFor(ONE_MS);
     EXPECT_FALSE(ni.dma().busy());
     EXPECT_EQ(ni.dma().statusRead(src_paddr), dma_status::FREE);
+}
+
+TEST_F(NiFixture, DmaCompletionRunsOnceAfterTheLastChunk)
+{
+    // A kernel-started transfer carries its own completion. It runs
+    // once, when the whole page is on the outgoing datapath and the
+    // engine is free; a start refused while the engine is busy never
+    // runs the completion it was given.
+    build();
+    Addr src = procA->allocate(2);
+    Addr dst = procB->allocate(2);
+    sys->kernel(0).mapDirect(*procA, src, 2, sys->kernel(1), *procB,
+                             dst, UpdateMode::DELIBERATE);
+    auto &dma = sys->node(0).ni.dma();
+    Addr src_paddr = procA->space().translate(src, false).paddr;
+
+    unsigned runs = 0, refused_runs = 0;
+    bool busy_when_run = true;
+    std::uint64_t emitted_when_run = 0;
+    ASSERT_TRUE(dma.start(src_paddr, 1024, [&] {
+        ++runs;
+        busy_when_run = dma.busy();
+        emitted_when_run = sys->snapshot().at("node0.ni.bytesSent");
+    }));
+    EXPECT_FALSE(dma.start(src_paddr + PAGE_SIZE, 4,
+                           [&] { ++refused_runs; }));
+
+    sys->runFor(ONE_MS);
+    EXPECT_EQ(runs, 1u);
+    EXPECT_FALSE(busy_when_run);
+    EXPECT_EQ(emitted_when_run, PAGE_SIZE);
+    EXPECT_EQ(refused_runs, 0u);
+}
+
+TEST_F(NiFixture, AbortedDmaNeverRunsItsCompletion)
+{
+    build();
+    Addr src = procA->allocate(2);
+    Addr dst = procB->allocate(2);
+    sys->kernel(0).mapDirect(*procA, src, 2, sys->kernel(1), *procB,
+                             dst, UpdateMode::DELIBERATE);
+    auto &dma = sys->node(0).ni.dma();
+    Addr src_paddr = procA->space().translate(src, false).paddr;
+
+    unsigned aborted_runs = 0, next_runs = 0;
+    ASSERT_TRUE(dma.start(src_paddr, 1024, [&] { ++aborted_runs; }));
+    sys->runFor(10 * ONE_US);
+    ASSERT_TRUE(dma.busy());    // mid-page
+    dma.abort("test");
+    sys->runFor(ONE_MS);
+    EXPECT_EQ(aborted_runs, 0u);
+
+    // The engine's next transfer runs only its own completion.
+    ASSERT_TRUE(dma.start(src_paddr + PAGE_SIZE, 16,
+                          [&] { ++next_runs; }));
+    sys->runFor(ONE_MS);
+    EXPECT_EQ(next_runs, 1u);
+    EXPECT_EQ(aborted_runs, 0u);
 }
 
 } // namespace

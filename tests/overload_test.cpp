@@ -12,6 +12,8 @@
 
 #include <gtest/gtest.h>
 
+#include <string>
+
 #include "test_util.hh"
 
 namespace shrimp
@@ -74,11 +76,13 @@ TEST(Overload, EcnMarksEchoedAndSenderWindowsShrink)
     sys.runFor(50 * ONE_MS);
 
     // The congestion signal made the full round trip...
-    EXPECT_GT(sys.node(0).ni.ecnMarksSeen(), 0u);
-    EXPECT_GT(sys.node(0).ni.ecnEchoesSent(), 0u);
+    stats::Snapshot snap = sys.snapshot();
+    EXPECT_GT(snap.at("node0.ni.ecnMarksSeen"), 0u);
+    EXPECT_GT(snap.at("node0.ni.ecnEchoesSent"), 0u);
     std::uint64_t backoffs = 0;
     for (NodeId s = 1; s <= 3; ++s)
-        backoffs += sys.node(s).ni.retransmitBuffer().ecnBackoffs();
+        backoffs +=
+            snap.at("node" + std::to_string(s) + ".ni.retx.ecnBackoffs");
     EXPECT_GT(backoffs, 0u);
 
     // ...and shaped, not corrupted, the flow: exact delivery.
@@ -131,7 +135,7 @@ TEST(Overload, AdmissionRejectsSendsTowardSuspectPeer)
                                       dst + PAGE_SIZE,
                                       UpdateMode::AUTO_SINGLE),
               err::WOULDBLOCK);
-    EXPECT_GE(sys.kernel(0).sendsRejected(), 1u);
+    EXPECT_GE(sys.snapshot().at("node0.kernel.sendsRejected"), 1u);
 
     // Heal; heartbeats resume; admission must reopen.
     sys.backplane().router(0).setLinkDead(Router::EAST, false);
@@ -181,7 +185,7 @@ TEST(Overload, AdmissionFailsFastWhenWindowStaysFull)
                                       dst + PAGE_SIZE,
                                       UpdateMode::AUTO_SINGLE),
               err::WOULDBLOCK);
-    EXPECT_GE(sys.kernel(0).sendsRejected(), 1u);
+    EXPECT_GE(sys.snapshot().at("node0.kernel.sendsRejected"), 1u);
 }
 
 TEST(Overload, SendOverflowShedsLoadWithoutCorruption)
@@ -209,11 +213,11 @@ TEST(Overload, SendOverflowShedsLoadWithoutCorruption)
     scheduleStores(sys, 0, t.paddr, kStores, ONE_US, 10);
     sys.runFor(50 * ONE_MS);
 
-    ShrimpNi &tx = sys.node(0).ni;
-    EXPECT_GT(tx.sendOverflowDrops(), 0u);
+    stats::Snapshot snap = sys.snapshot();
+    EXPECT_GT(snap.at("node0.ni.sendOverflowDrops"), 0u);
     // The stream still quiesces: everything sequenced was delivered.
-    EXPECT_EQ(tx.retransmitBuffer().windowFill(1), 0u);
-    EXPECT_EQ(tx.retransmitBuffer().channelsFailed(), 0u);
+    EXPECT_EQ(sys.node(0).ni.retransmitBuffer().windowFill(1), 0u);
+    EXPECT_EQ(snap.at("node0.ni.retx.channelsFailed"), 0u);
 
     // Safety: delivered words are exact copies, dropped words leave
     // their destination slot untouched (zero).
@@ -228,7 +232,7 @@ TEST(Overload, SendOverflowShedsLoadWithoutCorruption)
         EXPECT_EQ(v, 0xC0DE0000u + i) << "word " << i;
         ++delivered;
     }
-    EXPECT_EQ(delivered + tx.sendOverflowDrops(), kStores);
+    EXPECT_EQ(delivered + snap.at("node0.ni.sendOverflowDrops"), kStores);
 }
 
 TEST(Overload, WatchdogFlagsStallThenClearsAfterRecovery)
@@ -265,7 +269,7 @@ TEST(Overload, WatchdogFlagsStallThenClearsAfterRecovery)
     scheduleStores(sys, 0, t.paddr, kStores, ONE_US, 100);
 
     sys.runFor(8 * ONE_MS);
-    EXPECT_GE(sys.node(0).ni.watchdogStalls(), 1u);
+    EXPECT_GE(sys.snapshot().at("node0.ni.watchdogStalls"), 1u);
 
     // Heal the links; the next backed-off retransmission gets through
     // and the pipeline restarts.
@@ -277,7 +281,7 @@ TEST(Overload, WatchdogFlagsStallThenClearsAfterRecovery)
 
     EXPECT_FALSE(sys.node(0).ni.progressStalled());
     EXPECT_EQ(sys.node(0).ni.retransmitBuffer().windowFill(1), 0u);
-    EXPECT_EQ(sys.node(0).ni.retransmitBuffer().channelsFailed(), 0u);
+    EXPECT_EQ(sys.snapshot().at("node0.ni.retx.channelsFailed"), 0u);
     Translation dt = b->space().translate(dst, false);
     ASSERT_TRUE(dt.ok());
     for (unsigned i = 0; i < kStores; ++i)

@@ -63,8 +63,9 @@ TEST(Partition, MinorityStallsWithoutQuorum)
     // stall at SUSPECT for lack of a quorum.
     HealthMonitor *h3 = sys.kernel(3).health();
     EXPECT_FALSE(h3->quorumReachable());
-    EXPECT_GE(h3->partitionsDeclared(), 1u);
-    EXPECT_EQ(h3->peersDeclaredDead(), 0u);
+    stats::Snapshot snap = sys.snapshot();
+    EXPECT_GE(snap.at("node3.kernel.health.partitionsDeclared"), 1u);
+    EXPECT_EQ(snap.at("node3.kernel.health.peersDeclaredDead"), 0u);
     for (NodeId peer : {NodeId{0}, NodeId{1}, NodeId{2}})
         EXPECT_EQ(h3->peerState(peer), PeerHealth::SUSPECT);
 }
@@ -146,7 +147,8 @@ TEST(Partition, StaleWritebackFencedAndRehomedOnce)
     EXPECT_TRUE(sys.kernel(0).dsm()->errored(page));
     // The owner's side of the cut is asymmetric: it still hears the
     // majority's heartbeats and keeps believing they are alive.
-    EXPECT_EQ(sys.kernel(2).health()->peersDeclaredDead(), 0u);
+    EXPECT_EQ(sys.snapshot().at("node2.kernel.health.peersDeclaredDead"),
+              0u);
 
     // Restore the direction before the owner's retry budget dies. The
     // majority has moved on: the recovery bumps incarnations, so the
@@ -162,10 +164,10 @@ TEST(Partition, StaleWritebackFencedAndRehomedOnce)
 
     EXPECT_EQ(sys.kernel(0).health()->peerState(2), PeerHealth::ALIVE);
     EXPECT_FALSE(sys.kernel(0).dsm()->errored(page));
-    EXPECT_EQ(sys.kernel(0).dsm()->rehomes(), 1u);
+    stats::Snapshot snap = sys.snapshot();
+    EXPECT_EQ(snap.at("node0.kernel.dsm.dsmRehomes"), 1u);
     EXPECT_GT(sys.kernel(2).peerIncarnation(0), 1u);
-    EXPECT_GT(sys.snapshot().sum("node0.kernel.health.staleEpochRejects"),
-              0u);
+    EXPECT_GT(snap.at("node0.kernel.health.staleEpochRejects"), 0u);
 
     // The page is usable again, and the stale grant never resurrects:
     // the requester takes clean exclusive ownership.
@@ -215,9 +217,10 @@ TEST(Partition, OwnerRestartBeforeRtoFencesStaleLife)
     sys.restartNode(2);
     sys.runFor(3 * ONE_MS);
 
-    EXPECT_EQ(sys.kernel(0).health()->peersDeclaredDead(), 0u);
+    stats::Snapshot snap = sys.snapshot();
+    EXPECT_EQ(snap.at("node0.kernel.health.peersDeclaredDead"), 0u);
     EXPECT_GT(sys.kernel(2).health()->selfIncarnation(), 1u);
-    EXPECT_EQ(sys.kernel(0).dsm()->rehomes(), 1u);
+    EXPECT_EQ(snap.at("node0.kernel.dsm.dsmRehomes"), 1u);
     EXPECT_FALSE(sys.kernel(0).dsm()->errored(page));
 
     // However the recall raced the crash, the machine converges: the

@@ -114,7 +114,7 @@ TEST(Protection, TwoProcessesCoexistAndSwitchWithoutNiAction)
         }
     }
     // Context switches happened, the NIPT never changed.
-    EXPECT_GT(sys.kernel(0).contextSwitches(), 2u);
+    EXPECT_GT(sys.snapshot().at("node0.kernel.contextSwitches"), 2u);
     EXPECT_EQ(nipt_fingerprint(0), fp0);
     EXPECT_EQ(nipt_fingerprint(1), fp1);
 }
@@ -150,7 +150,7 @@ TEST(Protection, UnmappedProcessMemoryProducesNoPackets)
     ASSERT_TRUE(sys.runUntilAllExited());
     sys.runFor(ONE_MS);
 
-    EXPECT_EQ(sys.node(0).ni.packetsSent(), 0u);
+    EXPECT_EQ(sys.snapshot().at("node0.ni.pktsSent"), 0u);
     EXPECT_EQ(peek32(sys, 1, *rcv, dst), 0u);
 }
 

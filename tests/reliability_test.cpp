@@ -71,14 +71,14 @@ TEST(Reliability, EveryInjectedErrorCaughtNothingCorruptDelivered)
     ASSERT_TRUE(sys.runUntilAllExited());
     sys.runFor(20 * ONE_MS);
 
-    auto &rx = sys.node(1).ni;
-    std::uint64_t injected =
-        sys.backplane().router(0).errorsInjected();
+    stats::Snapshot snap = sys.snapshot();
+    std::uint64_t injected = snap.at("mesh.router0.faultCorrupts");
     ASSERT_GT(injected, 10u);   // the fault injector really ran
 
     // Exactly the corrupted packets were dropped; the rest arrived.
-    EXPECT_EQ(rx.dropsCrc(), injected);
-    EXPECT_EQ(rx.packetsDelivered() + rx.dropsCrc(),
+    EXPECT_EQ(snap.at("node1.ni.dropsCrc"), injected);
+    EXPECT_EQ(snap.at("node1.ni.pktsDelivered") +
+                  snap.at("node1.ni.dropsCrc"),
               static_cast<std::uint64_t>(kStores));
 
     // The destination word holds some in-sequence value, i.e. the
@@ -114,8 +114,9 @@ TEST(Reliability, CleanLinksDeliverEverything)
     ASSERT_TRUE(sys.runUntilAllExited());
     sys.runFor(ONE_MS);
 
-    EXPECT_EQ(sys.backplane().router(0).errorsInjected(), 0u);
-    EXPECT_EQ(sys.node(1).ni.dropsCrc(), 0u);
+    stats::Snapshot snap = sys.snapshot();
+    EXPECT_EQ(snap.at("mesh.router0.faultCorrupts"), 0u);
+    EXPECT_EQ(snap.at("node1.ni.dropsCrc"), 0u);
     for (int i = 0; i < 32; ++i)
         EXPECT_EQ(peek32(sys, 1, *b, dst + 4 * i),
                   static_cast<std::uint32_t>(0xF00 + i));

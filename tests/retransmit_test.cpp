@@ -98,14 +98,15 @@ TEST(Retransmit, DropAndCorruptEveryWordDeliveredExactlyOnce)
     runStream(sys, *a, *b, src, dst, 100 * ONE_MS);
 
     // The fabric really was faulty and the protocol really repaired it.
-    auto &tx = sys.node(0).ni;
-    auto &rx = sys.node(1).ni;
-    auto &retx = tx.retransmitBuffer();
-    EXPECT_GT(retx.timeoutRetransmits() + retx.nackRetransmits(), 0u);
-    EXPECT_GT(rx.acksSent(), 0u);
-    EXPECT_EQ(retx.channelsFailed(), 0u);
-    EXPECT_EQ(tx.mappingsErrored(), 0u);
-    EXPECT_EQ(retx.windowFill(1), 0u);  // everything acknowledged
+    stats::Snapshot snap = sys.snapshot();
+    EXPECT_GT(snap.at("node0.ni.retx.retxTimeout") +
+                  snap.at("node0.ni.retx.retxNack"),
+              0u);
+    EXPECT_GT(snap.at("node1.ni.relAcksSent"), 0u);
+    EXPECT_EQ(snap.at("node0.ni.retx.channelsFailed"), 0u);
+    EXPECT_EQ(snap.at("node0.ni.relMappingsErrored"), 0u);
+    // Everything acknowledged.
+    EXPECT_EQ(sys.node(0).ni.retransmitBuffer().windowFill(1), 0u);
 }
 
 TEST(Retransmit, StaleEpochDataFencedBeforeMemory)
@@ -142,7 +143,7 @@ TEST(Retransmit, StaleEpochDataFencedBeforeMemory)
         return pkt;
     };
     auto stale_drops = [&] {
-        return sys.snapshot().sum("node1.ni.staleEpochDrops");
+        return sys.snapshot().at("node1.ni.staleEpochDrops");
     };
     ShrimpNi &rx = sys.node(1).ni;
 
@@ -176,10 +177,11 @@ TEST(Retransmit, DuplicatesSuppressed)
 
     runStream(sys, *a, *b, src, dst, 50 * ONE_MS);
 
-    auto &rx = sys.node(1).ni;
-    EXPECT_GT(rx.duplicatesSuppressed(), 0u);
+    stats::Snapshot snap = sys.snapshot();
+    EXPECT_GT(snap.at("node1.ni.relDupsSuppressed"), 0u);
     // Exactly-once: the FIFO only ever saw kWords distinct packets.
-    EXPECT_EQ(rx.packetsDelivered(), static_cast<unsigned>(kWords));
+    EXPECT_EQ(snap.at("node1.ni.pktsDelivered"),
+              static_cast<unsigned>(kWords));
 }
 
 TEST(Retransmit, ReorderedPacketsRestoredInOrder)
@@ -198,9 +200,10 @@ TEST(Retransmit, ReorderedPacketsRestoredInOrder)
 
     runStream(sys, *a, *b, src, dst, 50 * ONE_MS);
 
-    auto &rx = sys.node(1).ni;
-    EXPECT_GT(rx.reorderFixes(), 0u);
-    EXPECT_EQ(rx.packetsDelivered(), static_cast<unsigned>(kWords));
+    stats::Snapshot snap = sys.snapshot();
+    EXPECT_GT(snap.at("node1.ni.relReorderFixes"), 0u);
+    EXPECT_EQ(snap.at("node1.ni.pktsDelivered"),
+              static_cast<unsigned>(kWords));
 }
 
 TEST(Retransmit, NackTriggersFastRetransmitBeforeTimeout)
@@ -236,12 +239,11 @@ TEST(Retransmit, NackTriggersFastRetransmitBeforeTimeout)
     ASSERT_TRUE(sys.runUntilAllExited());
     sys.runFor(ONE_MS);     // well under rtoBase
 
-    auto &tx = sys.node(0).ni;
-    auto &rx = sys.node(1).ni;
-    EXPECT_GE(rx.nacksSent(), 1u);
-    EXPECT_GE(tx.nacksReceived(), 1u);
-    EXPECT_GE(tx.retransmitBuffer().nackRetransmits(), 1u);
-    EXPECT_EQ(tx.retransmitBuffer().timeoutRetransmits(), 0u);
+    stats::Snapshot snap = sys.snapshot();
+    EXPECT_GE(snap.at("node1.ni.relNacksSent"), 1u);
+    EXPECT_GE(snap.at("node0.ni.relNacksRcvd"), 1u);
+    EXPECT_GE(snap.at("node0.ni.retx.retxNack"), 1u);
+    EXPECT_EQ(snap.at("node0.ni.retx.retxTimeout"), 0u);
     for (int i = 0; i < 8; ++i)
         EXPECT_EQ(peek32(sys, 1, *b, dst + 4 * i),
                   static_cast<std::uint32_t>(0xB00 + i));
@@ -279,11 +281,12 @@ TEST(Retransmit, TimeoutBackoffGrows)
     ASSERT_TRUE(sys.runUntilAllExited());
     sys.runFor(5 * ONE_MS);
 
+    stats::Snapshot snap = sys.snapshot();
     auto &retx = sys.node(0).ni.retransmitBuffer();
-    EXPECT_GE(retx.timeoutRetransmits(), 3u);
+    EXPECT_GE(snap.at("node0.ni.retx.retxTimeout"), 3u);
     EXPECT_GT(retx.currentRto(1), cfg.ni.reliability.rtoBase);
     EXPECT_LE(retx.currentRto(1), cfg.ni.reliability.rtoMax);
-    EXPECT_EQ(retx.channelsFailed(), 0u);
+    EXPECT_EQ(snap.at("node0.ni.retx.channelsFailed"), 0u);
 }
 
 TEST(Retransmit, RetryCapDegradesGracefully)
@@ -321,13 +324,13 @@ TEST(Retransmit, RetryCapDegradesGracefully)
     sys.runFor(10 * ONE_MS);
 
     auto &tx = sys.node(0).ni;
-    auto &retx = tx.retransmitBuffer();
-    EXPECT_EQ(retx.channelsFailed(), 1u);
-    EXPECT_TRUE(retx.isFailed(1));
-    EXPECT_GE(tx.mappingsErrored(), 1u);
+    stats::Snapshot snap = sys.snapshot();
+    EXPECT_EQ(snap.at("node0.ni.retx.channelsFailed"), 1u);
+    EXPECT_TRUE(tx.retransmitBuffer().isFailed(1));
+    EXPECT_GE(snap.at("node0.ni.relMappingsErrored"), 1u);
 
     // The kernel callback fired and recorded the failed peer.
-    EXPECT_GE(sys.kernel(0).mappingErrors(), 1u);
+    EXPECT_GE(snap.at("node0.kernel.mappingErrors"), 1u);
     EXPECT_TRUE(sys.kernel(0).peerFailed(1));
     EXPECT_FALSE(sys.kernel(0).peerFailed(0));
 
@@ -339,10 +342,10 @@ TEST(Retransmit, RetryCapDegradesGracefully)
 
     // The errored mapping stops producing packets: a late store is
     // discarded quietly instead of feeding the dead window.
-    std::uint64_t sent_before = tx.packetsSent();
+    std::uint64_t sent_before = snap.at("node0.ni.pktsSent");
     test::poke32(sys, 0, *a, src, 0x11);    // host write, no snoop
     sys.runFor(ONE_MS);
-    EXPECT_EQ(tx.packetsSent(), sent_before);
+    EXPECT_EQ(sys.snapshot().at("node0.ni.pktsSent"), sent_before);
 }
 
 TEST(Retransmit, CleanLinksNoRetransmissions)
@@ -362,16 +365,16 @@ TEST(Retransmit, CleanLinksNoRetransmissions)
 
     runStream(sys, *a, *b, src, dst, 10 * ONE_MS);
 
-    auto &tx = sys.node(0).ni;
-    auto &rx = sys.node(1).ni;
-    auto &retx = tx.retransmitBuffer();
-    EXPECT_EQ(rx.packetsDelivered(), static_cast<unsigned>(kWords));
-    EXPECT_EQ(retx.timeoutRetransmits(), 0u);
-    EXPECT_EQ(retx.nackRetransmits(), 0u);
-    EXPECT_EQ(rx.duplicatesSuppressed(), 0u);
-    EXPECT_EQ(rx.nacksSent(), 0u);
-    EXPECT_GT(rx.acksSent(), 0u);
-    EXPECT_EQ(tx.acksReceived(), rx.acksSent());
+    stats::Snapshot snap = sys.snapshot();
+    EXPECT_EQ(snap.at("node1.ni.pktsDelivered"),
+              static_cast<unsigned>(kWords));
+    EXPECT_EQ(snap.at("node0.ni.retx.retxTimeout"), 0u);
+    EXPECT_EQ(snap.at("node0.ni.retx.retxNack"), 0u);
+    EXPECT_EQ(snap.at("node1.ni.relDupsSuppressed"), 0u);
+    EXPECT_EQ(snap.at("node1.ni.relNacksSent"), 0u);
+    EXPECT_GT(snap.at("node1.ni.relAcksSent"), 0u);
+    EXPECT_EQ(snap.at("node0.ni.relAcksRcvd"),
+              snap.at("node1.ni.relAcksSent"));
 }
 
 TEST(Retransmit, BackoffExponentHonorsCap)
@@ -409,7 +412,7 @@ TEST(Retransmit, BackoffExponentHonorsCap)
     sys.runFor(5 * ONE_MS);
 
     auto &retx = sys.node(0).ni.retransmitBuffer();
-    EXPECT_GE(retx.timeoutRetransmits(), 8u);
+    EXPECT_GE(sys.snapshot().at("node0.ni.retx.retxTimeout"), 8u);
     EXPECT_EQ(retx.peakBackoffExp(), 3.0);
     EXPECT_EQ(retx.peakRto(),
               static_cast<double>(cfg.ni.reliability.rtoBase << 3));
@@ -473,9 +476,11 @@ TEST(Retransmit, AckNackRideOutLinkOutageTraced)
                   0x600D0000u + i)
             << "word " << i;
     }
-    auto &retx = sys.node(0).ni.retransmitBuffer();
-    EXPECT_GT(retx.timeoutRetransmits() + retx.nackRetransmits(), 0u);
-    EXPECT_EQ(retx.channelsFailed(), 0u);
+    stats::Snapshot snap = sys.snapshot();
+    EXPECT_GT(snap.at("node0.ni.retx.retxTimeout") +
+                  snap.at("node0.ni.retx.retxNack"),
+              0u);
+    EXPECT_EQ(snap.at("node0.ni.retx.channelsFailed"), 0u);
 
     // The trace recorded the outage and the protocol's response.
     ASSERT_NE(sys.tracer(), nullptr);
@@ -555,7 +560,9 @@ TEST(RetransmitUnit, AimdGrowsOnCleanAcksHalvesOnEcnEcho)
         [&] {
             rb.onAck(1, 9, true);
             EXPECT_EQ(rb.congestionWindow(1), 3u);
-            EXPECT_EQ(rb.ecnBackoffs(), 1u);
+            EXPECT_EQ(
+                test::snapshotOf(rb.statGroup()).at("retx.ecnBackoffs"),
+                1u);
         },
         2 * ONE_US, EventPriority::DEFAULT, "ecn halves");
 
@@ -565,7 +572,9 @@ TEST(RetransmitUnit, AimdGrowsOnCleanAcksHalvesOnEcnEcho)
         [&] {
             rb.onAck(1, 9, true);
             EXPECT_EQ(rb.congestionWindow(1), 3u);
-            EXPECT_EQ(rb.ecnBackoffs(), 1u);
+            EXPECT_EQ(
+                test::snapshotOf(rb.statGroup()).at("retx.ecnBackoffs"),
+                1u);
         },
         3 * ONE_US, EventPriority::DEFAULT, "cut rate-limited");
 
@@ -638,7 +647,8 @@ TEST(RetransmitUnit, PacerDefersTimeoutRetransmitsWithoutRetryCharge)
     eq.scheduleFn(
         [&] {
             EXPECT_EQ(retx, 2u);    // bucket size, not backlog size
-            EXPECT_EQ(rb.pacedRetransmits(), 2u);
+            EXPECT_EQ(
+                test::snapshotOf(rb.statGroup()).at("retx.retxPaced"), 2u);
             EXPECT_EQ(rb.peakPacedRetransmits(), 2.0);
             // The sent pair was charged a retry, the deferred pair
             // was not, and the deferred deadline is the next token.
@@ -722,14 +732,16 @@ TEST(RetransmitUnit, RepeatedStaleNackFailsChannelFast)
     EXPECT_FALSE(rb.isFailed(1));
     rb.onNack(1, 2);    // same-tick duplicate of one NACK: still no fail
     EXPECT_FALSE(rb.isFailed(1));
-    EXPECT_EQ(rb.staleNackFails(), 0u);
+    EXPECT_EQ(test::snapshotOf(rb.statGroup()).at("retx.staleNackFails"),
+              0u);
 
     eq.scheduleFn(
         [&] {
             rb.onNack(1, 2);    // repeat after real time: regression
             EXPECT_TRUE(rb.isFailed(1));
-            EXPECT_EQ(rb.staleNackFails(), 1u);
-            EXPECT_EQ(rb.channelsFailed(), 1u);
+            stats::Snapshot snap = test::snapshotOf(rb.statGroup());
+            EXPECT_EQ(snap.at("retx.staleNackFails"), 1u);
+            EXPECT_EQ(snap.at("retx.channelsFailed"), 1u);
             EXPECT_EQ(failed_dst, 1u);
             EXPECT_EQ(rb.windowFill(1), 0u);    // window discarded
         },
@@ -745,7 +757,9 @@ TEST(RetransmitUnit, RepeatedStaleNackFailsChannelFast)
             rb.onNack(2, 2);
             rb.onNack(2, 2);
             EXPECT_FALSE(rb.isFailed(2));
-            EXPECT_EQ(rb.staleNackFails(), 1u);     // unchanged
+            EXPECT_EQ(test::snapshotOf(rb.statGroup())
+                          .at("retx.staleNackFails"),
+                      1u);     // unchanged
             rb.onAck(2, 4);     // drain; stop the timer
         },
         p.rtoBase / 2 + 1, EventPriority::DEFAULT, "in-window nacks");

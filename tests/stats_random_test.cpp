@@ -9,6 +9,7 @@
 #include <initializer_list>
 #include <map>
 #include <sstream>
+#include <stdexcept>
 
 #include "sim/json.hh"
 #include "sim/random.hh"
@@ -267,6 +268,19 @@ TEST(StatsSnapshot, ExactPathSelectsOneCounter)
     // A prefix of a path is not a match.
     EXPECT_EQ(snap.sum("node0.nic.pk"), 0u);
     EXPECT_EQ(snap.sum("node1.nic.pkts"), 0u);
+}
+
+TEST(StatsSnapshot, AtReadsOneCounterAndPanicsOnAMissingPath)
+{
+    SnapshotFixture f;
+    stats::Snapshot snap = f.snapshot();
+    EXPECT_EQ(snap.at("node0.nic.pkts"), 3u);
+    EXPECT_EQ(snap.at("node0.nic.retx.pkts"), 5u);
+    // A mistyped path, a pattern and a non-counter stat all fail
+    // loudly, where sum() would read 0.
+    EXPECT_THROW(snap.at("node0.nic.pktz"), std::logic_error);
+    EXPECT_THROW(snap.at("node*.nic.pkts"), std::logic_error);
+    EXPECT_THROW(snap.at("node0.nic.peak"), std::logic_error);
 }
 
 TEST(StatsSnapshot, HoldsOnlyCounters)

@@ -48,6 +48,16 @@ poke32(ShrimpSystem &sys, NodeId node, Process &proc, Addr vaddr,
     sys.node(node).mem.writeInt(t.paddr, value, 4);
 }
 
+/** The counters of a component built without a ShrimpSystem, keyed
+ *  by stat path from the component's own group (`cpu.interrupts`). */
+inline stats::Snapshot
+snapshotOf(const stats::Group &group)
+{
+    stats::Snapshot snap;
+    group.snapshotInto(snap);
+    return snap;
+}
+
 /** A small two-node system (1x2 mesh) with kernel services booted. */
 inline SystemConfig
 twoNodeConfig()

@@ -79,8 +79,9 @@ runWorkload(bool traced)
     std::ostringstream stats_json;
     sys.dumpStatsJson(stats_json);
     r.statsJson = stats_json.str();
-    r.sent = sys.node(0).ni.packetsSent();
-    r.delivered = sys.node(1).ni.packetsDelivered();
+    stats::Snapshot snap = sys.snapshot();
+    r.sent = snap.at("node0.ni.pktsSent");
+    r.delivered = snap.at("node1.ni.pktsDelivered");
     if (traced) {
         EXPECT_NE(sys.tracer(), nullptr);
         std::ostringstream tj;

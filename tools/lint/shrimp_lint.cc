@@ -16,6 +16,8 @@
  *   shrimp-tick-narrowing       no narrowing of Tick (64-bit ps) to 32 bits
  *   shrimp-stats-desc           every stat carries a non-empty description
  *   shrimp-stats-reset          every Stat subclass overrides reset()
+ *   shrimp-stats-accessor       no .value() read of a Counter member in
+ *                               src/; counters are read by stat path
  *   shrimp-logging-raw-io       no raw printf/cout in src/; use
  *                               sim/logging.hh
  *   shrimp-epoch-compare        no raw ==/!= on incarnation numbers
@@ -426,6 +428,7 @@ class Linter
     void checkTickNarrowing(const SourceFile &f);
     void checkStatsDesc(const SourceFile &f);
     void checkStatsReset(const SourceFile &f);
+    void checkStatsAccessor(const SourceFile &f);
     void checkEpochCompare(const SourceFile &f);
     void checkSuppressions(const SourceFile &f);
 
@@ -467,6 +470,10 @@ Linter::rules()
         {"shrimp-stats-reset",
          "every stats::Stat subclass must override reset() so "
          "Group::resetAll() covers it"},
+        {"shrimp-stats-accessor",
+         "no .value() read of a stats::Counter member in src/: a "
+         "counter has one name and one read path, its stat path "
+         "through stats::Snapshot::at/sum"},
         {"shrimp-logging-raw-io",
          "no raw printf/std::cout/std::cerr in src/; route output "
          "through sim/logging.hh macros"},
@@ -918,6 +925,44 @@ Linter::checkStatsReset(const SourceFile &f)
     }
 }
 
+/**
+ * A hand-written accessor gives a counter a second name and a second
+ * read path beside the stats tree; tests, tools and reports read it by
+ * stat path instead. In src/, a `.value()` read of a member this file
+ * declares as a stats::Counter is a finding. Peaks and the other
+ * stats are not in a Snapshot, so reading them stays legal.
+ */
+void
+Linter::checkStatsAccessor(const SourceFile &f)
+{
+    if (f.zone != Zone::SRC)
+        return;
+    const std::string &s = f.joined;
+    const std::string token = "stats::Counter";
+    std::set<std::string> counters;
+    for (std::size_t pos : findWord(s, token)) {
+        std::size_t p = pos + token.size();
+        if (p < s.size() && identChar(s[p]))
+            continue;               // longer identifier
+        while (p < s.size() &&
+               std::isspace(static_cast<unsigned char>(s[p])))
+            ++p;
+        std::size_t q = p;
+        while (q < s.size() && identChar(s[q]))
+            ++q;
+        if (q > p)
+            counters.insert(s.substr(p, q - p));
+    }
+    for (const std::string &name : counters) {
+        for (std::size_t pos : findWord(s, name + ".value(")) {
+            add(f, f.lineAt[pos], "shrimp-stats-accessor",
+                "`" + name + ".value()` reads a Counter beside the "
+                "stats tree; read it by stat path "
+                "(stats::Snapshot::at or sum)");
+        }
+    }
+}
+
 // ---------------------------------------------------------------------
 // Epoch-compare fence
 // ---------------------------------------------------------------------
@@ -1015,6 +1060,7 @@ Linter::lint(const SourceFile &f)
     checkTickNarrowing(f);
     checkStatsDesc(f);
     checkStatsReset(f);
+    checkStatsAccessor(f);
     checkEpochCompare(f);
     checkSuppressions(f);
     std::sort(_out.begin(), _out.end(),

@@ -12,8 +12,11 @@
  *                            [--trace-out F] [--stats-json F]
  *   shrimp_explore chaos     [--seed N] [--width W] [--height H]
  *                            [--duration-ms N] [--crashes N]
- *                            [--flaps N] [--partitions N] [--json F]
- *                            [--trace-out F]
+ *                            [--flaps N] [--bursts N] [--burst-writes N]
+ *                            [--partitions N] [--json F] [--trace-out F]
+ *
+ * An unknown option, a repeated one, a value that is not an integer
+ * or one outside its range (see kUsage) is a usage error: exit 2.
  *
  * `latency` and `bandwidth` reproduce the paper's Section 5.1 numbers
  * for arbitrary parameters (shrimp_claims checks the paper's own
@@ -34,9 +37,13 @@
  * --stats-json FILE writes the statistics as one flat JSON object.
  */
 
+#include <algorithm>
+#include <cerrno>
+#include <climits>
 #include <cstdio>
-#include <cstring>
+#include <cstdlib>
 #include <fstream>
+#include <initializer_list>
 #include <iostream>
 #include <map>
 #include <regex>
@@ -50,45 +57,125 @@ using namespace shrimp;
 namespace
 {
 
-bool
-hasFlag(int argc, char **argv, const char *flag)
+const char kUsage[] =
+    "usage: shrimp_explore latency   [--nextgen] [--hops 0-6]\n"
+    "                                [--trace-out F] [--stats-json F]\n"
+    "       shrimp_explore bandwidth [--nextgen] [--kb N] [--trace-out F]\n"
+    "                                [--stats-json F]\n"
+    "       shrimp_explore stats     [--nextgen] [--reliable]\n"
+    "                                [--drop 0-1000] [--trace-out F]\n"
+    "                                [--stats-json F]\n"
+    "       shrimp_explore chaos     [--seed N] [--width 1-8]\n"
+    "                                [--height 1-8] [--duration-ms 0-1000]\n"
+    "                                [--crashes 0-100] [--flaps 0-100]\n"
+    "                                [--bursts 0-100]\n"
+    "                                [--burst-writes 0-1000]\n"
+    "                                [--partitions 0-100] [--json F]\n"
+    "                                [--trace-out F]\n"
+    "--kb is a multiple of 4 from 4 to 2048 (half a node's DRAM); a\n"
+    "chaos mesh has at least 2 nodes; --seed is any integer >= 0.\n";
+
+/** Print @p msg and the usage text, and exit 2. */
+[[noreturn]] void
+usageError(const std::string &msg)
 {
-    for (int i = 2; i < argc; ++i) {
-        if (std::strcmp(argv[i], flag) == 0)
-            return true;
-    }
-    return false;
+    std::fprintf(stderr, "shrimp_explore: %s\n%s", msg.c_str(), kUsage);
+    std::exit(2);
 }
 
-long
-argValue(int argc, char **argv, const char *flag, long fallback)
+/** One option a command accepts: a switch, a path, or an integer
+ *  within [lo, hi]. */
+struct Option
 {
-    for (int i = 2; i + 1 < argc; ++i) {
-        if (std::strcmp(argv[i], flag) == 0)
-            return std::strtol(argv[i + 1], nullptr, 10);
-    }
-    return fallback;
-}
+    const char *flag;
+    enum Kind { SWITCH, PATH, INT } kind;
+    long lo = 0;
+    long hi = 0;
+};
 
-const char *
-argString(int argc, char **argv, const char *flag)
+/** A command's options, checked against the command's table: any
+ *  other argument is a usage error that names it. */
+class Options
 {
-    for (int i = 2; i + 1 < argc; ++i) {
-        if (std::strcmp(argv[i], flag) == 0)
-            return argv[i + 1];
+  public:
+    Options(int argc, char **argv, std::initializer_list<Option> table)
+    {
+        for (int i = 2; i < argc; ++i) {
+            std::string flag = argv[i];
+            auto opt = std::find_if(
+                table.begin(), table.end(),
+                [&](const Option &o) { return flag == o.flag; });
+            if (opt == table.end()) {
+                usageError("unknown option '" + flag + "' for '" +
+                           argv[1] + "'");
+            }
+            const char *value = "";
+            if (opt->kind != Option::SWITCH) {
+                if (i + 1 == argc)
+                    usageError("'" + flag + "' needs a value");
+                value = argv[++i];
+            }
+            if (opt->kind == Option::INT)
+                checkInt(*opt, value);
+            if (!_values.emplace(flag, value).second)
+                usageError("'" + flag + "' given twice");
+        }
     }
-    return nullptr;
-}
+
+    bool has(const char *flag) const { return _values.count(flag) != 0; }
+
+    /** An INT option's value, or @p fallback when it is absent. */
+    long
+    num(const char *flag, long fallback) const
+    {
+        auto it = _values.find(flag);
+        return it == _values.end() ? fallback
+                                   : std::strtol(it->second, nullptr, 10);
+    }
+
+    /** A PATH option's value, or nullptr when it is absent. */
+    const char *
+    path(const char *flag) const
+    {
+        auto it = _values.find(flag);
+        return it == _values.end() ? nullptr : it->second;
+    }
+
+  private:
+    static void
+    checkInt(const Option &opt, const char *value)
+    {
+        char *end = nullptr;
+        errno = 0;
+        long n = std::strtol(value, &end, 10);
+        if (*value == '\0' || *end != '\0' || errno == ERANGE) {
+            usageError(std::string("'") + opt.flag +
+                       "' needs an integer, got '" + value + "'");
+        }
+        if (n < opt.lo || n > opt.hi) {
+            usageError(std::string("'") + opt.flag + "' must be " +
+                       std::to_string(opt.lo) + "-" +
+                       std::to_string(opt.hi) + ", got " + value);
+        }
+    }
+
+    std::map<std::string, const char *> _values;
+};
 
 int
 cmdLatency(int argc, char **argv)
 {
-    bool next_gen = hasFlag(argc, argv, "--nextgen");
-    long hops = argValue(argc, argv, "--hops", 3);
+    // Hops along the paper's 4x4 mesh: east then south from node 0.
+    Options o(argc, argv,
+              {{"--nextgen", Option::SWITCH},
+               {"--hops", Option::INT, 0, 6},
+               {"--trace-out", Option::PATH},
+               {"--stats-json", Option::PATH}});
+    bool next_gen = o.has("--nextgen");
+    long hops = o.num("--hops", 3);
     double us = bench_util::measureSingleWriteLatencyUs(
-        next_gen, static_cast<unsigned>(hops),
-        argString(argc, argv, "--trace-out"),
-        argString(argc, argv, "--stats-json"));
+        next_gen, static_cast<unsigned>(hops), o.path("--trace-out"),
+        o.path("--stats-json"));
     std::printf("single-write automatic-update latency\n");
     std::printf("  datapath : %s\n",
                 next_gen ? "next-gen (Xpress-direct)"
@@ -102,12 +189,20 @@ cmdLatency(int argc, char **argv)
 int
 cmdBandwidth(int argc, char **argv)
 {
-    bool next_gen = hasFlag(argc, argv, "--nextgen");
-    long kb = argValue(argc, argv, "--kb", 64);
+    // Whole 4 KB pages, at most half of a node's 4 MB of DRAM.
+    Options o(argc, argv,
+              {{"--nextgen", Option::SWITCH},
+               {"--kb", Option::INT, 4, 2048},
+               {"--trace-out", Option::PATH},
+               {"--stats-json", Option::PATH}});
+    bool next_gen = o.has("--nextgen");
+    long kb = o.num("--kb", 64);
+    if (kb % 4 != 0)
+        usageError("'--kb' must be a multiple of 4, got " +
+                   std::to_string(kb));
     auto r = bench_util::measureDeliberateBandwidth(
-        next_gen, static_cast<Addr>(kb) * 1024,
-        argString(argc, argv, "--trace-out"),
-        argString(argc, argv, "--stats-json"));
+        next_gen, static_cast<Addr>(kb) * 1024, o.path("--trace-out"),
+        o.path("--stats-json"));
     std::printf("deliberate-update streaming bandwidth\n");
     std::printf("  datapath  : %s\n",
                 next_gen ? "next-gen (Xpress-direct)"
@@ -122,16 +217,21 @@ cmdBandwidth(int argc, char **argv)
 int
 cmdStats(int argc, char **argv)
 {
+    Options o(argc, argv,
+              {{"--nextgen", Option::SWITCH},
+               {"--reliable", Option::SWITCH},
+               {"--drop", Option::INT, 0, 1000},
+               {"--trace-out", Option::PATH},
+               {"--stats-json", Option::PATH}});
     SystemConfig cfg;
     cfg.meshWidth = 2;
     cfg.meshHeight = 1;
-    cfg.ni.nextGenDatapath = hasFlag(argc, argv, "--nextgen");
+    cfg.ni.nextGenDatapath = o.has("--nextgen");
     // What-if: a lossy fabric healed by the NI reliability layer.
-    cfg.ni.reliability.enabled = hasFlag(argc, argv, "--reliable");
-    cfg.linkFaults.dropProb =
-        argValue(argc, argv, "--drop", 0) / 1000.0;
-    const char *trace_out = argString(argc, argv, "--trace-out");
-    const char *stats_json = argString(argc, argv, "--stats-json");
+    cfg.ni.reliability.enabled = o.has("--reliable");
+    cfg.linkFaults.dropProb = o.num("--drop", 0) / 1000.0;
+    const char *trace_out = o.path("--trace-out");
+    const char *stats_json = o.path("--stats-json");
     cfg.traceEnabled = trace_out != nullptr;
     ShrimpSystem sys(cfg);
 
@@ -172,27 +272,37 @@ cmdStats(int argc, char **argv)
 int
 cmdChaos(int argc, char **argv)
 {
+    // Larger meshes soon outgrow a node's default 4 MB of DRAM (a
+    // chaos run on 11x11 no longer boots).
+    Options o(argc, argv,
+              {{"--seed", Option::INT, 0, LONG_MAX},
+               {"--width", Option::INT, 1, 8},
+               {"--height", Option::INT, 1, 8},
+               {"--duration-ms", Option::INT, 0, 1000},
+               {"--crashes", Option::INT, 0, 100},
+               {"--flaps", Option::INT, 0, 100},
+               {"--bursts", Option::INT, 0, 100},
+               {"--burst-writes", Option::INT, 0, 1000},
+               {"--partitions", Option::INT, 0, 100},
+               {"--json", Option::PATH},
+               {"--trace-out", Option::PATH}});
     ChaosParams p;
-    p.seed =
-        static_cast<std::uint64_t>(argValue(argc, argv, "--seed", 1));
-    p.meshWidth =
-        static_cast<unsigned>(argValue(argc, argv, "--width", 2));
-    p.meshHeight =
-        static_cast<unsigned>(argValue(argc, argv, "--height", 2));
-    p.duration = static_cast<Tick>(
-                     argValue(argc, argv, "--duration-ms", 30)) *
-                 ONE_MS;
-    p.crashes =
-        static_cast<unsigned>(argValue(argc, argv, "--crashes", 1));
-    p.linkFlaps =
-        static_cast<unsigned>(argValue(argc, argv, "--flaps", 3));
-    p.overloadBursts =
-        static_cast<unsigned>(argValue(argc, argv, "--bursts", 2));
-    p.burstWritesPerSender = static_cast<unsigned>(
-        argValue(argc, argv, "--burst-writes", 24));
-    p.partitions = static_cast<unsigned>(
-        argValue(argc, argv, "--partitions", 0));
-    if (const char *trace = argString(argc, argv, "--trace-out"))
+    p.seed = static_cast<std::uint64_t>(o.num("--seed", 1));
+    p.meshWidth = static_cast<unsigned>(o.num("--width", 2));
+    p.meshHeight = static_cast<unsigned>(o.num("--height", 2));
+    if (p.meshWidth * p.meshHeight < 2) {
+        usageError("a chaos mesh needs at least 2 nodes, got " +
+                   std::to_string(p.meshWidth) + "x" +
+                   std::to_string(p.meshHeight));
+    }
+    p.duration = static_cast<Tick>(o.num("--duration-ms", 30)) * ONE_MS;
+    p.crashes = static_cast<unsigned>(o.num("--crashes", 1));
+    p.linkFlaps = static_cast<unsigned>(o.num("--flaps", 3));
+    p.overloadBursts = static_cast<unsigned>(o.num("--bursts", 2));
+    p.burstWritesPerSender =
+        static_cast<unsigned>(o.num("--burst-writes", 24));
+    p.partitions = static_cast<unsigned>(o.num("--partitions", 0));
+    if (const char *trace = o.path("--trace-out"))
         p.tracePath = trace;
 
     ChaosReport r = runChaos(p);
@@ -223,7 +333,7 @@ cmdChaos(int argc, char **argv)
     for (const std::string &v : r.violations)
         std::printf("    ! %s\n", v.c_str());
 
-    if (const char *path = argString(argc, argv, "--json")) {
+    if (const char *path = o.path("--json")) {
         std::ofstream out(path);
         writeChaosJson(out, p, r);
     }
@@ -235,13 +345,8 @@ cmdChaos(int argc, char **argv)
 int
 main(int argc, char **argv)
 {
-    if (argc < 2) {
-        std::fprintf(stderr,
-                     "usage: %s {latency|bandwidth|stats|chaos} "
-                     "[options]\n",
-                     argv[0]);
-        return 2;
-    }
+    if (argc < 2)
+        usageError("no command given");
     std::string cmd = argv[1];
     if (cmd == "latency")
         return cmdLatency(argc, argv);
@@ -251,6 +356,5 @@ main(int argc, char **argv)
         return cmdStats(argc, argv);
     if (cmd == "chaos" || cmd == "--chaos")
         return cmdChaos(argc, argv);
-    std::fprintf(stderr, "unknown command '%s'\n", cmd.c_str());
-    return 2;
+    usageError("unknown command '" + cmd + "'");
 }
