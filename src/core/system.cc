@@ -1,7 +1,5 @@
 #include "core/system.hh"
 
-#include "os/dsm.hh"
-#include "os/nx_service.hh"
 #include "sim/logging.hh"
 
 namespace shrimp
@@ -23,37 +21,19 @@ ShrimpSystem::ShrimpSystem(const SystemConfig &cfg) : _cfg(cfg)
         _nodes.push_back(std::make_unique<Node>(_eq, id, cfg,
                                                 *_backplane));
 
-    for (auto &node : _nodes)
-        node->kernel.setAdmission(cfg.admission);
-
-    // Phase 1: every kernel allocates its channel and NX frames
-    // (plus DSM home/bounce frames when the service is on).
+    // Each kernel service opened its links toward every peer when it
+    // was built; the DSM's open when it is enabled.
     for (auto &node : _nodes) {
-        node->kernel.allocateChannels();
+        node->kernel.setAdmission(cfg.admission);
         if (cfg.dsm.enabled)
             node->kernel.enableDsm(cfg.dsm);
     }
 
-    // Phase 2: cross-wire outgoing mappings now that every receiver
-    // frame is known (the real machine does this during coordinated
-    // boot).
+    // Wire every node pair's links, matched in the order both kernels
+    // opened them (the real machine does this during coordinated boot).
     for (NodeId a = 0; a < cfg.numNodes(); ++a) {
-        for (NodeId b = 0; b < cfg.numNodes(); ++b) {
-            if (a == b)
-                continue;
-            Kernel &ka = _nodes[a]->kernel;
-            Kernel &kb = _nodes[b]->kernel;
-            ka.wireChannelOut(b, kb.channelInFrame(a));
-
-            std::vector<PageNum> data_frames;
-            for (std::size_t i = 0; i < NxService::slotPages; ++i)
-                data_frames.push_back(kb.nxService().dataInFrame(a, i));
-            ka.nxService().wireTo(b, data_frames,
-                                  kb.nxService().ctlInFrame(a));
-
-            if (cfg.dsm.enabled)
-                ka.dsm()->wireTo(b, kb.dsm()->bounceInFrame(a));
-        }
+        for (NodeId b = a + 1; b < cfg.numNodes(); ++b)
+            _nodes[a]->kernel.wireLinks(_nodes[b]->kernel);
     }
 
     if (cfg.health.enabled) {

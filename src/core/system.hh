@@ -2,7 +2,7 @@
  * @file
  * ShrimpSystem: the top-level machine and the library's main entry
  * point. Builds N nodes on a 2-D mesh backplane, boots the kernels
- * (kernel channels + NX baseline wiring), and drives simulation.
+ * (wiring every node pair's kernel links), and drives simulation.
  *
  * Typical use:
  * @code

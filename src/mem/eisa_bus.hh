@@ -57,7 +57,6 @@ class EisaBus : public SimObject
         return Grant{start, end};
     }
 
-    Tick busyUntil() const { return _busyUntil; }
     stats::Group &statGroup() { return _stats; }
 
   private:

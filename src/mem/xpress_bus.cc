@@ -99,19 +99,6 @@ XpressBus::postWrite(Addr paddr, const void *buf, Addr len,
     return grant;
 }
 
-XpressBus::Grant
-XpressBus::writeNow(Addr paddr, const void *buf, Addr len,
-                    BusMaster master)
-{
-    BusTarget *target = targetFor(paddr);
-    SHRIMP_ASSERT(target, "bus write decodes to no target: addr=", paddr);
-
-    target->busWrite(paddr, buf, len);
-    Grant grant = acquire(curTick(), len);
-    notifySnoopers(paddr, buf, len, master);
-    return grant;
-}
-
 void
 XpressBus::functionalWrite(Addr paddr, const void *buf, Addr len,
                            BusMaster master)

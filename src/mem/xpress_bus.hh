@@ -65,9 +65,6 @@ class XpressBus : public ClockedObject
      */
     Grant acquire(Tick earliest, Addr bytes);
 
-    /** First tick at which the bus is free. */
-    Tick busyUntil() const { return _busyUntil; }
-
     /**
      * Posted write: functionally performed immediately (so the issuing
      * CPU sees its own stores), bus slot reserved, and snoopers notified
@@ -79,15 +76,6 @@ class XpressBus : public ClockedObject
                     BusMaster master, Tick earliest);
 
     /**
-     * Write performed at the current tick (used by DMA models that have
-     * already accounted for their device-side timing): functional write
-     * and snoop notification happen synchronously; bus occupancy is
-     * charged starting now.
-     */
-    Grant writeNow(Addr paddr, const void *buf, Addr len,
-                   BusMaster master);
-
-    /**
      * Functional read through the address decoder (no timing). The
      * caller accounts for timing via acquire() plus target latency.
      */
@@ -95,8 +83,9 @@ class XpressBus : public ClockedObject
 
     /**
      * Functional write with immediate snooper notification but no
-     * occupancy charge; used for the write half of a locked CMPXCHG,
-     * whose bus time was already reserved via Cache::lockedAccess().
+     * occupancy charge: the write half of a locked CMPXCHG, whose bus
+     * time was already reserved via Cache::lockedAccess(), and the
+     * NI's receive DMA, whose timing the NI models itself.
      */
     void functionalWrite(Addr paddr, const void *buf, Addr len,
                          BusMaster master);

@@ -36,51 +36,27 @@ Dsm::Dsm(Kernel &kernel, const DsmConfig &cfg)
       _stats("dsm", &kernel.statGroup())
 {
     SHRIMP_ASSERT(_cfg.numPages > 0, "DSM window is empty");
-}
-
-// ---------------------------------------------------------------------
-// Boot wiring
-// ---------------------------------------------------------------------
-
-void
-Dsm::allocatePages()
-{
     for (std::uint32_t page = 0; page < _cfg.numPages; ++page) {
-        if (homeNode(page) != _kernel.nodeId())
+        if (homeNode(page) != kernel.nodeId())
             continue;
         DirEntry &d = _dir[page];
         d.homedHere = true;
-        d.homeFrame = _kernel.allocPinnedFrame("DSM home frame");
+        d.homeFrame = kernel.allocPinnedFrame("DSM home frame");
     }
+    // Page data arrives silently; the control RPC that follows it on
+    // the (interrupting, in-order) kernel channel announces it.
     for (NodeId peer = 0; peer < _links.size(); ++peer) {
-        if (peer == _kernel.nodeId())
-            continue;
-        PeerLink &l = _links[peer];
-        // Page data arrives silently; the control RPC that follows it
-        // on the (interrupting, in-order) kernel channel announces it.
-        l.bounceIn = _kernel.allocPinnedFrame("DSM bounce frame");
-        NiptEntry &e = _kernel.ni().nipt().entry(l.bounceIn);
-        e.mappedIn = true;
-        e.inSources.push_back(peer);
-        l.stagingOut = _kernel.allocPinnedFrame("DSM staging frame");
+        if (peer != kernel.nodeId()) {
+            _links[peer].frames =
+                kernel.openLink(peer, UpdateMode::DELIBERATE, "DSM links");
+        }
     }
 }
 
 PageNum
 Dsm::bounceInFrame(NodeId peer) const
 {
-    return _links.at(peer).bounceIn;
-}
-
-void
-Dsm::wireTo(NodeId peer, PageNum peer_bounce_frame)
-{
-    PeerLink &l = _links.at(peer);
-    OutMapping m;
-    m.mode = UpdateMode::DELIBERATE;
-    m.dstNode = peer;
-    m.dstPage = peer_bounce_frame;
-    _kernel.ni().nipt().entry(l.stagingOut).outLow = m;
+    return _links.at(peer).frames.in;
 }
 
 void
@@ -573,7 +549,7 @@ Dsm::startNext(NodeId dst)
     DsmMsg &m = l.queue.front();
     if (m.withData) {
         SHRIMP_ASSERT(m.data.size() == PAGE_SIZE, "bad DSM page image");
-        _kernel.mem().write(pageBase(l.stagingOut), m.data.data(),
+        _kernel.mem().write(pageBase(l.frames.out), m.data.data(),
                             PAGE_SIZE);
         startDma(dst, l.gen);
     } else {
@@ -587,7 +563,7 @@ Dsm::startDma(NodeId dst, std::uint64_t gen)
     PeerLink &l = _links[dst];
     if (l.gen != gen || !l.active)
         return;
-    if (!_kernel.ni().dma().start(pageBase(l.stagingOut), PAGE_SIZE / 4,
+    if (!_kernel.ni().dma().start(pageBase(l.frames.out), PAGE_SIZE / 4,
                                   [this, dst, gen] {
                                       dmaCompleted(dst, gen);
                                   })) {
@@ -720,7 +696,7 @@ Dsm::handlePut(NodeId peer, const std::uint32_t *p)
     if (with_data) {
         if (lp.frame == INVALID_PAGE)
             lp.frame = _kernel.allocPinnedFrame("DSM cache frame");
-        copyFrame(_links[peer].bounceIn, lp.frame);
+        copyFrame(_links[peer].frames.in, lp.frame);
         _kernel.mapManager().addWork(_kernel.costs().pageSwap);
     } else if (lp.frame == INVALID_PAGE) {
         // The home granted an in-place upgrade but our copy is gone (a
@@ -797,7 +773,7 @@ Dsm::handleWb(NodeId peer, const std::uint32_t *p)
     }
     // Land the data in the home frame before acknowledging: once the
     // ack is written the writer may reuse its bounce path.
-    copyFrame(_links[peer].bounceIn, d.homeFrame);
+    copyFrame(_links[peer].frames.in, d.homeFrame);
     _kernel.mapManager().addWork(_kernel.costs().pageSwap);
     d.owner = INVALID_NODE;
     d.granteeIncarnation = 0;

@@ -19,8 +19,10 @@
  *
  * All control traffic rides the kernel RPC channel, so retransmission,
  * congestion control and admission control apply unchanged. Page data
- * travels through one pinned bounce frame per ordered node pair; the
- * receiver copies the bounce frame out inside the RPC request handler,
+ * travels over one kernel link per node pair (Kernel::openLink): the
+ * sender stages the page image in the link's out frame and DMAs it
+ * into the receiver's in frame, the bounce frame. The receiver copies
+ * the bounce frame out inside the RPC request handler,
  * before writing the acknowledgement, and the sender starts its next
  * message to that peer only after the ack -- so with in-order delivery
  * the bounce frame is never overwritten while still holding live data,
@@ -92,19 +94,12 @@ class Dsm
      */
     static constexpr Tick grantHold = 200 * ONE_US;
 
+    /** Pins the home frames of the pages homed here, then opens the
+     *  page link toward every peer. */
     Dsm(Kernel &kernel, const DsmConfig &cfg);
-
-    // ---- boot wiring (mirrors the kernel channel / NX wiring) ----
-
-    /** Allocate pinned home frames and per-peer bounce/staging
-     *  frames; install the incoming NIPT state. */
-    void allocatePages();
 
     /** Local bounce frame that receives page data from @p peer. */
     PageNum bounceInFrame(NodeId peer) const;
-
-    /** Wire our outgoing staging frame at @p peer's bounce frame. */
-    void wireTo(NodeId peer, PageNum peer_bounce_frame);
 
     /** Attach one process: the DSM window appears at baseVaddr and
      *  pages fault in on demand. One process per node. */
@@ -320,8 +315,9 @@ class Dsm
 
     struct PeerLink
     {
-        PageNum bounceIn = INVALID_PAGE;    //!< peer's data lands here
-        PageNum stagingOut = INVALID_PAGE;  //!< DMA source toward peer
+        /** in: the bounce frame the peer's page images land in;
+         *  out: the staging frame our DMA toward the peer reads. */
+        KernelLink frames;
         std::deque<DsmMsg> queue;
         bool active = false;        //!< head sent, awaiting its ack
         /** Bumped on queue teardown; orphans DMA retries, DMA

@@ -1,5 +1,7 @@
 #include "os/kernel.hh"
 
+#include <string_view>
+
 #include "os/dsm.hh"
 #include "os/map_manager.hh"
 #include "os/nx_service.hh"
@@ -280,11 +282,9 @@ Kernel::arrivalHandler(PageNum page, Tick now)
     ++_interruptCount;
     std::uint64_t work = _costs.arrivalInterrupt;
 
-    auto chan = _channelPeerOfFrame.find(page);
-    if (chan != _channelPeerOfFrame.end()) {
-        work += _mapManager->handleChannelArrival(chan->second);
-    } else if (_nxService->ownsFrame(page)) {
-        work += _nxService->handleArrival(INVALID_NODE, page);
+    auto route = _linkRoutes.find(page);
+    if (route != _linkRoutes.end()) {
+        work += route->second.handler->handleArrival(route->second.peer);
     } else {
         // User page: count the arrival and wake WAIT_ARRIVAL waiters.
         std::uint64_t count = ++_arrivalCount[page];
@@ -338,29 +338,8 @@ Kernel::outFifoDrained()
 }
 
 // ---------------------------------------------------------------------
-// Kernel channel plumbing
+// Kernel links
 // ---------------------------------------------------------------------
-
-void
-Kernel::allocateChannels()
-{
-    _channelIn.assign(_numNodes, INVALID_PAGE);
-    _channelOut.assign(_numNodes, INVALID_PAGE);
-    for (NodeId peer = 0; peer < _numNodes; ++peer) {
-        if (peer == _node)
-            continue;
-        PageNum in_frame = allocPinnedFrame("kernel channels");
-        _channelIn[peer] = in_frame;
-        _channelOut[peer] = allocPinnedFrame("kernel channels");
-        _channelPeerOfFrame[in_frame] = peer;
-
-        NiptEntry &e = _ni.nipt().entry(in_frame);
-        e.mappedIn = true;
-        e.interruptOnArrival = true;
-        e.inSources.push_back(peer);
-    }
-    _nxService->allocatePages();
-}
 
 PageNum
 Kernel::allocPinnedFrame(const char *what)
@@ -377,31 +356,75 @@ Kernel::allocPinnedFrame(const char *what)
     return *f;
 }
 
+KernelLink
+Kernel::openLink(NodeId peer, UpdateMode mode, const char *what,
+                 LinkHandler *on_arrival)
+{
+    SHRIMP_ASSERT(peer < _numNodes && peer != _node, "node ", _node,
+                  ": link toward bad peer ", peer);
+    KernelLink link;
+    link.in = allocPinnedFrame(what);
+    link.out = allocPinnedFrame(what);
+    NiptEntry &e = _ni.nipt().entry(link.in);
+    e.mappedIn = true;
+    e.interruptOnArrival = on_arrival != nullptr;
+    e.inSources.push_back(peer);
+    if (on_arrival)
+        _linkRoutes.emplace(link.in, LinkRoute{on_arrival, peer});
+    _unwired[peer].push_back(UnwiredLink{link, mode, what});
+    return link;
+}
+
+void
+Kernel::wireLinks(Kernel &peer)
+{
+    std::vector<UnwiredLink> mine, theirs;
+    if (auto entry = _unwired.extract(peer._node))
+        mine = std::move(entry.mapped());
+    if (auto entry = peer._unwired.extract(_node))
+        theirs = std::move(entry.mapped());
+    if (mine.size() != theirs.size()) {
+        SHRIMP_PANIC("node ", _node, " opened ", mine.size(),
+                     " kernel links toward node ", peer._node, ", but node ",
+                     peer._node, " opened ", theirs.size(), " toward node ",
+                     _node);
+    }
+    for (std::size_t i = 0; i < mine.size(); ++i) {
+        if (mine[i].mode != theirs[i].mode ||
+            std::string_view(mine[i].what) != theirs[i].what) {
+            SHRIMP_PANIC("kernel link ", i, " between node ", _node,
+                         " and node ", peer._node, " is '", mine[i].what,
+                         "' on node ", _node, " but '", theirs[i].what,
+                         "' on node ", peer._node);
+        }
+        _ni.nipt().entry(mine[i].link.out).outLow =
+            OutMapping{mine[i].mode, peer._node, theirs[i].link.in};
+        peer._ni.nipt().entry(theirs[i].link.out).outLow =
+            OutMapping{theirs[i].mode, _node, mine[i].link.in};
+    }
+}
+
+void
+Kernel::writeLinkWord(const KernelLink &link, Addr offset,
+                      std::uint32_t value)
+{
+    charge(nullptr, _costs.channelWordWrite);
+    _bus.postWrite(pageBase(link.out) + offset, &value, 4, BusMaster::CPU,
+                   curTick());
+}
+
+std::uint32_t
+Kernel::readLinkWord(const KernelLink &link, Addr offset) const
+{
+    return static_cast<std::uint32_t>(
+        _mem.readInt(pageBase(link.in) + offset, 4));
+}
+
 void
 Kernel::enableDsm(const DsmConfig &cfg)
 {
-    if (_dsm)
-        return;
-    _dsm = std::make_unique<Dsm>(*this, cfg);
-    _dsm->allocatePages();
-}
-
-PageNum
-Kernel::channelInFrame(NodeId peer) const
-{
-    SHRIMP_ASSERT(peer < _channelIn.size(), "bad peer");
-    return _channelIn[peer];
-}
-
-void
-Kernel::wireChannelOut(NodeId peer, PageNum remote_frame)
-{
-    PageNum frame = _channelOut.at(peer);
-    OutMapping m;
-    m.mode = UpdateMode::AUTO_SINGLE;
-    m.dstNode = peer;
-    m.dstPage = remote_frame;
-    _ni.nipt().entry(frame).outLow = m;
+    if (!_dsm)
+        _dsm = std::make_unique<Dsm>(*this, cfg);
 }
 
 // ---------------------------------------------------------------------
@@ -464,7 +487,7 @@ Kernel::peerEpochChanged(NodeId peer, std::uint32_t inc)
     // and the reliability channel so new-life traffic starts clean.
     _mapManager->resetPeer(peer, err::STALE_EPOCH);
     _ni.resetChannel(peer);
-    clearChannelIn(peer);
+    _mapManager->clearChannelIn(peer);
     if (_dsm)
         _dsm->peerEpochChanged(peer, inc);
 }
@@ -524,14 +547,14 @@ Kernel::peerRecovered(NodeId peer)
                                static_cast<std::uint64_t>(peer))});
     }
     // User mappings toward the peer died with it; the application
-    // must re-map. Kernel channel and NX wiring are permanent boot
-    // state, so heal those halves in place and restart both protocol
-    // engines from sequence zero to match the peer's fresh state.
+    // must re-map. Kernel links are permanent boot state, so heal
+    // those halves in place and restart both protocol engines from
+    // sequence zero to match the peer's fresh state.
     _mapManager->purgeOutTo(peer);
     _mapManager->resetPeer(peer);
     _ni.markMappingsToward(peer, false);
     _ni.resetChannel(peer);
-    clearChannelIn(peer);
+    _mapManager->clearChannelIn(peer);
     if (_dsm)
         _dsm->peerRecovered(peer);
 }
@@ -579,7 +602,7 @@ Kernel::restart()
         if (peer == _node)
             continue;
         _mapManager->resetPeer(peer);
-        clearChannelIn(peer);
+        _mapManager->clearChannelIn(peer);
     }
     if (_dsm)
         _dsm->reset();
@@ -588,34 +611,6 @@ Kernel::restart()
     auto t = scheduleNext(curTick());
     if (t)
         _cpu.resumeAt(*t);
-}
-
-void
-Kernel::clearChannelIn(NodeId peer)
-{
-    if (peer >= _channelIn.size() || _channelIn[peer] == INVALID_PAGE)
-        return;
-    std::vector<std::uint8_t> zeros(PAGE_SIZE, 0);
-    _mem.write(pageBase(_channelIn[peer]), zeros.data(), PAGE_SIZE);
-}
-
-void
-Kernel::writeChannelWord(NodeId peer, Addr offset, std::uint32_t value)
-{
-    PageNum frame = _channelOut.at(peer);
-    SHRIMP_ASSERT(frame != INVALID_PAGE, "channel to ", peer,
-                  " not wired");
-    charge(nullptr, _costs.channelWordWrite);
-    Addr paddr = pageBase(frame) + offset;
-    _bus.postWrite(paddr, &value, 4, BusMaster::CPU, curTick());
-}
-
-std::uint32_t
-Kernel::readChannelWord(NodeId peer, Addr offset) const
-{
-    PageNum frame = _channelIn.at(peer);
-    return static_cast<std::uint32_t>(
-        _mem.readInt(pageBase(frame) + offset, 4));
 }
 
 // ---------------------------------------------------------------------

@@ -6,15 +6,18 @@
  *  - processes and general multiprogramming (round-robin scheduler
  *    with preemption; the paper's design explicitly supports arbitrary
  *    scheduling policies because protection lives in the mapping);
+ *  - kernel links: the boot-time page pairs toward each peer that
+ *    carry kernel-to-kernel traffic, opened by the kernel services
+ *    and wired by the kernel;
  *  - the map()/unmap() syscalls: protection checking and NIPT setup,
- *    performed via kernel-to-kernel RPC over an in-band channel (a
- *    pair of boot-time automatic-update mappings per node pair with
- *    interrupt-on-arrival set);
+ *    performed via kernel-to-kernel RPC over an in-band channel (an
+ *    automatic-update link per node pair with interrupt-on-arrival
+ *    set);
  *  - NIPT consistency (Section 4.4): PIN policy (mapped-in frames are
  *    pinned) or INVALIDATE policy (TLB-shootdown-style invalidation of
  *    remote NIPT entries before paging, with page faults re-
  *    establishing invalidated mappings on demand);
- *  - interrupt handling: packet-arrival interrupts (kernel channel and
+ *  - interrupt handling: packet-arrival interrupts (kernel links and
  *    user WAIT_ARRIVAL) and the outgoing-FIFO threshold interrupt that
  *    stalls the CPU until the FIFO drains;
  *  - the NX/2 kernel-level baseline (csend/crecv through kernel
@@ -54,6 +57,30 @@ class Dsm;
 struct DsmConfig;
 class MapManager;
 class NxService;
+
+/**
+ * A kernel link's local frames: a pinned page pair toward one peer
+ * (Kernel::openLink). Boot maps the out frame onto the in frame of the
+ * peer's matching link, so each side's stores to its out frame land in
+ * the other's in frame.
+ */
+struct KernelLink
+{
+    PageNum in = INVALID_PAGE;      //!< receives the peer's stores
+    PageNum out = INVALID_PAGE;     //!< mapped onto the peer's in frame
+};
+
+/** A kernel service that takes arrival interrupts on its links. */
+class LinkHandler
+{
+  public:
+    /** Peer @p peer stored into the in frame of one of our interrupting
+     *  links toward it; returns the instructions of kernel work done. */
+    virtual std::uint64_t handleArrival(NodeId peer) = 0;
+
+  protected:
+    ~LinkHandler() = default;
+};
 
 /** How the kernel keeps remote NIPTs consistent with local paging. */
 enum class ConsistencyPolicy : std::uint8_t
@@ -136,7 +163,7 @@ class Kernel : public SimObject, public TrapHandler
     MapManager &mapManager() { return *_mapManager; }
     NxService &nxService() { return *_nxService; }
 
-    /** Create the DSM service (before allocateChannels-time wiring). */
+    /** Create the DSM service; boot calls it before wireLinks. */
     void enableDsm(const DsmConfig &cfg);
 
     /** The DSM service, or nullptr unless enableDsm ran. */
@@ -179,25 +206,41 @@ class Kernel : public SimObject, public TrapHandler
 
     bool allProcessesExited() const;
 
-    // ---- boot-time wiring (called by ShrimpSystem) ----
-
-    /** Allocate per-peer kernel channel pages. */
-    void allocateChannels();
+    // ---- kernel links ----
 
     /**
-     * Allocate and pin one DRAM frame for kernel-owned wiring (kernel
-     * channels, NX buffers, DSM frames). Boot pins several frames per
-     * peer, so a large mesh can exhaust a small DRAM: the panic then
-     * names this node, @p what it was allocating and the node's frame
-     * count, and points at SystemConfig::memBytesPerNode.
+     * Allocate and pin one DRAM frame for kernel-owned state (links,
+     * DSM frames). Boot pins several frames per peer, so a large mesh
+     * can exhaust a small DRAM: the panic then names this node, @p what
+     * it was allocating and the node's frame count, and points at
+     * SystemConfig::memBytesPerNode.
      */
     PageNum allocPinnedFrame(const char *what);
 
-    /** Local frame that receives peer @p peer's kernel channel. */
-    PageNum channelInFrame(NodeId peer) const;
+    /**
+     * Open a link toward @p peer: pin its in and out frames and open the
+     * in frame to the peer's stores. wireLinks maps the out frame in
+     * @p mode onto the peer's link of the same opening order. With
+     * @p on_arrival, every arrival on the in frame interrupts into it.
+     * @p what names the link's kind in boot panics.
+     */
+    KernelLink openLink(NodeId peer, UpdateMode mode, const char *what,
+                        LinkHandler *on_arrival = nullptr);
 
-    /** Wire our outgoing channel to @p peer's mapped-in frame. */
-    void wireChannelOut(NodeId peer, PageNum remote_frame);
+    /**
+     * Boot: wire this kernel's links toward @p peer and the peer's
+     * toward us, each onto its counterpart of the same opening order,
+     * then forget both opening orders. Panics naming both nodes when
+     * the two sides opened different links.
+     */
+    void wireLinks(Kernel &peer);
+
+    /** Write one word into @p link's out frame (a store to the peer). */
+    void writeLinkWord(const KernelLink &link, Addr offset,
+                       std::uint32_t value);
+
+    /** Functional read of one word of @p link's in frame. */
+    std::uint32_t readLinkWord(const KernelLink &link, Addr offset) const;
 
     // ---- liveness and node-failure recovery ----
 
@@ -243,8 +286,8 @@ class Kernel : public SimObject, public TrapHandler
 
     /**
      * A DEAD peer spoke again: clear its failed status, reset the
-     * reliability channel and RPC sequence state, heal kernel channel
-     * and NX wiring toward it, and drop errored user mappings so the
+     * reliability channel and RPC sequence state, heal every kernel
+     * link toward it, and drop errored user mappings so the
      * application can re-map explicitly.
      */
     void peerRecovered(NodeId peer);
@@ -341,12 +384,6 @@ class Kernel : public SimObject, public TrapHandler
     /** Charge kernel instructions; returns the busy duration. */
     Tick charge(ExecContext *ctx, std::uint64_t instructions);
 
-    /** Write one word into our outgoing channel page to @p peer. */
-    void writeChannelWord(NodeId peer, Addr offset, std::uint32_t value);
-
-    /** Functional read of a word from our channel-in page of @p peer. */
-    std::uint32_t readChannelWord(NodeId peer, Addr offset) const;
-
     /** Block the process owning @p ctx (must be the running one). */
     void blockCurrent(ExecContext &ctx);
 
@@ -395,13 +432,6 @@ class Kernel : public SimObject, public TrapHandler
     /** Pick and install the next READY process. */
     std::optional<Tick> scheduleNext(Tick now);
 
-    /** Zero the kernel channel page @p peer writes into, so stale seq
-     *  words from its previous life cannot replay old RPCs against a
-     *  reset engine. */
-    void clearChannelIn(NodeId peer);
-
-
-
     /** Arrival interrupt bottom half (runs on the CPU). */
     Tick arrivalHandler(PageNum page, Tick now);
 
@@ -438,10 +468,23 @@ class Kernel : public SimObject, public TrapHandler
     Process *_running = nullptr;
     Pid _nextPid = 1;
 
-    // Kernel channel state: one in/out frame per peer.
-    std::vector<PageNum> _channelIn;    //!< indexed by peer node id
-    std::vector<PageNum> _channelOut;
-    std::unordered_map<PageNum, NodeId> _channelPeerOfFrame;
+    /** The handler and peer of each interrupting link's in frame. */
+    struct LinkRoute
+    {
+        LinkHandler *handler;
+        NodeId peer;
+    };
+    std::unordered_map<PageNum, LinkRoute> _linkRoutes;
+
+    /** A link wireLinks has not wired yet. */
+    struct UnwiredLink
+    {
+        KernelLink link;
+        UpdateMode mode;
+        const char *what;
+    };
+    /** Boot only: unwired links by peer, in opening order. */
+    std::map<NodeId, std::vector<UnwiredLink>> _unwired;
 
     // WAIT_ARRIVAL bookkeeping.
     std::unordered_map<PageNum, std::uint64_t> _arrivalCount;

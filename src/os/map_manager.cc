@@ -11,8 +11,16 @@ namespace shrimp
 {
 
 MapManager::MapManager(Kernel &kernel)
-    : _kernel(kernel), _peers(kernel.numNodes())
+    : _kernel(kernel),
+      _channels(kernel.numNodes()),
+      _peers(kernel.numNodes())
 {
+    for (NodeId peer = 0; peer < _channels.size(); ++peer) {
+        if (peer != kernel.nodeId()) {
+            _channels[peer] = kernel.openLink(peer, UpdateMode::AUTO_SINGLE,
+                                              "kernel channels", this);
+        }
+    }
 }
 
 // ---------------------------------------------------------------------
@@ -60,33 +68,33 @@ MapManager::writeRecord(NodeId peer, Addr rec_offset, std::uint32_t seq,
 {
     // Payload first, then type, then the seq doorbell: with in-order
     // delivery, a visible seq implies a complete record.
+    const KernelLink &link = _channels[peer];
     for (unsigned i = 0; i < channel::payloadWords; ++i) {
-        _kernel.writeChannelWord(peer,
-                                 rec_offset + channel::payloadWord + 4 * i,
-                                 payload[i]);
+        _kernel.writeLinkWord(link, rec_offset + channel::payloadWord + 4 * i,
+                              payload[i]);
     }
-    _kernel.writeChannelWord(peer, rec_offset + channel::typeWord, type);
-    _kernel.writeChannelWord(peer, rec_offset + channel::seqWord, seq);
+    _kernel.writeLinkWord(link, rec_offset + channel::typeWord, type);
+    _kernel.writeLinkWord(link, rec_offset + channel::seqWord, seq);
 }
 
 std::uint64_t
-MapManager::handleChannelArrival(NodeId peer)
+MapManager::handleArrival(NodeId peer)
 {
     _workAccum = 0;
     PeerState &state = _peers[peer];
+    const KernelLink &link = _channels[peer];
 
     // Incoming request?
-    std::uint32_t req_seq =
-        _kernel.readChannelWord(peer, channel::reqOffset +
-                                          channel::seqWord);
+    std::uint32_t req_seq = _kernel.readLinkWord(
+        link, channel::reqOffset + channel::seqWord);
     if (req_seq != state.lastReqSeen && req_seq != 0) {
         state.lastReqSeen = req_seq;
-        std::uint32_t type = _kernel.readChannelWord(
-            peer, channel::reqOffset + channel::typeWord);
+        std::uint32_t type = _kernel.readLinkWord(
+            link, channel::reqOffset + channel::typeWord);
         std::uint32_t payload[channel::payloadWords];
         for (unsigned i = 0; i < channel::payloadWords; ++i) {
-            payload[i] = _kernel.readChannelWord(
-                peer, channel::reqOffset + channel::payloadWord + 4 * i);
+            payload[i] = _kernel.readLinkWord(
+                link, channel::reqOffset + channel::payloadWord + 4 * i);
         }
 
         // Epoch fence: a request stamped from a stale life of either
@@ -137,15 +145,14 @@ MapManager::handleChannelArrival(NodeId peer)
     }
 
     // Incoming response to our in-flight request?
-    std::uint32_t resp_seq =
-        _kernel.readChannelWord(peer, channel::respOffset +
-                                          channel::seqWord);
+    std::uint32_t resp_seq = _kernel.readLinkWord(
+        link, channel::respOffset + channel::seqWord);
     if (state.inFlight && resp_seq == state.nextSeq - 1 &&
         resp_seq != state.lastRespSeen) {
         std::uint32_t resp[channel::payloadWords];
         for (unsigned i = 0; i < channel::payloadWords; ++i) {
-            resp[i] = _kernel.readChannelWord(
-                peer, channel::respOffset + channel::payloadWord + 4 * i);
+            resp[i] = _kernel.readLinkWord(
+                link, channel::respOffset + channel::payloadWord + 4 * i);
         }
         // Epoch fence. Admitting a newer life fires peerEpochChanged,
         // which resets this engine re-entrantly and dooms the
@@ -829,6 +836,14 @@ MapManager::resetPeer(NodeId peer, std::uint64_t errno_)
         if (rpc.onResponse)
             rpc.onResponse(resp);
     }
+}
+
+void
+MapManager::clearChannelIn(NodeId peer)
+{
+    std::vector<std::uint8_t> zeros(PAGE_SIZE, 0);
+    _kernel.mem().write(pageBase(_channels.at(peer).in), zeros.data(),
+                        PAGE_SIZE);
 }
 
 bool

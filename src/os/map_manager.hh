@@ -10,8 +10,9 @@
  * mapped-out virtual pages read-only, so a later store faults and the
  * kernel re-establishes the mapping on demand (REMAP).
  *
- * Channel wire format: each direction of each node pair has one page.
- * Requests occupy the 32-byte record at offset 0, responses the record
+ * Channel wire format: the channel toward each peer is one kernel link
+ * (Kernel::openLink), so each direction of each node pair has one
+ * page. Requests occupy the 32-byte record at offset 0, responses the record
  * at offset 32. A record is [seq, type, payload[6]]; the sender writes
  * payload and type first and seq last, so (with the mesh's in-order
  * delivery) a changed seq implies a complete record.
@@ -35,6 +36,7 @@
 #include <vector>
 
 #include "nic/nipt.hh"
+#include "os/kernel.hh"
 #include "os/syscalls.hh"
 #include "sim/types.hh"
 
@@ -77,9 +79,10 @@ struct KernelRpc
 };
 
 /** The mapping/consistency manager owned by each Kernel. */
-class MapManager
+class MapManager : public LinkHandler
 {
   public:
+    /** Opens the kernel channel toward every peer. */
     explicit MapManager(Kernel &kernel);
 
     /**
@@ -161,11 +164,11 @@ class MapManager
                     std::function<void(std::uint64_t)> done);
 
     /**
-     * A kernel-channel page from @p peer received data; parse and
+     * The kernel channel from @p peer received data; parse and
      * dispatch. Returns instructions of kernel work performed
      * (including any RPC-completion continuations run).
      */
-    std::uint64_t handleChannelArrival(NodeId peer);
+    std::uint64_t handleArrival(NodeId peer) override;
 
     /** Frame of (pid, vpage) changed (page-in): reinstall NIPT state
      *  for its active outgoing records. */
@@ -205,8 +208,8 @@ class MapManager
     /**
      * Drop every outgoing user mapping toward @p peer (its NIPT halves
      * were errored when the peer died). Called on peer recovery: the
-     * application must re-map explicitly; kernel channel and NX wiring
-     * are healed separately by the NI.
+     * application must re-map explicitly; kernel links are healed
+     * separately by the NI.
      *
      * @return records dropped.
      */
@@ -220,6 +223,11 @@ class MapManager
      * scratch, matching a rejoining peer's fresh channel state.
      */
     void resetPeer(NodeId peer, std::uint64_t errno_ = err::HOSTDOWN);
+
+    /** Zero the channel page @p peer writes into, so stale seq words
+     *  from its previous life cannot replay old RPCs against a reset
+     *  engine. */
+    void clearChannelIn(NodeId peer);
 
     /**
      * Drop every pin held on behalf of incoming mappings. Used at
@@ -311,6 +319,7 @@ class MapManager
                                  std::optional<Addr> half_begin = {});
 
     Kernel &_kernel;
+    std::vector<KernelLink> _channels;  //!< indexed by peer node id
     std::vector<PeerState> _peers;
     std::vector<OutRecord> _out;
     std::map<PageNum, std::vector<InRecord>> _inByFrame;

@@ -1,5 +1,7 @@
 #include "os/nx_service.hh"
 
+#include <algorithm>
+
 #include "os/kernel.hh"
 #include "sim/logging.hh"
 
@@ -9,95 +11,51 @@ namespace shrimp
 NxService::NxService(Kernel &kernel)
     : _kernel(kernel), _peers(kernel.numNodes())
 {
-}
-
-// ---------------------------------------------------------------------
-// Boot wiring
-// ---------------------------------------------------------------------
-
-void
-NxService::allocatePages()
-{
     for (NodeId peer = 0; peer < _peers.size(); ++peer) {
-        if (peer == _kernel.nodeId())
+        if (peer == kernel.nodeId())
             continue;
         PeerState &state = _peers[peer];
-        for (std::size_t i = 0; i < slotPages; ++i) {
-            state.dataOut.push_back(_kernel.allocPinnedFrame("NX buffers"));
-            PageNum in = _kernel.allocPinnedFrame("NX buffers");
-            state.dataIn.push_back(in);
-            NiptEntry &e = _kernel.ni().nipt().entry(in);
-            e.mappedIn = true;
-            e.inSources.push_back(peer);
-        }
-        state.ctlOut = _kernel.allocPinnedFrame("NX buffers");
-        state.ctlIn = _kernel.allocPinnedFrame("NX buffers");
-        NiptEntry &e = _kernel.ni().nipt().entry(state.ctlIn);
-        e.mappedIn = true;
-        e.interruptOnArrival = true;
-        e.inSources.push_back(peer);
-        _ctlFrameOwner[state.ctlIn] = peer;
+        for (KernelLink &page : state.data)
+            page = kernel.openLink(peer, UpdateMode::DELIBERATE, "NX buffers");
+        state.ctl = kernel.openLink(peer, UpdateMode::AUTO_SINGLE,
+                                    "NX control pages", this);
     }
 }
 
-PageNum
-NxService::dataInFrame(NodeId peer, std::size_t page) const
+namespace
 {
-    return _peers.at(peer).dataIn.at(page);
-}
 
-PageNum
-NxService::ctlInFrame(NodeId peer) const
-{
-    return _peers.at(peer).ctlIn;
-}
-
-void
-NxService::wireTo(NodeId peer, const std::vector<PageNum> &data_frames,
-                  PageNum ctl_frame)
-{
-    PeerState &state = _peers.at(peer);
-    SHRIMP_ASSERT(data_frames.size() == slotPages, "bad wire");
-    for (std::size_t i = 0; i < slotPages; ++i) {
-        OutMapping m;
-        m.mode = UpdateMode::DELIBERATE;
-        m.dstNode = peer;
-        m.dstPage = data_frames[i];
-        _kernel.ni().nipt().entry(state.dataOut[i]).outLow = m;
-    }
-    OutMapping c;
-    c.mode = UpdateMode::AUTO_SINGLE;
-    c.dstNode = peer;
-    c.dstPage = ctl_frame;
-    _kernel.ni().nipt().entry(state.ctlOut).outLow = c;
-}
-
+/** Is all of [buf, buf + nbytes) mapped in @p proc, and writable when
+ *  @p write? */
 bool
-NxService::ownsFrame(PageNum frame) const
+mapped(Process &proc, Addr buf, Addr nbytes, bool write)
 {
-    return _ctlFrameOwner.count(frame) != 0;
+    for (Addr page = pageBase(pageOf(buf)); page < buf + nbytes;
+         page += PAGE_SIZE) {
+        if (!proc.space().translate(page, write).ok())
+            return false;
+    }
+    return true;
 }
 
-// ---------------------------------------------------------------------
-// Control page access
-// ---------------------------------------------------------------------
+} // namespace
 
 void
-NxService::writeCtlWord(NodeId peer, Addr offset, std::uint32_t value)
+NxService::copyMessage(Process &proc, Addr buf, Addr nbytes,
+                       const PeerState &peer, bool to_user)
 {
-    PeerState &state = _peers.at(peer);
-    _kernel.charge(nullptr, _kernel.costs().channelWordWrite);
-    Addr paddr = pageBase(state.ctlOut) + offset;
-    _kernel.bus().postWrite(paddr, &value, 4, BusMaster::CPU,
-                            _kernel.curTick());
-}
-
-std::uint32_t
-NxService::readCtlWord(NodeId peer, Addr offset) const
-{
-    const PeerState &state = _peers.at(peer);
-    return static_cast<std::uint32_t>(
-        _kernel.mem().readInt(pageBase(state.ctlIn) + offset, 4));
+    for (Addr done = 0; done < nbytes;) {
+        Addr chunk = std::min({PAGE_SIZE - pageOffset(buf + done),
+                               PAGE_SIZE - pageOffset(done), nbytes - done});
+        Translation tr = proc.space().translate(buf + done, to_user);
+        SHRIMP_ASSERT(tr.ok(), "NX user buffer not mapped");
+        const KernelLink &page = peer.data[done / PAGE_SIZE];
+        Addr kaddr = pageBase(to_user ? page.in : page.out) + pageOffset(done);
+        std::vector<std::uint8_t> tmp(chunk);
+        _kernel.mem().read(to_user ? kaddr : tr.paddr, tmp.data(), chunk);
+        _kernel.mem().write(to_user ? tr.paddr : kaddr, tmp.data(), chunk);
+        done += chunk;
+    }
 }
 
 // ---------------------------------------------------------------------
@@ -110,13 +68,13 @@ NxService::csend(ExecContext &ctx, const NxArgs &args, Tick now)
     // The NX/2 fast path: 222 instructions of kernel send processing.
     Tick t = now + _kernel.charge(&ctx, _kernel.costs().nxCsendFastPath);
 
+    Process &proc = _kernel.processOf(ctx);
     if (args.nbytes == 0 || args.nbytes > maxMessageBytes ||
-        args.node >= _peers.size() || args.node == _kernel.nodeId()) {
+        args.node >= _peers.size() || args.node == _kernel.nodeId() ||
+        !mapped(proc, args.buf, args.nbytes, false)) {
         ctx.regs[R0] = err::INVAL;
         return t;
     }
-
-    Process &proc = _kernel.processOf(ctx);
     PeerState &peer = _peers[args.node];
 
     // Admission control: refuse up front -- before the process blocks
@@ -147,36 +105,14 @@ NxService::beginTransfer(Process &proc, const NxArgs &args)
 {
     PeerState &peer = _peers[args.node];
     SHRIMP_ASSERT(slotFree(peer), "transfer with slot busy");
-    peer.sendInProgress = true;
+    peer.xfer = TransferState{true, &proc, args.type, args.nbytes, 0};
 
     // Copy user data into the kernel send buffer -- the user/kernel
     // copy the SHRIMP design eliminates.
     std::uint32_t words = (args.nbytes + 3) / 4;
     _kernel.charge(&proc.ctx, _kernel.costs().nxCopyPerWord * words);
-    Addr copied = 0;
-    while (copied < args.nbytes) {
-        Addr chunk = PAGE_SIZE - pageOffset(args.buf + copied);
-        if (chunk > args.nbytes - copied)
-            chunk = args.nbytes - copied;
-        Translation tr =
-            proc.space().translate(args.buf + copied, false);
-        SHRIMP_ASSERT(tr.ok(), "csend buffer not mapped");
-        std::vector<std::uint8_t> tmp(chunk);
-        _kernel.mem().read(tr.paddr, tmp.data(), chunk);
-        Addr dst_page = copied / PAGE_SIZE;
-        _kernel.mem().write(pageBase(peer.dataOut[dst_page]) +
-                                pageOffset(copied),
-                            tmp.data(), chunk);
-        copied += chunk;
-    }
+    copyMessage(proc, args.buf, args.nbytes, peer, false);
 
-    peer.xfer = TransferState{};
-    peer.xfer.active = true;
-    peer.xfer.proc = &proc;
-    peer.xfer.node = args.node;
-    peer.xfer.type = args.type;
-    peer.xfer.nbytes = args.nbytes;
-    peer.xfer.page = 0;
     startNextDmaPage(args.node);
 }
 
@@ -193,7 +129,7 @@ NxService::startNextDmaPage(NodeId node)
         bytes = PAGE_SIZE;
     std::uint32_t nwords =
         static_cast<std::uint32_t>((bytes + 3) / 4);
-    Addr src = pageBase(peer.dataOut[xfer.page]);
+    Addr src = pageBase(peer.data[xfer.page].out);
 
     if (!_kernel.ni().dma().start(src, nwords,
                                   [this, node] { dmaCompleted(node); })) {
@@ -235,10 +171,9 @@ NxService::finishSend(NodeId node)
 
     // Ring the doorbell: nbytes and type first, the sequence last.
     std::uint32_t seq = ++peer.sendSeq;
-    writeCtlWord(node, ctlNbytes, xfer.nbytes);
-    writeCtlWord(node, ctlType, xfer.type);
-    writeCtlWord(node, ctlDoorbellSeq, seq);
-    peer.sendInProgress = false;
+    _kernel.writeLinkWord(peer.ctl, ctlNbytes, xfer.nbytes);
+    _kernel.writeLinkWord(peer.ctl, ctlType, xfer.type);
+    _kernel.writeLinkWord(peer.ctl, ctlDoorbellSeq, seq);
     ++_sent;
 
     xfer.proc->ctx.regs[R0] = err::OK;
@@ -256,12 +191,17 @@ NxService::crecv(ExecContext &ctx, const NxArgs &args, Tick now)
     Tick t = now + _kernel.charge(&ctx, _kernel.costs().nxCrecvFastPath);
 
     Process &proc = _kernel.processOf(ctx);
+    if (!mapped(proc, args.buf, args.nbytes, true)) {
+        ctx.regs[R0] = err::INVAL;
+        return t;
+    }
 
     // A message of this type already queued?
     for (NodeId from = 0; from < _peers.size(); ++from) {
         PeerState &peer = _peers[from];
         if (peer.pending && peer.pending->type == args.type) {
-            std::uint64_t work = deliverTo(from, proc, args.buf);
+            std::uint64_t work =
+                deliverTo(from, proc, args.buf, args.nbytes);
             return t + _kernel.charge(&ctx, work);
         }
     }
@@ -269,37 +209,32 @@ NxService::crecv(ExecContext &ctx, const NxArgs &args, Tick now)
     _kernel.blockCurrent(ctx);
     auto next = _kernel.scheduleNext(t);
     _blockedReceivers.push_back(
-        BlockedReceiver{&proc, args.type, args.buf});
+        BlockedReceiver{&proc, args.type, args.buf, args.nbytes});
     return next;
 }
 
 std::uint64_t
-NxService::handleArrival(NodeId, PageNum frame)
+NxService::handleArrival(NodeId peer_id)
 {
-    auto it = _ctlFrameOwner.find(frame);
-    SHRIMP_ASSERT(it != _ctlFrameOwner.end(), "NX arrival on unknown "
-                  "frame ", frame);
-    NodeId peer_id = it->second;
     PeerState &peer = _peers[peer_id];
     std::uint64_t work = 0;
 
     // New doorbell? (the DMA receive interrupt of the traditional
     // architecture)
-    std::uint32_t seq = readCtlWord(peer_id, ctlDoorbellSeq);
+    std::uint32_t seq = _kernel.readLinkWord(peer.ctl, ctlDoorbellSeq);
     if (seq != 0 && seq != peer.recvSeqSeen) {
         peer.recvSeqSeen = seq;
         work += _kernel.costs().nxInterrupt;
         PendingMessage msg;
-        msg.from = peer_id;
-        msg.type = readCtlWord(peer_id, ctlType);
-        msg.nbytes = readCtlWord(peer_id, ctlNbytes);
+        msg.type = _kernel.readLinkWord(peer.ctl, ctlType);
+        msg.nbytes = _kernel.readLinkWord(peer.ctl, ctlNbytes);
         SHRIMP_ASSERT(!peer.pending, "NX slot protocol violated");
         peer.pending = msg;
         work += tryDeliver(peer_id);
     }
 
     // Credit returned for a message we sent?
-    std::uint32_t credit = readCtlWord(peer_id, ctlCreditSeq);
+    std::uint32_t credit = _kernel.readLinkWord(peer.ctl, ctlCreditSeq);
     if (credit != peer.creditSeen) {
         peer.creditSeen = credit;
         work += _kernel.costs().nxInterrupt;
@@ -321,41 +256,34 @@ NxService::tryDeliver(NodeId from)
     for (auto it = _blockedReceivers.begin();
          it != _blockedReceivers.end(); ++it) {
         if (it->type == peer.pending->type) {
-            Process *proc = it->proc;
-            Addr buf = it->buf;
+            BlockedReceiver receiver = *it;
             _blockedReceivers.erase(it);
-            return deliverTo(from, *proc, buf);
+            return deliverTo(from, *receiver.proc, receiver.buf,
+                             receiver.nbytes);
         }
     }
     return 0;   // stays queued until someone calls crecv
 }
 
 std::uint64_t
-NxService::deliverTo(NodeId from, Process &proc, Addr buf)
+NxService::deliverTo(NodeId from, Process &proc, Addr buf,
+                     std::uint32_t nbytes)
 {
     PeerState &peer = _peers[from];
     SHRIMP_ASSERT(peer.pending, "deliver with no message");
+    if (peer.pending->nbytes > nbytes) {
+        proc.ctx.regs[R0] = err::INVAL;
+        _kernel.makeReady(proc);
+        return 0;
+    }
     PendingMessage msg = *peer.pending;
     peer.pending.reset();
 
     // Kernel -> user copy, the receive side's extra copy.
-    Addr copied = 0;
-    while (copied < msg.nbytes) {
-        Addr chunk = PAGE_SIZE - pageOffset(buf + copied);
-        if (chunk > msg.nbytes - copied)
-            chunk = msg.nbytes - copied;
-        Translation tr = proc.space().translate(buf + copied, true);
-        SHRIMP_ASSERT(tr.ok(), "crecv buffer not mapped");
-        std::vector<std::uint8_t> tmp(chunk);
-        _kernel.mem().read(pageBase(peer.dataIn[copied / PAGE_SIZE]) +
-                               pageOffset(copied),
-                           tmp.data(), chunk);
-        _kernel.mem().write(tr.paddr, tmp.data(), chunk);
-        copied += chunk;
-    }
+    copyMessage(proc, buf, msg.nbytes, peer, true);
 
     // Return the slot credit to the sender's kernel.
-    writeCtlWord(from, ctlCreditSeq, peer.recvSeqSeen);
+    _kernel.writeLinkWord(peer.ctl, ctlCreditSeq, peer.recvSeqSeen);
 
     proc.ctx.regs[R0] = msg.nbytes;
     _kernel.makeReady(proc);

@@ -16,18 +16,22 @@
  * restriction that each type has a single sender. One message may be
  * in flight per ordered node pair; a sender blocks until the
  * receiver's kernel returns the slot credit.
+ *
+ * The buffers toward each peer are kernel links (Kernel::openLink):
+ * slotPages deliberate-update message pages and one automatic-update
+ * control page that interrupts the receiver.
  */
 
 #ifndef SHRIMP_OS_NX_SERVICE_HH
 #define SHRIMP_OS_NX_SERVICE_HH
 
+#include <array>
 #include <cstdint>
 #include <deque>
-#include <functional>
 #include <optional>
-#include <unordered_map>
 #include <vector>
 
+#include "os/kernel.hh"
 #include "os/syscalls.hh"
 #include "sim/types.hh"
 
@@ -39,7 +43,7 @@ class Process;
 class ExecContext;
 
 /** Kernel-level buffered message passing (the NX/2 baseline). */
-class NxService
+class NxService : public LinkHandler
 {
   public:
     /** Kernel buffer pages per ordered node pair (max message size). */
@@ -56,28 +60,23 @@ class NxService
      *  per destination. */
     static constexpr unsigned maxQueuedSendsPerPeer = 16;
 
+    /** Opens the buffer and control links toward every peer. */
     explicit NxService(Kernel &kernel);
 
-    // ---- boot wiring (mirrors the kernel map channel wiring) ----
-    void allocatePages();
-    PageNum dataInFrame(NodeId peer, std::size_t page) const;
-    PageNum ctlInFrame(NodeId peer) const;
-    void wireTo(NodeId peer, const std::vector<PageNum> &data_frames,
-                PageNum ctl_frame);
-
-    /** Does @p frame belong to this service (for arrival routing)? */
-    bool ownsFrame(PageNum frame) const;
-
-    /** Arrival interrupt on one of our frames; returns instructions
-     *  of kernel work performed. */
-    std::uint64_t handleArrival(NodeId unused_hint, PageNum frame);
+    /** Arrival interrupt on the control page from @p peer; returns
+     *  instructions of kernel work performed. */
+    std::uint64_t handleArrival(NodeId peer) override;
 
     /** SYS_NX_CSEND implementation. Returns the resume tick, or
-     *  nullopt if the process blocked. */
+     *  nullopt if the process blocked. A buffer that is not readable
+     *  throughout fails with err::INVAL before the process blocks. */
     std::optional<Tick> csend(ExecContext &ctx, const NxArgs &args,
                               Tick now);
 
-    /** SYS_NX_CRECV implementation. */
+    /** SYS_NX_CRECV implementation. A buffer that is not writable
+     *  throughout fails with err::INVAL before the process blocks; a
+     *  message longer than args.nbytes fails the call with err::INVAL
+     *  and stays queued for a later crecv with room. */
     std::optional<Tick> crecv(ExecContext &ctx, const NxArgs &args,
                               Tick now);
 
@@ -87,7 +86,6 @@ class NxService
   private:
     struct PendingMessage
     {
-        NodeId from = INVALID_NODE;
         std::uint32_t type = 0;
         std::uint32_t nbytes = 0;
     };
@@ -97,6 +95,7 @@ class NxService
         Process *proc = nullptr;
         std::uint32_t type = 0;
         Addr buf = 0;
+        std::uint32_t nbytes = 0;
     };
 
     struct BlockedSender
@@ -110,7 +109,6 @@ class NxService
     {
         bool active = false;
         Process *proc = nullptr;
-        NodeId node = INVALID_NODE;
         std::uint32_t type = 0;
         std::uint32_t nbytes = 0;
         std::uint32_t page = 0;         //!< slot page being DMA-ed
@@ -118,16 +116,13 @@ class NxService
 
     struct PeerState
     {
-        std::vector<PageNum> dataOut;   //!< local frames, mapped out
-        std::vector<PageNum> dataIn;    //!< local frames, mapped in
-        PageNum ctlOut = INVALID_PAGE;
-        PageNum ctlIn = INVALID_PAGE;
+        std::array<KernelLink, slotPages> data;     //!< message pages
+        KernelLink ctl;                 //!< doorbell and credit words
 
         std::uint32_t sendSeq = 0;      //!< doorbells we have rung
         std::uint32_t creditSeen = 0;   //!< credits returned to us
         std::uint32_t recvSeqSeen = 0;  //!< doorbells we have consumed
-        bool sendInProgress = false;    //!< copy/DMA phase active
-        TransferState xfer;
+        TransferState xfer;             //!< active in the copy/DMA phase
         std::deque<BlockedSender> sendWaiters;
         std::optional<PendingMessage> pending;  //!< undelivered arrival
     };
@@ -136,7 +131,7 @@ class NxService
     bool
     slotFree(const PeerState &peer) const
     {
-        return !peer.sendInProgress && peer.sendSeq == peer.creditSeen;
+        return !peer.xfer.active && peer.sendSeq == peer.creditSeen;
     }
 
     /** Copy + DMA + doorbell for one message (slot already free). */
@@ -151,19 +146,26 @@ class NxService
     /** Doorbell + sender wakeup once all pages are on the wire. */
     void finishSend(NodeId node);
 
+    /**
+     * Copy @p nbytes between @p proc's buffer at @p buf and the message
+     * pages toward @p peer: from the buffer into their out frames, or
+     * (@p to_user) from their in frames into the buffer. The caller
+     * checked the buffer when the call was made.
+     */
+    void copyMessage(Process &proc, Addr buf, Addr nbytes,
+                     const PeerState &peer, bool to_user);
+
     /** Try to deliver a pending message to a blocked receiver. */
     std::uint64_t tryDeliver(NodeId from);
 
-    /** Copy a delivered message into a receiver's buffer + credit. */
-    std::uint64_t deliverTo(NodeId from, Process &proc, Addr buf);
-
-    void writeCtlWord(NodeId peer, Addr offset, std::uint32_t value);
-    std::uint32_t readCtlWord(NodeId peer, Addr offset) const;
+    /** Copy a delivered message into a receiver's buffer + credit, or
+     *  fail the receiver with err::INVAL if the message exceeds its
+     *  @p nbytes (the message stays pending). */
+    std::uint64_t deliverTo(NodeId from, Process &proc, Addr buf,
+                            std::uint32_t nbytes);
 
     Kernel &_kernel;
     std::vector<PeerState> _peers;
-    std::unordered_map<PageNum, NodeId> _frameOwner;
-    std::unordered_map<PageNum, NodeId> _ctlFrameOwner;
     std::vector<BlockedReceiver> _blockedReceivers;
 
     std::uint64_t _sent = 0;

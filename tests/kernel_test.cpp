@@ -1,11 +1,15 @@
 /**
  * @file
  * Integration tests for the kernel: scheduling and multiprogramming,
- * syscalls, and the full map()/unmap() protocol over the in-band
- * kernel channel.
+ * syscalls, kernel links, and the full map()/unmap() protocol over the
+ * in-band kernel channel.
  */
 
 #include <gtest/gtest.h>
+
+#include <stdexcept>
+#include <string>
+#include <vector>
 
 #include "os/map_manager.hh"
 #include "test_util.hh"
@@ -408,6 +412,84 @@ TEST_F(KernelFixture, CmpxchgClaimIsSafeAcrossContextSwitches)
                   0x5000u + i);
         EXPECT_GE(peek32(*sys, 0, *senders[i], outs[i]), 1u);
     }
+}
+
+/** Two nodes on a 2x1 mesh, built without ShrimpSystem so a test can
+ *  open links of its own before wiring them as boot does. */
+struct BareNodes
+{
+    SystemConfig cfg = test::twoNodeConfig();
+    EventQueue eq;
+    MeshBackplane mesh{eq, "mesh", cfg.meshWidth, cfg.meshHeight,
+                       cfg.router};
+    Node a{eq, 0, cfg, mesh};
+    Node b{eq, 1, cfg, mesh};
+};
+
+/** Records the peer of every arrival on its links. */
+struct RecordingHandler : LinkHandler
+{
+    std::vector<NodeId> arrivals;
+
+    std::uint64_t
+    handleArrival(NodeId peer) override
+    {
+        arrivals.push_back(peer);
+        return 0;
+    }
+};
+
+TEST(KernelLinks, PairByOpeningOrderAndCarryStoresToThePeer)
+{
+    // Each kernel's extra link comes after its services' links, so
+    // wiring pairs the two extras; a word stored into one side's out
+    // frame lands in the other side's in frame and interrupts there.
+    BareNodes m;
+    RecordingHandler on_b;
+    KernelLink a_link =
+        m.a.kernel.openLink(1, UpdateMode::AUTO_SINGLE, "test link");
+    KernelLink b_link = m.b.kernel.openLink(0, UpdateMode::AUTO_SINGLE,
+                                            "test link", &on_b);
+    m.a.kernel.wireLinks(m.b.kernel);
+
+    const OutMapping &out = m.a.ni.nipt().entry(a_link.out).outLow;
+    EXPECT_EQ(out.mode, UpdateMode::AUTO_SINGLE);
+    EXPECT_EQ(out.dstNode, 1u);
+    EXPECT_EQ(out.dstPage, b_link.in);
+    EXPECT_EQ(m.b.ni.nipt().entry(b_link.out).outLow.dstPage, a_link.in);
+
+    m.a.kernel.writeLinkWord(a_link, 8, 0xC0FFEE);
+    m.eq.runUntil(ONE_MS);
+    EXPECT_EQ(m.b.kernel.readLinkWord(b_link, 8), 0xC0FFEEu);
+    EXPECT_EQ(on_b.arrivals, std::vector<NodeId>{0});
+}
+
+TEST(KernelLinks, UnmatchedLinkPanicsNamingBothNodes)
+{
+    // A link toward a peer that opened none in return has no frame to
+    // map onto: boot must fail loudly, never wire a wrong frame.
+    auto panic_of = [](BareNodes &m) {
+        try {
+            m.a.kernel.wireLinks(m.b.kernel);
+        } catch (const std::logic_error &e) {
+            return std::string(e.what());
+        }
+        return std::string("no panic");
+    };
+    BareNodes extra;
+    extra.a.kernel.openLink(1, UpdateMode::AUTO_SINGLE, "test link");
+    std::string msg = panic_of(extra);
+    EXPECT_NE(msg.find("node 0 opened"), std::string::npos) << msg;
+    EXPECT_NE(msg.find("toward node 1"), std::string::npos) << msg;
+
+    // Links of different kinds at the same opening order fail too.
+    BareNodes kinds;
+    kinds.a.kernel.openLink(1, UpdateMode::AUTO_SINGLE, "test link");
+    kinds.b.kernel.openLink(0, UpdateMode::DELIBERATE, "other link");
+    msg = panic_of(kinds);
+    EXPECT_NE(msg.find("'test link' on node 0"), std::string::npos) << msg;
+    EXPECT_NE(msg.find("'other link' on node 1"), std::string::npos)
+        << msg;
 }
 
 } // namespace

@@ -429,7 +429,7 @@ TEST_F(CacheFixture, SnoopInvalidatesOnDmaWrite)
     EXPECT_TRUE(cache.isCached(0x7020));
 
     std::uint8_t buf[64] = {};
-    bus.writeNow(0x7000, buf, 64, BusMaster::EISA_DMA);
+    bus.functionalWrite(0x7000, buf, 64, BusMaster::EISA_DMA);
     EXPECT_FALSE(cache.isCached(0x7000));
     EXPECT_FALSE(cache.isCached(0x7020));
     // 64 B = 2 lines.

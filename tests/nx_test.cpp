@@ -244,6 +244,150 @@ TEST_F(NxFixture, KernelCsendRejectsBadArguments)
     EXPECT_EQ(peek32(*sys, 0, *procA, sout), err::INVAL);
 }
 
+/** A user address no process in these tests maps. */
+constexpr Addr kUnmapped = 0x7000'0000;
+
+TEST_F(NxFixture, KernelCsendFromUnmappedBufferFailsAndProgramRunsOn)
+{
+    build();
+    Addr sargs = procA->allocate(1);
+    Addr sout = procA->allocate(1);
+    pokeNxArgs(0, *procA, sargs, 1, kUnmapped, 64, 1, procB->pid());
+
+    Program pa("a");
+    pa.movi(R1, sargs);
+    pa.syscall(sys::NX_CSEND);
+    pa.movi(R1, sout);
+    pa.st(R1, 0, R0, 4);
+    pa.sti(R1, 4, 0xD0E, 4);    // still running after the call
+    pa.halt();
+    loadProgram(sys->kernel(0), *procA, std::move(pa));
+    Program pb("b");
+    pb.halt();
+    loadProgram(sys->kernel(1), *procB, std::move(pb));
+
+    sys->startAll();
+    ASSERT_TRUE(sys->runUntilAllExited(ONE_SEC));
+    EXPECT_EQ(peek32(*sys, 0, *procA, sout), err::INVAL);
+    EXPECT_EQ(peek32(*sys, 0, *procA, sout + 4), 0xD0Eu);
+    EXPECT_EQ(sys->kernel(0).nxService().messagesSent(), 0u);
+}
+
+TEST_F(NxFixture, KernelCrecvIntoUnmappedBufferFailsAndProgramRunsOn)
+{
+    build();
+    Addr rargs = procB->allocate(1);
+    Addr rout = procB->allocate(1);
+    pokeNxArgs(1, *procB, rargs, 1, kUnmapped, 64, 0, 0);
+
+    Program pa("a");
+    pa.halt();
+    loadProgram(sys->kernel(0), *procA, std::move(pa));
+    Program pb("b");
+    pb.movi(R1, rargs);
+    pb.syscall(sys::NX_CRECV);  // would block forever if it waited
+    pb.movi(R1, rout);
+    pb.st(R1, 0, R0, 4);
+    pb.sti(R1, 4, 0xD0E, 4);
+    pb.halt();
+    loadProgram(sys->kernel(1), *procB, std::move(pb));
+
+    sys->startAll();
+    ASSERT_TRUE(sys->runUntilAllExited(ONE_SEC));
+    EXPECT_EQ(peek32(*sys, 1, *procB, rout), err::INVAL);
+    EXPECT_EQ(peek32(*sys, 1, *procB, rout + 4), 0xD0Eu);
+}
+
+TEST_F(NxFixture, KernelCrecvTooSmallFailsAndMessageWaitsForRoom)
+{
+    // A 16-byte crecv of a 64-byte message fails without touching the
+    // bytes past its buffer; the message stays queued, and the next
+    // crecv with room gets it whole.
+    build();
+    constexpr std::uint32_t kBytes = 64;
+    constexpr std::uint32_t kSmall = 16;
+    constexpr std::uint32_t kGuard = 0x5A5A5A5A;
+    Addr sbuf = procA->allocate(1);
+    Addr sargs = procA->allocate(1);
+    Addr small = procB->allocate(1);
+    Addr small_args = procB->allocate(1);
+    Addr big = procB->allocate(1);
+    Addr big_args = procB->allocate(1);
+    Addr rout = procB->allocate(1);
+
+    for (std::uint32_t i = 0; i < kBytes / 4; ++i) {
+        poke32(*sys, 0, *procA, sbuf + 4 * i, 0xAB000000 + i);
+        poke32(*sys, 1, *procB, small + 4 * i, kGuard);
+    }
+    pokeNxArgs(0, *procA, sargs, 5, sbuf, kBytes, 1, procB->pid());
+    pokeNxArgs(1, *procB, small_args, 5, small, kSmall, 0, 0);
+    pokeNxArgs(1, *procB, big_args, 5, big, kBytes, 0, 0);
+
+    Program pa("a");
+    pa.movi(R1, sargs);
+    pa.syscall(sys::NX_CSEND);
+    pa.halt();
+    loadProgram(sys->kernel(0), *procA, std::move(pa));
+
+    Program pb("b");
+    pb.movi(R1, small_args);
+    pb.syscall(sys::NX_CRECV);
+    pb.movi(R1, rout);
+    pb.st(R1, 0, R0, 4);
+    pb.movi(R1, big_args);
+    pb.syscall(sys::NX_CRECV);
+    pb.movi(R1, rout);
+    pb.st(R1, 4, R0, 4);
+    pb.halt();
+    loadProgram(sys->kernel(1), *procB, std::move(pb));
+
+    sys->startAll();
+    ASSERT_TRUE(sys->runUntilAllExited(ONE_SEC));
+    EXPECT_EQ(peek32(*sys, 1, *procB, rout), err::INVAL);
+    EXPECT_EQ(peek32(*sys, 1, *procB, rout + 4), kBytes);
+    for (std::uint32_t i = 0; i < kBytes / 4; ++i) {
+        EXPECT_EQ(peek32(*sys, 1, *procB, small + 4 * i), kGuard)
+            << "small buffer word " << i;
+        EXPECT_EQ(peek32(*sys, 1, *procB, big + 4 * i), 0xAB000000 + i)
+            << "big buffer word " << i;
+    }
+    EXPECT_EQ(sys->kernel(1).nxService().messagesDelivered(), 1u);
+}
+
+TEST_F(NxFixture, KernelUnalignedMessageSpansPages)
+{
+    // Buffers that start mid-page split each message page across two
+    // user pages: every byte still lands in order.
+    build();
+    constexpr std::uint32_t kBytes = NxService::maxMessageBytes;
+    Addr sbuf = procA->allocate(NxService::slotPages + 1) + 100;
+    Addr sargs = procA->allocate(1);
+    Addr rbuf = procB->allocate(NxService::slotPages + 1) + 200;
+    Addr rargs = procB->allocate(1);
+
+    for (std::uint32_t off = 0; off < kBytes; off += 4)
+        poke32(*sys, 0, *procA, sbuf + off, off * 7 + 3);
+    pokeNxArgs(0, *procA, sargs, 13, sbuf, kBytes, 1, procB->pid());
+    pokeNxArgs(1, *procB, rargs, 13, rbuf, kBytes, 0, 0);
+
+    Program pa("a");
+    pa.movi(R1, sargs);
+    pa.syscall(sys::NX_CSEND);
+    pa.halt();
+    loadProgram(sys->kernel(0), *procA, std::move(pa));
+    Program pb("b");
+    pb.movi(R1, rargs);
+    pb.syscall(sys::NX_CRECV);
+    pb.halt();
+    loadProgram(sys->kernel(1), *procB, std::move(pb));
+
+    sys->startAll();
+    ASSERT_TRUE(sys->runUntilAllExited(ONE_SEC));
+    for (std::uint32_t off = 0; off < kBytes; off += 4)
+        ASSERT_EQ(peek32(*sys, 1, *procB, rbuf + off), off * 7 + 3)
+            << "offset " << off;
+}
+
 TEST_F(NxFixture, UserLevelRingRoundtrip)
 {
     build();
