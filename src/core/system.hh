@@ -65,13 +65,13 @@ class ShrimpSystem
     /**
      * Partition the machine: cut both directions of every mesh link
      * whose endpoints fall on opposite sides of the {@p a, @p b}
-     * split. Each directed link is both advertised dead to its
-     * router (setLinkDead, so route-around exhausts into
-     * routeAroundDrops) and forced down at the wire (forceLinkDown,
-     * so traffic already committed to it dies). The sets must be
-     * disjoint; for a total partition they should cover all nodes.
-     * Cuts accumulate across calls until heal(). @return the number
-     * of directed links cut by this call.
+     * split. Each directed link is advertised dead to its router
+     * (setLinkDead: route-around exhausts into routeAroundDrops) and
+     * cut at the wire (forceLinkDown: committed traffic dies, and the
+     * link stays down when a flap's revival clears the advertisement).
+     * The sets must be disjoint and, for a total partition, cover all
+     * nodes. Cuts accumulate across calls until heal(). @return the
+     * number of directed links cut by this call.
      */
     unsigned partition(const std::vector<NodeId> &a,
                        const std::vector<NodeId> &b);

@@ -20,9 +20,9 @@ void
 Router::setLinkDead(Port out, bool dead)
 {
     SHRIMP_ASSERT(out != LOCAL, "the ejection channel cannot die");
-    if (_linkDeadExt[out] == dead)
+    if (((_dead & portBit(out)) != 0) == dead)
         return;
-    _linkDeadExt[out] = dead;
+    _dead ^= portBit(out);
     if (auto *t = eventQueue().tracer()) {
         t->instant(curTick(), name(), "net",
                    dead ? "linkDead" : "linkAlive",
@@ -49,27 +49,20 @@ Router::setFaultModel(Port out, const FaultModel::Params &params)
 }
 
 void
-Router::forceLinkDown(Port out, Tick duration)
+Router::forceLinkDown(Port out)
 {
     SHRIMP_ASSERT(out != LOCAL, "the ejection channel cannot die");
-    if (!_faults[out]) {
-        // A quiet model: no sampled faults, just the forced window.
-        std::uint64_t salt =
-            (static_cast<std::uint64_t>(_y) << 20) |
-            (static_cast<std::uint64_t>(_x) << 4) |
-            static_cast<std::uint64_t>(out);
-        _faults[out] =
-            std::make_unique<FaultModel>(FaultModel::Params{}, salt);
-    }
-    _faults[out]->forceDown(curTick(), duration);
+    if (_cut & portBit(out))
+        return;
+    _cut |= portBit(out);
+    _cutSince[out] = curTick();
 }
 
 void
 Router::forceLinkUp(Port out)
 {
     SHRIMP_ASSERT(out != LOCAL, "the ejection channel cannot die");
-    if (_faults[out])
-        _faults[out]->forceUp(curTick());
+    _cut &= ~portBit(out);
     scheduleAdvance(curTick());
 }
 
@@ -78,6 +71,7 @@ Router::connect(Port out, Router *nbr, Port nbr_in)
 {
     SHRIMP_ASSERT(out != LOCAL, "cannot wire the local port");
     _neighbor[out] = nbr;
+    _present |= portBit(out);
     _neighborIn[out] = nbr_in;
 }
 
@@ -127,54 +121,38 @@ Router::inject(NetPacket &&pkt)
     headerArrive(LOCAL, std::move(pkt), curTick() + routingLatency);
 }
 
-Router::Port
-Router::preferredPort(const NetPacket &pkt) const
-{
-    // Dimension-order: correct X first, then Y (oblivious, deadlock
-    // free per Dally & Seitz). A packet that detoured around a dead
-    // Y link carries yFirst and finishes Y before resuming X, so it
-    // cannot bounce back across the failed column.
-    if (pkt.yFirst) {
-        if (pkt.dstY > _y)
-            return SOUTH;
-        if (pkt.dstY < _y)
-            return NORTH;
-        if (pkt.dstX > _x)
-            return EAST;
-        if (pkt.dstX < _x)
-            return WEST;
-        return LOCAL;
-    }
-    if (pkt.dstX > _x)
-        return EAST;
-    if (pkt.dstX < _x)
-        return WEST;
-    if (pkt.dstY > _y)
-        return SOUTH;
-    if (pkt.dstY < _y)
-        return NORTH;
-    return LOCAL;
-}
-
-bool
-Router::linkUsable(Port out, Tick now) const
-{
-    if (!_neighbor[out] || _linkDeadExt[out])
-        return false;
-    const FaultModel *fm = _faults[out].get();
-    return !(fm && fm->downLongerThan(now, routeAroundAfter));
-}
-
 Router::RouteDecision
 Router::routeOf(const NetPacket &pkt, Tick now) const
 {
-    Port pref = preferredPort(pkt);
-    if (pref == LOCAL)
-        return {LOCAL, false, false};
-    if (linkUsable(pref, now))
+    // A link is usable when it is wired, not advertised dead, and not
+    // cut for routeAroundAfter or longer.
+    unsigned usable = _present & ~_dead;
+    for (Port p : {EAST, WEST, NORTH, SOUTH}) {
+        if ((_cut & portBit(p)) && now - _cutSince[p] >= routeAroundAfter)
+            usable &= ~portBit(p);
+    }
+    return routingFunction(_x, _y, _present, usable, pkt);
+}
+
+Router::RouteDecision
+routingFunction(unsigned x, unsigned y, unsigned present, unsigned usable,
+                const NetPacket &pkt)
+{
+    using P = Router::Port;
+    // Dimension order: correct X first, then Y (oblivious, deadlock
+    // free per Dally & Seitz). A packet that detoured around a dead
+    // Y link carries yFirst and finishes Y before resuming X, so it
+    // cannot bounce back across the failed column.
+    P x_port = pkt.dstX > x ? P::EAST : pkt.dstX < x ? P::WEST : P::LOCAL;
+    P y_port = pkt.dstY > y ? P::SOUTH : pkt.dstY < y ? P::NORTH : P::LOCAL;
+    P pref = pkt.yFirst ? (y_port != P::LOCAL ? y_port : x_port)
+                        : (x_port != P::LOCAL ? x_port : y_port);
+    if (pref == P::LOCAL)
+        return {P::LOCAL, false, false};
+    if (usable & Router::portBit(pref))
         return {pref, false, false};
-    if (pkt.misroutes >= misrouteBudget)
-        return {NUM_PORTS, false, false};
+    if (pkt.misroutes >= Router::misrouteBudget)
+        return {P::NUM_PORTS, false, false};
 
     // Misroute one hop perpendicular to the dead dimension, preferring
     // the direction that still makes progress. An X detour clears
@@ -186,28 +164,26 @@ Router::routeOf(const NetPacket &pkt, Tick now) const
     // Multiple simultaneous failures are instead bounded by the
     // misroute budget: the packet is dropped rather than livelocked,
     // and the reliability layer retransmits.
-    bool x_dim = pref == EAST || pref == WEST;
-    Port primary;
+    bool x_dim = pref == P::EAST || pref == P::WEST;
+    P primary;
     if (x_dim) {
-        primary = pkt.dstY > _y   ? SOUTH
-                  : pkt.dstY < _y ? NORTH
-                  : _neighbor[SOUTH] ? SOUTH
-                                     : NORTH;
+        primary = y_port != P::LOCAL                    ? y_port
+                  : present & Router::portBit(P::SOUTH) ? P::SOUTH
+                                                        : P::NORTH;
     } else {
-        primary = pkt.dstX > _x   ? EAST
-                  : pkt.dstX < _x ? WEST
-                  : _neighbor[EAST] ? EAST
-                                    : WEST;
+        primary = x_port != P::LOCAL                   ? x_port
+                  : present & Router::portBit(P::EAST) ? P::EAST
+                                                       : P::WEST;
     }
-    Port secondary = primary == EAST    ? WEST
-                     : primary == WEST  ? EAST
-                     : primary == SOUTH ? NORTH
-                                        : SOUTH;
-    for (Port cand : {primary, secondary}) {
-        if (linkUsable(cand, now))
+    P secondary = primary == P::EAST    ? P::WEST
+                  : primary == P::WEST  ? P::EAST
+                  : primary == P::SOUTH ? P::NORTH
+                                        : P::SOUTH;
+    for (P cand : {primary, secondary}) {
+        if (usable & Router::portBit(cand))
             return {cand, true, !x_dim};
     }
-    return {NUM_PORTS, false, false};
+    return {P::NUM_PORTS, false, false};
 }
 
 void
@@ -333,26 +309,24 @@ Router::advance()
             }
         }
 
-        // The link fault model rules on this transmission. Decided
-        // only here -- after the credit check -- so a blocked forward
-        // retried later never re-rolls the dice for the same packet.
+        // A cut wire loses the transmission outright. Otherwise the
+        // link fault model rules on it, decided only here -- after the
+        // credit check -- so a blocked forward retried later never
+        // re-rolls the dice for the same packet.
+        bool cut = _cut & portBit(out);
         FaultModel *fm = _faults[out].get();
-        FaultModel::Action act =
-            fm ? fm->decide(now) : FaultModel::Action::PASS;
+        FaultModel::Action act = fm && !cut ? fm->decide()
+                                            : FaultModel::Action::PASS;
 
-        if (act == FaultModel::Action::DROP ||
-            act == FaultModel::Action::LINK_DOWN) {
+        if (cut || act == FaultModel::Action::DROP) {
             // The wire was occupied, but nothing arrives downstream.
-            ++(act == FaultModel::Action::DROP ? _faultDrops
-                                               : _linkDownDrops);
+            ++(cut ? _linkDownDrops : _faultDrops);
             if (auto *t = eventQueue().tracer();
                 t && head.pkt.traceId) {
                 t->flowEnd(now, name(), "packet", "lost",
                            head.pkt.traceId,
                            {trace::arg("reason",
-                                       act == FaultModel::Action::DROP
-                                           ? "faultDrop"
-                                           : "linkDown")});
+                                       cut ? "linkDown" : "faultDrop")});
             }
             _outBusyUntil[out] = now + ser;
             in.queue.pop_front();

@@ -5,9 +5,12 @@
  * (X then Y) routing, which is oblivious and deadlock-free and, with
  * FIFO links, preserves per-sender/receiver packet order. These are
  * exactly the three properties Section 3 of the paper relies on.
- * Only a failed link changes the route: one advertised dead
- * (setLinkDead) or down longer than routeAroundAfter is detoured
- * around, within a per-packet misroute budget (routeOf).
+ * Only a failed link changes the route. The router owns each output
+ * link's state: advertised dead (setLinkDead) or cut at the wire
+ * (forceLinkDown). A link advertised dead, or cut for at least
+ * routeAroundAfter, is detoured around within a per-packet misroute
+ * budget; routingFunction() decides every hop from the router's
+ * position, its link masks and the packet's route state alone.
  *
  * Timing is virtual cut-through at packet granularity: a hop charges a
  * fixed routing latency for the header plus wire serialization for the
@@ -81,6 +84,26 @@ class Router : public SimObject
      *  drops it (livelock guard under multiple failures). */
     static constexpr unsigned misrouteBudget = 8;
 
+    /** A set of ports holds bit `portBit(p)` for each member p. */
+    static constexpr unsigned
+    portBit(Port p)
+    {
+        return 1u << p;
+    }
+
+    /**
+     * Routing decision for one packet. `out == NUM_PORTS` means no
+     * usable route exists (drop). A detour is only *applied* to the
+     * packet (yFirst flag, misroute budget) when the forward actually
+     * commits, so retries blocked on credit never burn the budget.
+     */
+    struct RouteDecision
+    {
+        Port out;
+        bool detour;        //!< out deviates from dimension order
+        bool yFirstAfter;   //!< yFirst value to stamp when detouring
+    };
+
     struct Params
     {
         unsigned inputBufferPackets = 4;
@@ -150,17 +173,16 @@ class Router : public SimObject
     void setLinkDead(Port out, bool dead);
 
     /**
-     * Force the directed link behind @p out into an outage starting
-     * now, for @p duration ticks (0 = until forceLinkUp). Unlike
-     * setLinkDead -- a routing advertisement -- this kills the wire
-     * itself: transmissions die as linkDownDrops, and only in this
-     * direction; routing detours only once the outage is older than
-     * routeAroundAfter. Lazily attaches a quiet FaultModel when none
-     * is configured.
+     * Cut the directed link behind @p out at the wire from now until
+     * forceLinkUp. Unlike setLinkDead -- a routing advertisement --
+     * this kills the wire itself: transmissions die as linkDownDrops
+     * before the link's fault model rolls, and only in this
+     * direction; routing detours only once the cut is older than
+     * routeAroundAfter. Cutting a cut link keeps its start tick.
      */
-    void forceLinkDown(Port out, Tick duration = 0);
+    void forceLinkDown(Port out);
 
-    /** End a forced outage on @p out and kick parked traffic. */
+    /** Restore a cut link and kick parked traffic. */
     void forceLinkUp(Port out);
 
     /** Total packets parked in input queues (quiescence checks). */
@@ -215,25 +237,7 @@ class Router : public SimObject
         bool upstreamBlocked = false;   //!< upstream waits on a credit
     };
 
-    /**
-     * Routing decision for one packet. `out == NUM_PORTS` means no
-     * usable route exists (drop). A detour is only *applied* to the
-     * packet (yFirst flag, misroute budget) when the forward actually
-     * commits, so retries blocked on credit never burn the budget.
-     */
-    struct RouteDecision
-    {
-        Port out;
-        bool detour;        //!< out deviates from dimension order
-        bool yFirstAfter;   //!< yFirst value to stamp when detouring
-    };
-
-    /** Plain dimension-order preference (honoring pkt.yFirst). */
-    Port preferredPort(const NetPacket &pkt) const;
-
-    /** Can @p out carry traffic at @p now? */
-    bool linkUsable(Port out, Tick now) const;
-
+    /** routingFunction() over this router's link state at @p now. */
     RouteDecision routeOf(const NetPacket &pkt, Tick now) const;
 
     /** Try to make forwarding progress on every input port. */
@@ -255,7 +259,13 @@ class Router : public SimObject
     std::function<void()> _injectWaiter;
     EventFunctionWrapper _advanceEvent;
     std::array<std::unique_ptr<FaultModel>, NUM_PORTS> _faults;
-    std::array<bool, NUM_PORTS> _linkDeadExt{};
+    /** Link state, as sets of portBit: the ports wired to a
+     *  neighbour, those advertised dead (setLinkDead) and those cut
+     *  at the wire (forceLinkDown), with when each cut began. */
+    unsigned _present = 0;
+    unsigned _dead = 0;
+    unsigned _cut = 0;
+    std::array<Tick, NUM_PORTS> _cutSince{};
 
     stats::Group _stats;
     stats::Counter _forwarded{_stats, "forwarded", "packets forwarded"};
@@ -285,6 +295,26 @@ class Router : public SimObject
     stats::Histogram _queueDepth{
         _stats, "inQueueDepth", "input-port queue depth at header arrival"};
 };
+
+/**
+ * The route of one packet at one router, a pure function of the
+ * router's coordinates (@p x, @p y), the ports that have a neighbour
+ * (@p present) and those that can carry traffic now (@p usable), both
+ * sets of Router::portBit, and the packet's route state: dstX, dstY,
+ * yFirst and misroutes (no other field is read).
+ *
+ * The preferred port is dimension order, X then Y, or Y then X for a
+ * packet carrying yFirst. When it is not usable, the packet detours
+ * one hop perpendicular to the failed dimension: toward the
+ * destination's row (X failed) or column (Y failed), or, when already
+ * in it, south or east if that neighbour is present. The opposite
+ * perpendicular port is the fallback. An X detour clears yFirst, a Y
+ * detour sets it. A spent misroute budget or no usable candidate
+ * yields `out == NUM_PORTS`.
+ */
+Router::RouteDecision routingFunction(unsigned x, unsigned y,
+                                      unsigned present, unsigned usable,
+                                      const NetPacket &pkt);
 
 } // namespace shrimp
 

@@ -517,16 +517,7 @@ Dsm::sendMsg(NodeId dst, DsmMsg msg)
     SHRIMP_ASSERT(dst < _links.size() && dst != _kernel.nodeId(),
                   "bad DSM message destination ", dst);
     if (_kernel.peerFailed(dst)) {
-        if (msg.onResponse) {
-            _kernel.eventQueue().scheduleFn(
-                [cb = std::move(msg.onResponse)] {
-                    std::uint32_t resp[channel::payloadWords] = {};
-                    resp[0] = rc(err::HOSTDOWN);
-                    cb(resp);
-                },
-                _kernel.curTick(), EventPriority::DEFAULT,
-                "dsm msg hostdown");
-        }
+        failMsg(msg);
         return;
     }
     PeerLink &l = _links[dst];
@@ -615,19 +606,23 @@ Dsm::failAllMsgs(NodeId dst)
     ++l.gen;    // orphan in-flight acks, DMA retries and completions
     l.active = false;
     while (!l.queue.empty()) {
-        DsmMsg m = std::move(l.queue.front());
+        failMsg(l.queue.front());
         l.queue.pop_front();
-        if (m.onResponse) {
-            _kernel.eventQueue().scheduleFn(
-                [cb = std::move(m.onResponse)] {
-                    std::uint32_t resp[channel::payloadWords] = {};
-                    resp[0] = rc(err::HOSTDOWN);
-                    cb(resp);
-                },
-                _kernel.curTick(), EventPriority::DEFAULT,
-                "dsm msg hostdown");
-        }
     }
+}
+
+void
+Dsm::failMsg(DsmMsg &m)
+{
+    if (!m.onResponse)
+        return;
+    _kernel.eventQueue().scheduleFn(
+        [cb = std::move(m.onResponse)] {
+            std::uint32_t resp[channel::payloadWords] = {};
+            resp[0] = rc(err::HOSTDOWN);
+            cb(resp);
+        },
+        _kernel.curTick(), EventPriority::DEFAULT, "dsm msg hostdown");
 }
 
 void

@@ -334,6 +334,9 @@ class Dsm
     /** Fail every queued message toward @p dst with HOSTDOWN
      *  (responses run as deferred events, never re-entrantly). */
     void failAllMsgs(NodeId dst);
+    /** Answer @p m with HOSTDOWN from a deferred event, if it wants a
+     *  response (its onResponse is moved out). */
+    void failMsg(DsmMsg &m);
     /** The page image toward @p dst is on the wire: send its RPC,
      *  unless the queue of generation @p gen was torn down since. */
     void dmaCompleted(NodeId dst, std::uint64_t gen);

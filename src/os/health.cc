@@ -135,17 +135,8 @@ HealthMonitor::checkStamp(NodeId src, std::uint64_t stamp)
     if (!reason && Incarnation::newerLife(inc, p.incarnation)) {
         bool first = p.incarnation == 0;
         p.incarnation = inc;
-        if (!first) {
-            if (auto *t = eventQueue().tracer()) {
-                t->instant(curTick(), name(), "health",
-                           "peerEpochChanged",
-                           {trace::arg("peer",
-                                       static_cast<std::uint64_t>(src)),
-                            trace::arg("inc",
-                                       static_cast<std::uint64_t>(inc))});
-            }
+        if (!first)
             _kernel.peerEpochChanged(src, inc);
-        }
     }
 
     // A message addressed to a previous life of this node (the sender

@@ -912,9 +912,8 @@ Kernel::syscall(ExecContext &ctx, std::uint64_t num, Tick now)
         return t;
 
       case sys::MAP:
-        return doMapSyscall(ctx, t);
       case sys::UNMAP:
-        return doUnmapSyscall(ctx, t);
+        return doMapSyscall(ctx, t, num == sys::UNMAP);
       case sys::WAIT_ARRIVAL:
         return doWaitArrival(ctx, t);
 
@@ -943,7 +942,7 @@ Kernel::syscall(ExecContext &ctx, std::uint64_t num, Tick now)
 }
 
 std::optional<Tick>
-Kernel::doMapSyscall(ExecContext &ctx, Tick now)
+Kernel::doMapSyscall(ExecContext &ctx, Tick now, bool unmap)
 {
     std::uint32_t words[7];
     if (!readUserWords(ctx, ctx.regs[R1], words, 7)) {
@@ -959,7 +958,7 @@ Kernel::doMapSyscall(ExecContext &ctx, Tick now)
     args.mode = words[5];
     args.flags = words[6];
 
-    if (args.npages == 0) {
+    if (!unmap && args.npages == 0) {
         ctx.regs[R0] = err::INVAL;
         return now;
     }
@@ -970,39 +969,14 @@ Kernel::doMapSyscall(ExecContext &ctx, Tick now)
     blockCurrent(ctx);
     auto next = scheduleNext(t);
 
-    _mapManager->startMap(proc, args, [this, &proc](std::uint64_t st) {
+    auto done = [this, &proc](std::uint64_t st) {
         proc.ctx.regs[R0] = st;
         makeReady(proc);
-    });
-    return next;
-}
-
-std::optional<Tick>
-Kernel::doUnmapSyscall(ExecContext &ctx, Tick now)
-{
-    std::uint32_t words[7];
-    if (!readUserWords(ctx, ctx.regs[R1], words, 7)) {
-        ctx.regs[R0] = err::INVAL;
-        return now;
-    }
-    MapArgs args;
-    args.localVaddr = words[0];
-    args.npages = words[1];
-    args.dstNode = words[2];
-    args.dstPid = words[3];
-    args.dstVaddr = words[4];
-
-    Tick t = now + charge(&ctx, _costs.mapValidatePerPage * args.npages);
-
-    Process &proc = processOf(ctx);
-    blockCurrent(ctx);
-    auto next = scheduleNext(t);
-
-    _mapManager->startUnmap(proc, args,
-                            [this, &proc](std::uint64_t st) {
-                                proc.ctx.regs[R0] = st;
-                                makeReady(proc);
-                            });
+    };
+    if (unmap)
+        _mapManager->startUnmap(proc, args, std::move(done));
+    else
+        _mapManager->startMap(proc, args, std::move(done));
     return next;
 }
 

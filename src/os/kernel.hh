@@ -443,8 +443,10 @@ class Kernel : public SimObject, public TrapHandler
     void armQuantum(Process &proc);
     void quantumExpired();
 
-    std::optional<Tick> doMapSyscall(ExecContext &ctx, Tick now);
-    std::optional<Tick> doUnmapSyscall(ExecContext &ctx, Tick now);
+    /** sys::MAP, or sys::UNMAP when @p unmap: read the caller's
+     *  MapArgs block and block it until the protocol completes. */
+    std::optional<Tick> doMapSyscall(ExecContext &ctx, Tick now,
+                                     bool unmap);
     std::optional<Tick> doWaitArrival(ExecContext &ctx, Tick now);
 
     /** Read a MapArgs block from user memory. */

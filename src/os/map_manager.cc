@@ -62,6 +62,21 @@ MapManager::stampPayload(NodeId peer, std::uint32_t *words) const
     }
 }
 
+bool
+MapManager::readAdmitted(NodeId peer, Addr rec_offset,
+                         std::uint32_t *payload)
+{
+    const KernelLink &link = _channels[peer];
+    for (unsigned i = 0; i < channel::payloadWords; ++i) {
+        payload[i] = _kernel.readLinkWord(
+            link, rec_offset + channel::payloadWord + 4 * i);
+    }
+    HealthMonitor *h = _kernel.health();
+    std::uint64_t stamp =
+        (static_cast<std::uint64_t>(payload[4]) << 32) | payload[5];
+    return !h || h->admitStamp(peer, stamp);
+}
+
 void
 MapManager::writeRecord(NodeId peer, Addr rec_offset, std::uint32_t seq,
                         std::uint32_t type, const std::uint32_t *payload)
@@ -91,23 +106,14 @@ MapManager::handleArrival(NodeId peer)
         state.lastReqSeen = req_seq;
         std::uint32_t type = _kernel.readLinkWord(
             link, channel::reqOffset + channel::typeWord);
-        std::uint32_t payload[channel::payloadWords];
-        for (unsigned i = 0; i < channel::payloadWords; ++i) {
-            payload[i] = _kernel.readLinkWord(
-                link, channel::reqOffset + channel::payloadWord + 4 * i);
-        }
 
         // Epoch fence: a request stamped from a stale life of either
         // endpoint is refused without dispatching. Admitting a newer
         // life fires peerEpochChanged, which resets this engine
         // re-entrantly; re-record the doorbell afterwards so the
         // request is not dispatched a second time.
-        bool admitted = true;
-        if (auto *h = _kernel.health()) {
-            admitted = h->admitStamp(
-                peer, (static_cast<std::uint64_t>(payload[4]) << 32) |
-                          payload[5]);
-        }
+        std::uint32_t payload[channel::payloadWords];
+        bool admitted = readAdmitted(peer, channel::reqOffset, payload);
         state.lastReqSeen = req_seq;
 
         addWork(_kernel.costs().rpcDispatch);
@@ -149,21 +155,12 @@ MapManager::handleArrival(NodeId peer)
         link, channel::respOffset + channel::seqWord);
     if (state.inFlight && resp_seq == state.nextSeq - 1 &&
         resp_seq != state.lastRespSeen) {
-        std::uint32_t resp[channel::payloadWords];
-        for (unsigned i = 0; i < channel::payloadWords; ++i) {
-            resp[i] = _kernel.readLinkWord(
-                link, channel::respOffset + channel::payloadWord + 4 * i);
-        }
         // Epoch fence. Admitting a newer life fires peerEpochChanged,
         // which resets this engine re-entrantly and dooms the
         // in-flight RPC with err::STALE_EPOCH — hence the re-check of
         // inFlight below.
-        bool admitted = true;
-        if (auto *h = _kernel.health()) {
-            admitted = h->admitStamp(
-                peer,
-                (static_cast<std::uint64_t>(resp[4]) << 32) | resp[5]);
-        }
+        std::uint32_t resp[channel::payloadWords];
+        bool admitted = readAdmitted(peer, channel::respOffset, resp);
         if (state.inFlight) {
             state.lastRespSeen = resp_seq;
             state.inFlight = false;

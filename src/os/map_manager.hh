@@ -269,6 +269,15 @@ class MapManager : public LinkHandler
      *  of an outgoing record (no-op while health is off). */
     void stampPayload(NodeId peer, std::uint32_t *words) const;
 
+    /**
+     * Read the payload of the record at @p rec_offset of our in
+     * channel from @p peer and admit the stamp in its words [4],[5]
+     * (always admitted while health is off). Admitting a newer life
+     * resets this engine re-entrantly. @return whether admitted.
+     */
+    bool readAdmitted(NodeId peer, Addr rec_offset,
+                      std::uint32_t *payload);
+
     /** Write one record into our out channel to @p peer. */
     void writeRecord(NodeId peer, Addr rec_offset, std::uint32_t seq,
                      std::uint32_t type, const std::uint32_t *payload);

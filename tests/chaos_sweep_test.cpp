@@ -1,18 +1,19 @@
 /**
  * @file
- * Pinned chaos sweep (ctest label `sweep`): 340 seeded soaks across
+ * Pinned chaos sweep (ctest label `sweep`): 352 seeded soaks across
  * square, line and rectangular meshes and fault mixes, each its own
  * test, each pinning the stats fingerprint and the violation count. A
  * refactor that must not change behaviour keeps every row; a behaviour
  * change re-pins the moved rows and lists old and new values in
  * CHANGES.md.
  *
- * The 75 rows with a non-zero violation count are known failures,
+ * The 78 rows with a non-zero violation count are known failures,
  * pinned as they are so the row catches any change in how they fail.
- * ROADMAP.md item 1 traces the 50 square-mesh ones to Bug A (a peer's
+ * ROADMAP.md item 1 traces the 53 square-mesh ones to Bug A (a peer's
  * recovery drops stores to healthy peers) or Bug B (route-around
- * deadlocks the mesh); the 25 non-square ones (1x8, 8x1, 2x4, 3x5) are
- * not traced yet. The fix for those bugs re-pins these rows at 0.
+ * deadlocks the mesh; the three 3x3 partition rows, seeds 1, 4 and
+ * 11, are Bug B); the 25 non-square ones (1x8, 8x1, 2x4, 3x5) are not
+ * traced yet. The fix for those bugs re-pins these rows at 0.
  *
  * Re-pin: run `shrimp_explore chaos --width W --height H --seed S`
  * with the row's mode flags and copy its `stats_fingerprint` and
@@ -352,6 +353,19 @@ const SweepRow kSweep[] = {
     {3, FLAP_ONLY, 10, 0x81d05ad7df081c2dULL, 0},
     {3, FLAP_ONLY, 11, 0xf5dbed918bb9d3d9ULL, 0},
     {3, FLAP_ONLY, 12, 0xc09dbf3a89b1240aULL, 0},
+    // 3x3, part
+    {3, PARTITIONS, 1, 0xaf81fac5a9ba87feULL, 27},
+    {3, PARTITIONS, 2, 0xe0240ccc726de556ULL, 0},
+    {3, PARTITIONS, 3, 0xa0d1ffe6072d3057ULL, 0},
+    {3, PARTITIONS, 4, 0xeb9525d9d8fd502cULL, 27},
+    {3, PARTITIONS, 5, 0x7ae1589e11d2df57ULL, 0},
+    {3, PARTITIONS, 6, 0x6b7ae9a54d555706ULL, 0},
+    {3, PARTITIONS, 7, 0x01c0903066cdaa72ULL, 0},
+    {3, PARTITIONS, 8, 0x2f53779dea8e8ad2ULL, 0},
+    {3, PARTITIONS, 9, 0x9e422d74a66a09a8ULL, 0},
+    {3, PARTITIONS, 10, 0x6f77549a830ecd18ULL, 0},
+    {3, PARTITIONS, 11, 0x2c0ef6f0c59ae038ULL, 27},
+    {3, PARTITIONS, 12, 0x9acc3e67421a4c2fULL, 0},
     // 4x4, defaults
     {4, DEFAULTS, 1, 0x5908f1f2507c4ad7ULL, 8},
     {4, DEFAULTS, 2, 0x40b248ad28405e02ULL, 1713},
@@ -470,7 +484,7 @@ INSTANTIATE_TEST_SUITE_P(
                "_seed" + std::to_string(row.seed);
     });
 
-static_assert(std::size(kSweep) == 340);
+static_assert(std::size(kSweep) == 352);
 
 } // namespace
 } // namespace shrimp

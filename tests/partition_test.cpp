@@ -3,13 +3,12 @@
  * Partition tolerance (DESIGN.md section 14): quorum-gated death on
  * the minority side, epoch-bumped reintegration after a heal, the
  * stale-writeback fence with exactly-once re-homing, owner restart
- * racing the recall RTO, the FaultModel's asymmetric forced-outage
- * window, and route-around budget exhaustion across a full cut-set.
+ * racing the recall RTO, and route-around budget exhaustion across a
+ * full cut-set.
  */
 
 #include <gtest/gtest.h>
 
-#include "net/fault_model.hh"
 #include "net/router.hh"
 #include "os/dsm.hh"
 #include "test_util.hh"
@@ -235,43 +234,6 @@ TEST(Partition, OwnerRestartBeforeRtoFencesStaleLife)
         EXPECT_TRUE(retried);
     }
     EXPECT_EQ(sys.kernel(0).dsm()->ownerOf(page), 1u);
-}
-
-TEST(FaultModelTest, ValidatedClampsOutOfRangeParams)
-{
-    FaultModel::Params p;
-    p.dropProb = 1.7;
-    p.corruptProb = -0.3;
-    p.linkDownProb = 0.5;
-    p.linkDownTicks = 0;
-    FaultModel::Params v = FaultModel::validated(p);
-    EXPECT_DOUBLE_EQ(v.dropProb, 1.0);
-    EXPECT_DOUBLE_EQ(v.corruptProb, 0.0);
-    EXPECT_GT(v.linkDownTicks, 0u);
-}
-
-TEST(FaultModelTest, AsymmetricForcedWindowAndRuntimeForce)
-{
-    // A forced window on one FaultModel takes down exactly that
-    // direction of the link, deterministically, with no sampled
-    // faults configured at all.
-    FaultModel a(FaultModel::Params{}, 1);
-    FaultModel b(FaultModel::Params{}, 2);   // the reverse direction
-    a.forceDown(100 * ONE_US, 100 * ONE_US);
-
-    EXPECT_EQ(a.decide(50 * ONE_US), FaultModel::Action::PASS);
-    EXPECT_EQ(a.decide(150 * ONE_US), FaultModel::Action::LINK_DOWN);
-    EXPECT_TRUE(a.linkDown(150 * ONE_US));
-    EXPECT_EQ(b.decide(150 * ONE_US), FaultModel::Action::PASS);
-    EXPECT_EQ(a.decide(250 * ONE_US), FaultModel::Action::PASS);
-
-    // Runtime force: down until forced up, reverse side untouched.
-    a.forceDown(300 * ONE_US);
-    EXPECT_EQ(a.decide(5 * ONE_MS), FaultModel::Action::LINK_DOWN);
-    EXPECT_TRUE(a.downLongerThan(ONE_MS, 500 * ONE_US));
-    a.forceUp(5 * ONE_MS);
-    EXPECT_EQ(a.decide(5 * ONE_MS + 1), FaultModel::Action::PASS);
-    EXPECT_EQ(b.decide(5 * ONE_MS), FaultModel::Action::PASS);
 }
 
 TEST(RouterPartition, FullCutSetExhaustsMisrouteBudgetIntoDrops)

@@ -131,28 +131,22 @@ TEST(Reliability, FaultParamsValidatedAndClamped)
     p.corruptProb = -0.3;
     p.duplicateProb = 2.0;
     p.reorderProb = -1.0;
-    p.linkDownProb = 0.25;
-    p.linkDownTicks = 0;        // outage window would be a no-op
     FaultModel::Params v = FaultModel::validated(p);
     EXPECT_EQ(v.dropProb, 1.0);
     EXPECT_EQ(v.corruptProb, 0.0);
     EXPECT_EQ(v.duplicateProb, 1.0);
     EXPECT_EQ(v.reorderProb, 0.0);
-    EXPECT_EQ(v.linkDownProb, 0.25);
-    EXPECT_GT(v.linkDownTicks, 0u);
 
     // The constructor itself validates, so a model built from bad
     // params already carries the repaired set.
     FaultModel fm(p, 1);
     EXPECT_EQ(fm.params().dropProb, 1.0);
-    EXPECT_GT(fm.params().linkDownTicks, 0u);
 
     // In-range params pass through untouched.
     FaultModel::Params ok;
     ok.dropProb = 0.5;
     FaultModel::Params vok = FaultModel::validated(ok);
     EXPECT_EQ(vok.dropProb, 0.5);
-    EXPECT_EQ(vok.linkDownTicks, ok.linkDownTicks);
 }
 
 } // namespace

@@ -1,8 +1,9 @@
 /**
  * @file
  * Unit tests for the mesh backplane: dimension-order routing,
- * latency structure, in-order delivery, credit backpressure, and
- * deadlock-free operation under load.
+ * latency structure, in-order delivery, credit backpressure,
+ * deadlock-free operation under load, the routing function on its
+ * own, and a link cut at the wire.
  */
 
 #include <gtest/gtest.h>
@@ -297,6 +298,218 @@ TEST_F(MeshFixture, BlockedUpstreamWokenOncePerReleasedCredit)
     Tick ser = r1.serializationTime(sinks[1].got[1]);
     EXPECT_EQ(sinks[1].when[1] - sinks[1].when[0],
               Router::linkLatency + Router::routingLatency + ser);
+}
+
+TEST_F(MeshFixture, CutLinkDropsOneWayThenRoutesAroundUntilForcedUp)
+{
+    build(2, 2);
+    Router &r0 = mesh->router(0);
+    auto r0Stat = [&r0](const char *name) {
+        stats::Snapshot snap;
+        r0.statGroup().snapshotInto(snap);
+        return snap.at(std::string("mesh.router0.") + name);
+    };
+
+    // A fresh cut kills only router 0's EAST wire: its transmission
+    // is lost, while node 1 still reaches node 0 across the reverse
+    // direction of the same link.
+    r0.forceLinkDown(Router::EAST);
+    r0.inject(makePkt(0, 1, 1));
+    mesh->router(1).inject(makePkt(1, 0, 2));
+    eq.run();
+    EXPECT_EQ(r0Stat("linkDownDrops"), 1u);
+    EXPECT_TRUE(sinks[1].got.empty());
+    ASSERT_EQ(sinks[0].got.size(), 1u);
+    EXPECT_EQ(sinks[0].got[0].seq, 2u);
+
+    // Once the cut is older than routeAroundAfter, traffic detours
+    // south around it instead of dying on the wire.
+    eq.runUntil(eq.curTick() + Router::routeAroundAfter);
+    r0.inject(makePkt(0, 1, 3));
+    eq.run();
+    ASSERT_EQ(sinks[1].got.size(), 1u);
+    EXPECT_EQ(sinks[1].got[0].seq, 3u);
+    EXPECT_EQ(sinks[1].got[0].misroutes, 1u);
+    EXPECT_EQ(r0Stat("misroutes"), 1u);
+    EXPECT_EQ(r0Stat("linkDownDrops"), 1u);
+
+    // Restoring the wire restores the direct route.
+    r0.forceLinkUp(Router::EAST);
+    r0.inject(makePkt(0, 1, 4));
+    eq.run();
+    ASSERT_EQ(sinks[1].got.size(), 2u);
+    EXPECT_EQ(sinks[1].got[1].seq, 4u);
+    EXPECT_EQ(sinks[1].got[1].misroutes, 0u);
+    EXPECT_EQ(r0Stat("misroutes"), 1u);
+    EXPECT_EQ(r0Stat("linkDownDrops"), 1u);
+}
+
+/** Ports with a neighbour at (@p x, @p y) of a @p w x @p h mesh. */
+unsigned
+presentIn(unsigned w, unsigned h, unsigned x, unsigned y)
+{
+    unsigned m = 0;
+    if (x + 1 < w)
+        m |= Router::portBit(Router::EAST);
+    if (x > 0)
+        m |= Router::portBit(Router::WEST);
+    if (y + 1 < h)
+        m |= Router::portBit(Router::SOUTH);
+    if (y > 0)
+        m |= Router::portBit(Router::NORTH);
+    return m;
+}
+
+NetPacket
+routeState(unsigned dst_x, unsigned dst_y, bool y_first = false,
+           unsigned misroutes = 0)
+{
+    NetPacket pkt;
+    pkt.dstX = static_cast<std::uint16_t>(dst_x);
+    pkt.dstY = static_cast<std::uint16_t>(dst_y);
+    pkt.yFirst = y_first;
+    pkt.misroutes = static_cast<std::uint8_t>(misroutes);
+    return pkt;
+}
+
+TEST(RouteFunction, AllLinksUsableIsDimensionOrderEverywhere)
+{
+    // Walk every (source, destination) pair of a 4x4 hop by hop: each
+    // hop corrects X before Y, none detours, and the walk ends at the
+    // destination after exactly the Manhattan distance. A yFirst
+    // packet corrects Y first instead.
+    constexpr unsigned w = 4, h = 4;
+    for (unsigned src = 0; src < w * h; ++src) {
+        for (unsigned dst = 0; dst < w * h; ++dst) {
+            const unsigned sx = src % w, sy = src / w;
+            const unsigned dx = dst % w, dy = dst / w;
+            unsigned x = sx, y = sy;
+            unsigned hops = 0;
+            for (;;) {
+                unsigned present = presentIn(w, h, x, y);
+                Router::RouteDecision rd = routingFunction(
+                    x, y, present, present, routeState(dx, dy));
+                EXPECT_FALSE(rd.detour);
+                if (rd.out == Router::LOCAL)
+                    break;
+                Router::Port want = dx > x   ? Router::EAST
+                                    : dx < x ? Router::WEST
+                                    : dy > y ? Router::SOUTH
+                                             : Router::NORTH;
+                ASSERT_EQ(rd.out, want)
+                    << "at (" << x << "," << y << ") toward " << dst;
+                x += rd.out == Router::EAST ? 1 : 0;
+                x -= rd.out == Router::WEST ? 1 : 0;
+                y += rd.out == Router::SOUTH ? 1 : 0;
+                y -= rd.out == Router::NORTH ? 1 : 0;
+                ++hops;
+            }
+            EXPECT_EQ(x, dx);
+            EXPECT_EQ(y, dy);
+            EXPECT_EQ(hops, (dx > sx ? dx - sx : sx - dx) +
+                                (dy > sy ? dy - sy : sy - dy));
+
+            unsigned present = presentIn(w, h, sx, sy);
+            Router::RouteDecision yf = routingFunction(
+                sx, sy, present, present, routeState(dx, dy, true));
+            EXPECT_FALSE(yf.detour);
+            EXPECT_EQ(yf.out, dy > sy   ? Router::SOUTH
+                              : dy < sy ? Router::NORTH
+                              : dx > sx ? Router::EAST
+                              : dx < sx ? Router::WEST
+                                        : Router::LOCAL);
+        }
+    }
+}
+
+TEST(RouteFunction, DeadXLinkDetoursTowardDestinationRow)
+{
+    const unsigned all = presentIn(4, 4, 1, 1);
+    const unsigned no_east = all & ~Router::portBit(Router::EAST);
+
+    // (1,1) toward (3,3): X is preferred; with EAST dead the packet
+    // steps south toward row 3 and clears yFirst to retry X there.
+    Router::RouteDecision rd =
+        routingFunction(1, 1, all, no_east, routeState(3, 3));
+    EXPECT_EQ(rd.out, Router::SOUTH);
+    EXPECT_TRUE(rd.detour);
+    EXPECT_FALSE(rd.yFirstAfter);
+
+    // Toward (3,0) the destination row lies north.
+    rd = routingFunction(1, 1, all, no_east, routeState(3, 0));
+    EXPECT_EQ(rd.out, Router::NORTH);
+    EXPECT_FALSE(rd.yFirstAfter);
+
+    // Already in the destination row: south when there is a south
+    // neighbour, north on the bottom edge.
+    rd = routingFunction(1, 1, all, no_east, routeState(3, 1));
+    EXPECT_EQ(rd.out, Router::SOUTH);
+    const unsigned bottom = presentIn(4, 4, 1, 3);
+    rd = routingFunction(1, 3, bottom,
+                         bottom & ~Router::portBit(Router::EAST),
+                         routeState(3, 3));
+    EXPECT_EQ(rd.out, Router::NORTH);
+    EXPECT_TRUE(rd.detour);
+
+    // The opposite perpendicular port is the fallback.
+    rd = routingFunction(1, 1, all,
+                         no_east & ~Router::portBit(Router::SOUTH),
+                         routeState(3, 3));
+    EXPECT_EQ(rd.out, Router::NORTH);
+    EXPECT_TRUE(rd.detour);
+    EXPECT_FALSE(rd.yFirstAfter);
+}
+
+TEST(RouteFunction, DeadYLinkDetoursWithYFirstSet)
+{
+    const unsigned all = presentIn(4, 4, 1, 1);
+    const unsigned no_south = all & ~Router::portBit(Router::SOUTH);
+
+    // (1,1) toward (1,3): with SOUTH dead the packet steps east (its
+    // column is the destination's, and there is an east neighbour)
+    // and sets yFirst to finish Y from the new column.
+    Router::RouteDecision rd =
+        routingFunction(1, 1, all, no_south, routeState(1, 3));
+    EXPECT_EQ(rd.out, Router::EAST);
+    EXPECT_TRUE(rd.detour);
+    EXPECT_TRUE(rd.yFirstAfter);
+
+    // A yFirst packet toward (0,3) prefers SOUTH too; its detour heads
+    // west toward the destination's column, and east is the fallback.
+    rd = routingFunction(1, 1, all, no_south, routeState(0, 3, true));
+    EXPECT_EQ(rd.out, Router::WEST);
+    EXPECT_TRUE(rd.yFirstAfter);
+    rd = routingFunction(1, 1, all,
+                         no_south & ~Router::portBit(Router::WEST),
+                         routeState(0, 3, true));
+    EXPECT_EQ(rd.out, Router::EAST);
+    EXPECT_TRUE(rd.detour);
+    EXPECT_TRUE(rd.yFirstAfter);
+}
+
+TEST(RouteFunction, SpentBudgetOrNoCandidateHasNoRoute)
+{
+    const unsigned all = presentIn(4, 4, 1, 1);
+    const unsigned no_east = all & ~Router::portBit(Router::EAST);
+
+    // A spent budget forbids a detour, but not the preferred port.
+    Router::RouteDecision rd = routingFunction(
+        1, 1, all, no_east, routeState(3, 3, false, Router::misrouteBudget));
+    EXPECT_EQ(rd.out, Router::NUM_PORTS);
+    EXPECT_FALSE(rd.detour);
+    rd = routingFunction(1, 1, all, all,
+                         routeState(3, 3, false, Router::misrouteBudget));
+    EXPECT_EQ(rd.out, Router::EAST);
+
+    // Both perpendicular ports dead, or absent on a line.
+    rd = routingFunction(1, 1, all, Router::portBit(Router::WEST),
+                         routeState(3, 3));
+    EXPECT_EQ(rd.out, Router::NUM_PORTS);
+    const unsigned line = presentIn(4, 1, 1, 0);
+    rd = routingFunction(1, 0, line,
+                         line & ~Router::portBit(Router::EAST),
+                         routeState(3, 0));
+    EXPECT_EQ(rd.out, Router::NUM_PORTS);
 }
 
 } // namespace
