@@ -26,18 +26,12 @@ void
 experiments::bandwidth(claims::Rows &rows)
 {
     for (bool next_gen : {false, true}) {
+        const char *name = next_gen ? "DeliberateBandwidth_NextGen/"
+                                    : "DeliberateBandwidth_EisaPrototype/";
         for (Addr kb : {4, 16, 64, 256}) {
-            bench_util::BandwidthResult r =
-                bench_util::measureDeliberateBandwidth(next_gen,
-                                                       kb * 1024);
-            rows.push_back(
-                {std::string(next_gen
-                                 ? "DeliberateBandwidth_NextGen/"
-                                 : "DeliberateBandwidth_EisaPrototype/") +
-                     std::to_string(kb),
-                 {{"sim_MBps", r.mbps},
-                  {"payload_bytes", static_cast<double>(r.bytes)},
-                  {"packets", static_cast<double>(r.packets)}}});
+            bench_util::measureDeliberateBandwidth(
+                claims::newRow(rows, name + std::to_string(kb)), next_gen,
+                kb * 1024);
         }
     }
 }

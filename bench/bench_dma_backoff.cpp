@@ -24,15 +24,8 @@ namespace shrimp
 namespace
 {
 
-struct ContentionResult
-{
-    double lockedOps = 0;
-    double totalUs = 0;
-    double transfers = 0;
-};
-
-ContentionResult
-runContention(bool with_backoff, int pages_each)
+void
+runContention(claims::Metrics &m, bool with_backoff, int pages_each)
 {
     SystemConfig cfg;
     cfg.meshWidth = 2;
@@ -91,11 +84,9 @@ runContention(bool with_backoff, int pages_each)
     sys.runFor(50 * ONE_MS);
 
     stats::Snapshot snap = sys.snapshot();
-    ContentionResult r;
-    r.lockedOps = static_cast<double>(snap.at("node0.cpu.lockedOps"));
-    r.totalUs = static_cast<double>(sys.curTick()) / ONE_US;
-    r.transfers = static_cast<double>(snap.at("node0.ni.dma.transfers"));
-    return r;
+    m["locked_bus_ops"] = snap.at("node0.cpu.lockedOps");
+    m["sim_us_total"] = static_cast<double>(sys.curTick()) / ONE_US;
+    m["transfers"] = snap.at("node0.ni.dma.transfers");
 }
 
 } // namespace
@@ -106,16 +97,11 @@ experiments::dmaBackoff(claims::Rows &rows)
     // Naive: locked CMPXCHG hammering while the engine drains.
     // Backoff: retry delay proportional to the words remaining.
     for (bool with_backoff : {false, true}) {
+        const char *name = with_backoff ? "DmaClaim_ProportionalBackoff/"
+                                        : "DmaClaim_NaiveSpin/";
         for (int pages : {2, 4}) {
-            ContentionResult r = runContention(with_backoff, pages);
-            rows.push_back(
-                {std::string(with_backoff
-                                 ? "DmaClaim_ProportionalBackoff/"
-                                 : "DmaClaim_NaiveSpin/") +
-                     std::to_string(pages),
-                 {{"locked_bus_ops", r.lockedOps},
-                  {"sim_us_total", r.totalUs},
-                  {"transfers", r.transfers}}});
+            runContention(claims::newRow(rows, name + std::to_string(pages)),
+                          with_backoff, pages);
         }
     }
 }

@@ -32,17 +32,6 @@ namespace shrimp
 namespace
 {
 
-struct DsmResult
-{
-    double pagesPerSec = 0;
-    double faultP50Us = 0;
-    double faultP99Us = 0;
-    double faults = 0;
-    double fetches = 0;
-    double invalidations = 0;
-    double allOk = 1;
-};
-
 /**
  * A log2-bucket percentile estimate over every node's fault-latency
  * histogram: the upper edge of the bucket where the cumulative count
@@ -78,17 +67,16 @@ faultPercentileUs(ShrimpSystem &sys, double q)
     return 0.0;
 }
 
+/** The run's machine-wide fault counts and fault-latency p50/p99. */
 void
-collect(ShrimpSystem &sys, DsmResult &r)
+measureFaults(claims::Metrics &m, ShrimpSystem &sys)
 {
     stats::Snapshot snap = sys.snapshot();
-    r.faults = static_cast<double>(snap.sum("node*.kernel.dsm.dsmFaults"));
-    r.fetches =
-        static_cast<double>(snap.sum("node*.kernel.dsm.dsmFetches"));
-    r.invalidations = static_cast<double>(
-        snap.sum("node*.kernel.dsm.dsmInvalidations"));
-    r.faultP50Us = faultPercentileUs(sys, 0.50);
-    r.faultP99Us = faultPercentileUs(sys, 0.99);
+    m["faults"] = snap.sum("node*.kernel.dsm.dsmFaults");
+    m["fetches"] = snap.sum("node*.kernel.dsm.dsmFetches");
+    m["invalidations"] = snap.sum("node*.kernel.dsm.dsmInvalidations");
+    m["fault_p50_us"] = faultPercentileUs(sys, 0.50);
+    m["fault_p99_us"] = faultPercentileUs(sys, 0.99);
 }
 
 /** One node's scripted acquire sequence, driven callback-to-callback
@@ -141,8 +129,8 @@ struct OpDriver
  * it write-acquires its strip and read-acquires the first page of
  * each neighbouring strip (the halo exchange shape).
  */
-DsmResult
-runStencil(unsigned rounds)
+void
+runStencil(claims::Metrics &m, unsigned rounds)
 {
     SystemConfig cfg;
     cfg.meshWidth = 2;
@@ -171,21 +159,21 @@ runStencil(unsigned rounds)
         d.kick();
     sys.runFor(ONE_SEC);
 
-    DsmResult r;
     std::uint64_t moved = 0;
     Tick span = 0;
+    bool ok = true;
     for (auto &d : drivers) {
         moved += d.completed;
         span = std::max(span, d.lastDone);
-        if (!d.finished() || d.errors != 0)
-            r.allOk = 0;
+        ok = ok && d.finished() && d.errors == 0;
     }
-    if (span > 0) {
-        r.pagesPerSec = static_cast<double>(moved) /
-                        (static_cast<double>(span) / ONE_SEC);
-    }
-    collect(sys, r);
-    return r;
+    m["rounds"] = rounds;
+    m["all_ok"] = ok;
+    m["pages_per_s"] =
+        span > 0 ? static_cast<double>(moved) /
+                       (static_cast<double>(span) / ONE_SEC)
+                 : 0.0;
+    measureFaults(m, sys);
 }
 
 /**
@@ -193,8 +181,8 @@ runStencil(unsigned rounds)
  * around the ring; every hop increments the shared counter word in
  * place, so the final value proves exactly-once migration.
  */
-DsmResult
-runMigratory(unsigned hops)
+void
+runMigratory(claims::Metrics &m, unsigned hops)
 {
     SystemConfig cfg;
     cfg.meshWidth = 2;
@@ -230,39 +218,20 @@ runMigratory(unsigned hops)
     hop(0);
     sys.runFor(ONE_SEC);
 
-    DsmResult r;
-    if (completed != hops || errors != 0)
-        r.allOk = 0;
     // The counter carries the increment chain through every
     // migration: losing a writeback would show up here.
     NodeId last = static_cast<NodeId>((hops - 1) % n);
     Dsm &d = *sys.kernel(last).dsm();
-    if (d.localState(page) != DsmPageState::WRITE_EXCLUSIVE ||
-        sys.node(last).mem.readInt(pageBase(d.localFrame(page)), 4) !=
-            hops) {
-        r.allOk = 0;
-    }
-    if (lastDone > 0) {
-        r.pagesPerSec = static_cast<double>(completed) /
-                        (static_cast<double>(lastDone) / ONE_SEC);
-    }
-    collect(sys, r);
-    return r;
-}
-
-claims::Row
-dsmRow(std::string name, const char *arg_name, unsigned arg,
-       const DsmResult &r)
-{
-    return {std::move(name),
-            {{arg_name, static_cast<double>(arg)},
-             {"pages_per_s", r.pagesPerSec},
-             {"fault_p50_us", r.faultP50Us},
-             {"fault_p99_us", r.faultP99Us},
-             {"faults", r.faults},
-             {"fetches", r.fetches},
-             {"invalidations", r.invalidations},
-             {"all_ok", r.allOk}}};
+    m["hops"] = hops;
+    m["all_ok"] =
+        completed == hops && errors == 0 &&
+        d.localState(page) == DsmPageState::WRITE_EXCLUSIVE &&
+        sys.node(last).mem.readInt(pageBase(d.localFrame(page)), 4) == hops;
+    m["pages_per_s"] =
+        lastDone > 0 ? static_cast<double>(completed) /
+                           (static_cast<double>(lastDone) / ONE_SEC)
+                     : 0.0;
+    measureFaults(m, sys);
 }
 
 } // namespace
@@ -272,16 +241,14 @@ experiments::dsm(claims::Rows &rows)
 {
     // 4-node halo-exchange sweep over a 16-page window: read sharing
     // with boundary invalidations.
-    for (unsigned rounds : {4u, 16u}) {
-        rows.push_back(dsmRow("Stencil/" + std::to_string(rounds),
-                              "rounds", rounds, runStencil(rounds)));
-    }
+    for (unsigned rounds : {4u, 16u})
+        runStencil(claims::newRow(rows, "Stencil/" + std::to_string(rounds)),
+                   rounds);
     // One hot counter page write-migrating around the ring; every hop
     // recalls the previous owner.
-    for (unsigned hops : {16u, 64u}) {
-        rows.push_back(dsmRow("Migratory/" + std::to_string(hops), "hops",
-                              hops, runMigratory(hops)));
-    }
+    for (unsigned hops : {16u, 64u})
+        runMigratory(claims::newRow(rows, "Migratory/" + std::to_string(hops)),
+                     hops);
 }
 
 } // namespace shrimp

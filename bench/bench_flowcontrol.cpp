@@ -22,17 +22,11 @@ namespace shrimp
 namespace
 {
 
-struct FlowResult
-{
-    double stalls = 0;
-    double stallUs = 0;
-    double deliveredMBps = 0;
-    double allDelivered = 0;
-    double peakInFifo = 0;
-};
-
-FlowResult
-runOverload(Addr out_high, Addr in_high, unsigned stores)
+/** A store storm of @p stores packets to one word through FIFOs that
+ *  stop at @p out_high and @p in_high bytes. */
+void
+storeStorm(claims::Metrics &m, Addr out_high, Addr in_high,
+           unsigned stores)
 {
     SystemConfig cfg;
     cfg.meshWidth = 2;
@@ -43,67 +37,16 @@ runOverload(Addr out_high, Addr in_high, unsigned stores)
     cfg.ni.inFifo.capacityBytes = 16 * 1024;
     cfg.ni.inFifo.highThresholdBytes = in_high;
     cfg.ni.inFifo.lowThresholdBytes = in_high / 2;
-    ShrimpSystem sys(cfg);
+    bench_util::StoreScenario s(cfg, 1, 1, UpdateMode::AUTO_SINGLE);
+    s.run(s.storeLoop(stores, 0), 200 * ONE_MS);
 
-    Process *a = sys.kernel(0).createProcess("a");
-    Process *b = sys.kernel(1).createProcess("b");
-    Addr src = a->allocate(1);
-    Addr dst = b->allocate(1);
-    sys.kernel(0).mapDirect(*a, src, 1, sys.kernel(1), *b, dst,
-                            UpdateMode::AUTO_SINGLE);
-
-    Tick first = MAX_TICK, last = 0;
-    std::uint64_t payload = 0;
-    sys.node(1).ni.onDelivered = [&](const NetPacket &pkt, Tick when) {
-        if (pkt.injectedAt < first)
-            first = pkt.injectedAt;
-        last = when;
-        payload += pkt.payload.size();
-    };
-
-    // Store storm to one word: every store is a packet.
-    Program pa("a");
-    pa.movi(R1, src);
-    pa.movi(R2, 0);
-    pa.movi(R3, stores);
-    pa.label("loop");
-    pa.st(R1, 0, R2, 4);
-    pa.addi(R2, 1);
-    pa.cmp(R2, R3);
-    pa.jl("loop");
-    pa.halt();
-    bench_util::load(sys.kernel(0), *a, std::move(pa));
-    Program pb("b");
-    pb.halt();
-    bench_util::load(sys.kernel(1), *b, std::move(pb));
-
-    sys.startAll();
-    sys.runUntilAllExited(30 * ONE_SEC, 2'000'000'000);
-    sys.runFor(200 * ONE_MS);
-
-    stats::Snapshot snap = sys.snapshot();
-    FlowResult r;
-    r.stalls = static_cast<double>(snap.at("node0.kernel.fifoStalls"));
-    r.stallUs =
+    stats::Snapshot snap = s.sys.snapshot();
+    m["cpu_stalls"] = snap.at("node0.kernel.fifoStalls");
+    m["stall_us"] =
         static_cast<double>(snap.at("node0.kernel.fifoStallTicks")) /
         ONE_US;
-    r.allDelivered = snap.at("node1.ni.pktsDelivered") == stores ? 1 : 0;
-    if (last > first) {
-        r.deliveredMBps =
-            payload /
-            (static_cast<double>(last - first) / ONE_SEC) / 1e6;
-    }
-    return r;
-}
-
-void
-addRow(claims::Rows &rows, std::string name, const FlowResult &r)
-{
-    rows.push_back({std::move(name),
-                    {{"cpu_stalls", r.stalls},
-                     {"stall_us", r.stallUs},
-                     {"delivered_MBps", r.deliveredMBps},
-                     {"all_delivered", r.allDelivered}}});
+    m["delivered_MBps"] = s.delivered.mbps();
+    m["all_delivered"] = snap.at("node1.ni.pktsDelivered") == stores;
 }
 
 } // namespace
@@ -114,16 +57,16 @@ experiments::flowcontrol(claims::Rows &rows)
     // Outgoing FIFO threshold: the CPU is interrupted and waits until
     // the FIFO drains.
     for (Addr high : {1024, 2048, 4096, 8192}) {
-        addRow(rows,
-               "FlowControl_OutFifoThresholdSweep/" + std::to_string(high),
-               runOverload(high, 12 * 1024, 2000));
+        storeStorm(claims::newRow(rows, "FlowControl_OutFifoThresholdSweep/" +
+                                            std::to_string(high)),
+                   high, 12 * 1024, 2000);
     }
     // Incoming FIFO stop threshold: the NIC refuses packets and the
     // mesh backpressures the sender.
     for (Addr high : {1024, 4096, 12288}) {
-        addRow(rows,
-               "FlowControl_InFifoThresholdSweep/" + std::to_string(high),
-               runOverload(4 * 1024, high, 2000));
+        storeStorm(claims::newRow(rows, "FlowControl_InFifoThresholdSweep/" +
+                                            std::to_string(high)),
+                   4 * 1024, high, 2000);
     }
 }
 

@@ -24,15 +24,12 @@ void
 experiments::latency(claims::Rows &rows)
 {
     for (bool next_gen : {false, true}) {
+        const char *name = next_gen ? "SingleWriteLatency_NextGen/"
+                                    : "SingleWriteLatency_EisaPrototype/";
         for (unsigned hops = 1; hops <= 6; ++hops) {
-            rows.push_back(
-                {std::string(next_gen
-                                 ? "SingleWriteLatency_NextGen/"
-                                 : "SingleWriteLatency_EisaPrototype/") +
-                     std::to_string(hops),
-                 {{"sim_latency_us",
-                   bench_util::measureSingleWriteLatencyUs(next_gen,
-                                                           hops)}}});
+            bench_util::measureSingleWriteLatency(
+                claims::newRow(rows, name + std::to_string(hops)),
+                next_gen, hops);
         }
     }
 }

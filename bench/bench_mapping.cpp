@@ -204,20 +204,22 @@ experiments::mapping(claims::Rows &rows)
     // Protection is checked once here; sends cost a few instructions
     // forever after.
     for (unsigned npages : {1u, 4u, 16u}) {
-        double us = measureMapSyscallUs(npages);
-        rows.push_back({"MapSyscallLatency/" + std::to_string(npages),
-                        {{"sim_us", us}, {"us_per_page", us / npages}}});
+        claims::Metrics &m = claims::newRow(
+            rows, "MapSyscallLatency/" + std::to_string(npages));
+        m["sim_us"] = measureMapSyscallUs(npages);
+        m["us_per_page"] = m["sim_us"] / npages;
     }
     // INVALIDATE policy: remote NIPT entries are shot down before
     // paging (Section 4.4).
     for (unsigned sources : {1u, 2u, 4u, 7u}) {
-        rows.push_back({"EvictionShootdown/" + std::to_string(sources),
-                        {{"sim_us", measureShootdownUs(sources)}}});
+        claims::newRow(rows, "EvictionShootdown/" +
+                                 std::to_string(sources))["sim_us"] =
+            measureShootdownUs(sources);
     }
     // Write fault -> the kernel re-establishes the invalidated mapping
     // -> the store is retried.
-    rows.push_back(
-        {"FaultDrivenRemap", {{"sim_us_after_fault", measureRemapUs()}}});
+    claims::newRow(rows, "FaultDrivenRemap")["sim_us_after_fault"] =
+        measureRemapUs();
 }
 
 } // namespace shrimp

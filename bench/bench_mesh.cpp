@@ -23,17 +23,11 @@ namespace shrimp
 namespace
 {
 
-struct TrafficResult
-{
-    double meanLatencyUs = 0;
-    double deliveredMBps = 0;
-    double delivered = 0;
-};
-
 /** Uniform random traffic at a given per-node injection interval. */
-TrafficResult
-runUniformTraffic(unsigned w, unsigned h, Tick inject_interval,
-                  unsigned packets_per_node, unsigned payload)
+void
+runUniformTraffic(claims::Metrics &m, unsigned w, unsigned h,
+                  Tick inject_interval, unsigned packets_per_node,
+                  unsigned payload)
 {
     EventQueue eq;
     Router::Params params;
@@ -111,7 +105,6 @@ runUniformTraffic(unsigned w, unsigned h, Tick inject_interval,
     eq.schedule(&pump, 0);
     eq.run(500'000'000);
 
-    TrafficResult r;
     std::uint64_t count = 0, bytes = 0;
     Tick lat = 0, last = 0;
     for (const Sink &s : sinks) {
@@ -120,14 +113,11 @@ runUniformTraffic(unsigned w, unsigned h, Tick inject_interval,
         lat += s.latencySum;
         last = s.lastAt > last ? s.lastAt : last;
     }
-    r.delivered = static_cast<double>(count);
-    if (count)
-        r.meanLatencyUs =
-            static_cast<double>(lat) / count / ONE_US;
-    if (last)
-        r.deliveredMBps =
-            bytes / (static_cast<double>(last) / ONE_SEC) / 1e6;
-    return r;
+    m["delivered"] = count;
+    m["mean_latency_us"] =
+        count ? static_cast<double>(lat) / count / ONE_US : 0.0;
+    m["delivered_MBps"] =
+        last ? bytes / (static_cast<double>(last) / ONE_SEC) / 1e6 : 0.0;
 }
 
 /** Cut-through latency of one packet @p hops east on an idle row. */
@@ -173,25 +163,24 @@ experiments::mesh(claims::Rows &rows)
 {
     // Cut-through: ~50 ns per hop plus one serialization.
     for (unsigned hops = 1; hops <= 7; ++hops) {
-        rows.push_back({"Mesh_ZeroLoadLatencyByHops/" + std::to_string(hops),
-                        {{"sim_latency_us", zeroLoadLatencyUs(hops)}}});
+        claims::newRow(rows, "Mesh_ZeroLoadLatencyByHops/" +
+                                 std::to_string(hops))["sim_latency_us"] =
+            zeroLoadLatencyUs(hops);
     }
     // Offered load sweep toward saturation. 128B+18B at 80 MB/s is
     // ~1.8 us per packet per link.
     for (Tick ns : {40000, 10000, 4000, 2000, 1000}) {
-        TrafficResult r = runUniformTraffic(4, 4, ns * ONE_NS, 100, 128);
-        rows.push_back({"Mesh_UniformLoadSweep/" + std::to_string(ns),
-                        {{"mean_latency_us", r.meanLatencyUs},
-                         {"delivered_MBps", r.deliveredMBps},
-                         {"delivered", r.delivered}}});
+        runUniformTraffic(
+            claims::newRow(rows, "Mesh_UniformLoadSweep/" +
+                                     std::to_string(ns)),
+            4, 4, ns * ONE_NS, 100, 128);
     }
     // The same offered load per node on a growing machine.
     for (unsigned side : {2u, 4u, 8u}) {
-        TrafficResult r =
-            runUniformTraffic(side, side, 5 * ONE_US, 100, 128);
-        rows.push_back({"Mesh_SizeScaling/" + std::to_string(side),
-                        {{"mean_latency_us", r.meanLatencyUs},
-                         {"delivered_MBps", r.deliveredMBps}}});
+        runUniformTraffic(
+            claims::newRow(rows, "Mesh_SizeScaling/" +
+                                     std::to_string(side)),
+            side, side, 5 * ONE_US, 100, 128);
     }
 }
 

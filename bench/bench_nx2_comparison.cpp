@@ -12,6 +12,9 @@
  * C1 in bench/shrimp_claims.cc).
  */
 
+#include <algorithm>
+#include <string_view>
+
 #include "core/table1.hh"
 #include "experiments.hh"
 
@@ -23,34 +26,30 @@ experiments::nx2Comparison(claims::Rows &rows)
 {
     // User level; overheads exclude the per-byte copy.
     for (unsigned words : {16u, 64u}) {
-        table1::PrimitiveCost cost = table1::runUserNx2(4, words);
-        rows.push_back({"UserLevelNx2/" + std::to_string(words),
-                        {{"send_instr", cost.sendPerMsg},
-                         {"recv_instr", cost.recvPerMsg},
-                         {"total_instr", cost.sendPerMsg + cost.recvPerMsg},
-                         {"data_ok", cost.dataOk ? 1.0 : 0.0}}});
+        costRow(rows, "UserLevelNx2/" + std::to_string(words),
+                table1::runUserNx2(4, words));
     }
     // Kernel-level baseline: 222/261 fast paths + syscall + copies +
     // DMA interrupts.
     for (unsigned words : {16u, 64u}) {
-        table1::PrimitiveCost cost = table1::runKernelNx2(4, words);
-        rows.push_back(
-            {"KernelNx2Baseline/" + std::to_string(words),
-             {{"kernel_send_instr",
-               static_cast<double>(cost.kernelSendPerMsg)},
-              {"kernel_recv_instr",
-               static_cast<double>(cost.kernelRecvPerMsg)},
-              {"data_ok", cost.dataOk ? 1.0 : 0.0}}});
+        costRow(rows, "KernelNx2Baseline/" + std::to_string(words),
+                table1::runKernelNx2(4, words));
     }
-    table1::PrimitiveCost user = table1::runUserNx2();
-    table1::PrimitiveCost kernel = table1::runKernelNx2();
-    double user_total = user.sendPerMsg + user.recvPerMsg;
-    auto kernel_total = static_cast<double>(kernel.kernelSendPerMsg +
-                                            kernel.kernelRecvPerMsg);
-    rows.push_back({"OverheadRatio",
-                    {{"user_instr", user_total},
-                     {"kernel_instr", kernel_total},
-                     {"ratio", kernel_total / user_total}}});
+    // The ratio compares the two 16-word rows above.
+    auto metric = [&rows](std::string_view row, const char *name) {
+        return std::find_if(rows.begin(), rows.end(),
+                            [row](const claims::Row &r) {
+                                return r.name == row;
+                            })
+            ->metrics.at(name);
+    };
+    double user = metric("UserLevelNx2/16", "total_instr");
+    double kernel = metric("KernelNx2Baseline/16", "kernel_send_instr") +
+                    metric("KernelNx2Baseline/16", "kernel_recv_instr");
+    claims::Metrics &m = claims::newRow(rows, "OverheadRatio");
+    m["user_instr"] = user;
+    m["kernel_instr"] = kernel;
+    m["ratio"] = kernel / user;
 }
 
 } // namespace shrimp

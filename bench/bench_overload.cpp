@@ -22,19 +22,6 @@ namespace shrimp
 namespace
 {
 
-struct OverloadResult
-{
-    double offeredMBps = 0;
-    double goodputMBps = 0;
-    double retransmits = 0;
-    double pacedRetransmits = 0;
-    double ecnMarks = 0;
-    double ecnEchoes = 0;
-    double sendDrops = 0;
-    double watchdogStalls = 0;
-    double allSafe = 1;
-};
-
 /** The congestion stack the overload runs exercise. */
 SystemConfig
 overloadConfig()
@@ -52,21 +39,24 @@ overloadConfig()
     return cfg;
 }
 
-/** Read the overload counters off a finished system's stat paths. */
+/** A finished overload run's goodput over @p delivered and its
+ *  congestion counters, machine-wide. */
 void
-collectCounters(const ShrimpSystem &sys, OverloadResult &r)
+measureGoodput(claims::Metrics &m, const ShrimpSystem &sys,
+               const bench_util::Deliveries &delivered)
 {
+    m["goodput_MBps"] = delivered.mbps();
     stats::Snapshot snap = sys.snapshot();
     auto sum = [&snap](const char *pattern) {
         return static_cast<double>(snap.sum(pattern));
     };
-    r.retransmits = sum("node*.ni.retx.retxTimeout") +
-                    sum("node*.ni.retx.retxNack");
-    r.pacedRetransmits = sum("node*.ni.retx.retxPaced");
-    r.ecnMarks = sum("node*.ni.ecnMarksSeen");
-    r.ecnEchoes = sum("node*.ni.ecnEchoesSent");
-    r.sendDrops = sum("node*.ni.sendOverflowDrops");
-    r.watchdogStalls = sum("node*.ni.watchdogStalls");
+    m["retransmits"] = sum("node*.ni.retx.retxTimeout") +
+                       sum("node*.ni.retx.retxNack");
+    m["paced_retransmits"] = sum("node*.ni.retx.retxPaced");
+    m["ecn_marks"] = sum("node*.ni.ecnMarksSeen");
+    m["ecn_echoes"] = sum("node*.ni.ecnEchoesSent");
+    m["send_drops"] = sum("node*.ni.sendOverflowDrops");
+    m["watchdog_stalls"] = sum("node*.ni.watchdogStalls");
 }
 
 /**
@@ -75,8 +65,9 @@ collectCounters(const ShrimpSystem &sys, OverloadResult &r)
  * aggregate store rate relative to a nominal saturation point (100 =
  * one packet per microsecond arriving at the hot node).
  */
-OverloadResult
-runIncast(unsigned load_pct, unsigned stores_per_sender)
+void
+runIncast(claims::Metrics &m, unsigned load_pct,
+          unsigned stores_per_sender)
 {
     SystemConfig cfg = overloadConfig();
     ShrimpSystem sys(cfg);
@@ -99,19 +90,16 @@ runIncast(unsigned load_pct, unsigned stores_per_sender)
         srcPaddr[s] = t.paddr;
     }
 
-    Tick firstInject = MAX_TICK, lastDeliver = 0;
-    std::uint64_t delivered = 0;
-    sys.node(0).ni.onDelivered = [&](const NetPacket &pkt, Tick when) {
-        if (pkt.injectedAt < firstInject)
-            firstInject = pkt.injectedAt;
-        lastDeliver = when;
-        delivered += pkt.payload.size();
-    };
+    bench_util::Deliveries delivered;
+    delivered.attach(sys.node(0).ni);
 
     // 100% of nominal saturation = one arriving packet per us in
     // aggregate, i.e. each of the 15 senders stores every 15 us.
     const Tick interval =
         15 * ONE_US * 100 / (load_pct ? load_pct : 1);
+    m["load_pct"] = load_pct;
+    m["offered_MBps"] =
+        senders * 4.0 / (static_cast<double>(interval) / ONE_SEC) / 1e6;
     constexpr unsigned pageWords = PAGE_SIZE / 4;
     for (NodeId s = 1; s < n; ++s) {
         for (unsigned k = 0; k < stores_per_sender; ++k) {
@@ -130,19 +118,11 @@ runIncast(unsigned load_pct, unsigned stores_per_sender)
 
     sys.runFor(Tick{stores_per_sender} * interval + 100 * ONE_MS);
 
-    OverloadResult r;
-    r.offeredMBps = senders * 4.0 /
-                    (static_cast<double>(interval) / ONE_SEC) / 1e6;
-    if (lastDeliver > firstInject) {
-        r.goodputMBps =
-            delivered /
-            (static_cast<double>(lastDeliver - firstInject) / ONE_SEC) /
-            1e6;
-    }
-    collectCounters(sys, r);
+    measureGoodput(m, sys, delivered);
     // Safety even under overload: every delivered word is one some
     // sender really stored at that offset (drops shed load, they
     // never corrupt).
+    bool safe = true;
     for (NodeId s = 1; s < n; ++s) {
         Translation dt = hot->space().translate(
             dstBase + (s - 1) * PAGE_SIZE, false);
@@ -151,10 +131,10 @@ runIncast(unsigned load_pct, unsigned stores_per_sender)
                 sys.node(0).mem.readInt(dt.paddr + 4 * j, 4));
             if (v != 0 && (v > stores_per_sender ||
                            (v - 1) % pageWords != j))
-                r.allSafe = 0;
+                safe = false;
         }
     }
-    return r;
+    m["all_safe"] = safe;
 }
 
 /**
@@ -162,8 +142,9 @@ runIncast(unsigned load_pct, unsigned stores_per_sender)
  * peers round-robin, so congestion forms inside the mesh rather than
  * at one hot ejection port.
  */
-OverloadResult
-runAllToAll(unsigned load_pct, unsigned stores_per_sender)
+void
+runAllToAll(claims::Metrics &m, unsigned load_pct,
+            unsigned stores_per_sender)
 {
     SystemConfig cfg = overloadConfig();
     ShrimpSystem sys(cfg);
@@ -193,22 +174,17 @@ runAllToAll(unsigned load_pct, unsigned stores_per_sender)
         }
     }
 
-    Tick firstInject = MAX_TICK, lastDeliver = 0;
-    std::uint64_t delivered = 0;
-    for (NodeId id = 0; id < n; ++id) {
-        sys.node(id).ni.onDelivered =
-            [&](const NetPacket &pkt, Tick when) {
-                if (pkt.injectedAt < firstInject)
-                    firstInject = pkt.injectedAt;
-                lastDeliver = when;
-                delivered += pkt.payload.size();
-            };
-    }
+    bench_util::Deliveries delivered;
+    for (NodeId id = 0; id < n; ++id)
+        delivered.attach(sys.node(id).ni);
 
     // Same normalization as the incast run: at 100%, each node emits
     // one packet per 15 us, cycling through its 15 peers.
     const Tick interval =
         15 * ONE_US * 100 / (load_pct ? load_pct : 1);
+    m["load_pct"] = load_pct;
+    m["offered_MBps"] =
+        n * (n - 1) * 4.0 / (static_cast<double>(interval) / ONE_SEC) / 1e6;
     constexpr unsigned pageWords = PAGE_SIZE / 4;
     for (NodeId s = 0; s < n; ++s) {
         for (unsigned k = 0; k < stores_per_sender; ++k) {
@@ -230,32 +206,7 @@ runAllToAll(unsigned load_pct, unsigned stores_per_sender)
     sys.runFor(Tick{stores_per_sender} * interval / (n - 1) +
                100 * ONE_MS);
 
-    OverloadResult r;
-    r.offeredMBps = n * (n - 1) * 4.0 /
-                    (static_cast<double>(interval) / ONE_SEC) / 1e6;
-    if (lastDeliver > firstInject) {
-        r.goodputMBps =
-            delivered /
-            (static_cast<double>(lastDeliver - firstInject) / ONE_SEC) /
-            1e6;
-    }
-    collectCounters(sys, r);
-    return r;
-}
-
-claims::Row
-loadRow(std::string name, unsigned load_pct, const OverloadResult &r)
-{
-    return {std::move(name),
-            {{"load_pct", static_cast<double>(load_pct)},
-             {"offered_MBps", r.offeredMBps},
-             {"goodput_MBps", r.goodputMBps},
-             {"retransmits", r.retransmits},
-             {"paced_retransmits", r.pacedRetransmits},
-             {"ecn_marks", r.ecnMarks},
-             {"ecn_echoes", r.ecnEchoes},
-             {"send_drops", r.sendDrops},
-             {"watchdog_stalls", r.watchdogStalls}}};
+    measureGoodput(m, sys, delivered);
 }
 
 } // namespace
@@ -266,16 +217,15 @@ experiments::overload(claims::Rows &rows)
     // 15-to-1 incast at load_pct of nominal saturation; goodput must
     // not collapse as load rises. 400% is ~2.5x measured saturation.
     for (unsigned load_pct : {25u, 50u, 100u, 150u, 200u, 300u, 400u}) {
-        OverloadResult r = runIncast(load_pct, 512);
-        rows.push_back(
-            loadRow("Incast/" + std::to_string(load_pct), load_pct, r));
-        rows.back().metrics["all_safe"] = r.allSafe;
+        runIncast(claims::newRow(rows, "Incast/" + std::to_string(load_pct)),
+                  load_pct, 512);
     }
     // All-to-all spray: congestion forms inside the mesh rather than
     // at one ejection port.
     for (unsigned load_pct : {50u, 150u}) {
-        rows.push_back(loadRow("AllToAll/" + std::to_string(load_pct),
-                               load_pct, runAllToAll(load_pct, 480)));
+        runAllToAll(
+            claims::newRow(rows, "AllToAll/" + std::to_string(load_pct)),
+            load_pct, 480);
     }
 }
 

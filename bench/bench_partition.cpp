@@ -42,23 +42,6 @@ namespace shrimp
 namespace
 {
 
-struct PartitionResult
-{
-    double detectUs = 0;
-    double healUs = 0;
-    double staleEpochRejects = 0;
-    double niStaleDrops = 0;
-    double fencedWritebacks = 0;
-    double rehomes = 0;
-    double allOk = 1;
-
-    void fail(const char *step)
-    {
-        std::fprintf(stderr, "partition: step '%s' failed\n", step);
-        allOk = 0;
-    }
-};
-
 /** Does every node see every other as ALIVE? */
 bool
 allAlive(ShrimpSystem &sys)
@@ -75,8 +58,8 @@ allAlive(ShrimpSystem &sys)
     return true;
 }
 
-PartitionResult
-runPartition(Tick partition_ticks)
+void
+runPartition(claims::Metrics &m, unsigned partition_ms)
 {
     SystemConfig cfg;
     cfg.meshWidth = 2;
@@ -97,7 +80,12 @@ runPartition(Tick partition_ticks)
             majority.push_back(id);
     }
 
-    PartitionResult r;
+    m["partition_ms"] = partition_ms;
+    m["all_ok"] = 1;
+    auto fail = [&m](const char *step) {
+        std::fprintf(stderr, "partition: step '%s' failed\n", step);
+        m["all_ok"] = 0;
+    };
 
     // The soon-to-be-isolated node takes exclusive ownership of a
     // page homed on the majority side, so the partition strands a
@@ -112,7 +100,7 @@ runPartition(Tick partition_ticks)
         });
     sys.runFor(2 * ONE_MS);
     if (!owned)
-        r.fail("initial-acquire");
+        fail("initial-acquire");
 
     // ---- cut, and poll for the majority's DEAD declaration ----
     const Tick cutAt = sys.curTick();
@@ -122,10 +110,10 @@ runPartition(Tick partition_ticks)
            sys.kernel(0).health()->peerState(iso) != PeerHealth::DEAD)
         sys.runFor(50 * ONE_US);
     if (sys.kernel(0).health()->peerState(iso) == PeerHealth::DEAD) {
-        r.detectUs = static_cast<double>(sys.curTick() - cutAt) /
-                     ONE_US;
+        m["time_to_detect_us"] =
+            static_cast<double>(sys.curTick() - cutAt) / ONE_US;
     } else {
-        r.fail("detect");
+        fail("detect");
     }
 
     // Split-brain safety: while the stranded owner's fate is
@@ -136,10 +124,11 @@ runPartition(Tick partition_ticks)
                                  [&failedFast](std::uint64_t st) {
                                      failedFast = st == err::HOSTDOWN;
                                  });
-    if (sys.curTick() < cutAt + partition_ticks)
-        sys.runFor(cutAt + partition_ticks - sys.curTick());
+    const Tick healDue = cutAt + partition_ms * ONE_MS;
+    if (sys.curTick() < healDue)
+        sys.runFor(healDue - sys.curTick());
     if (!failedFast)
-        r.fail("split-brain-refusal");
+        fail("split-brain-refusal");
 
     // ---- heal, and poll for full reintegration ----
     const Tick healAt = sys.curTick();
@@ -148,10 +137,10 @@ runPartition(Tick partition_ticks)
     while (sys.curTick() < healCap && !allAlive(sys))
         sys.runFor(50 * ONE_US);
     if (allAlive(sys)) {
-        r.healUs = static_cast<double>(sys.curTick() - healAt) /
-                   ONE_US;
+        m["time_to_heal_us"] =
+            static_cast<double>(sys.curTick() - healAt) / ONE_US;
     } else {
-        r.fail("reintegrate");
+        fail("reintegrate");
     }
 
     // Reintegration re-homed the page: the majority can finally take
@@ -163,7 +152,7 @@ runPartition(Tick partition_ticks)
                                  });
     sys.runFor(5 * ONE_MS);
     if (!reclaimed)
-        r.fail("reclaim-after-heal");
+        fail("reclaim-after-heal");
 
     // The fenced ex-owner refaults cleanly after reintegration.
     bool refaulted = false;
@@ -173,17 +162,16 @@ runPartition(Tick partition_ticks)
                                    });
     sys.runFor(5 * ONE_MS);
     if (!refaulted)
-        r.fail("refault");
+        fail("refault");
 
     stats::Snapshot snap = sys.snapshot();
     auto sum = [&snap](const char *pattern) {
         return static_cast<double>(snap.sum(pattern));
     };
-    r.staleEpochRejects = sum("node*.kernel.health.staleEpochRejects");
-    r.niStaleDrops = sum("node*.ni.staleEpochDrops");
-    r.fencedWritebacks = sum("node*.kernel.dsm.dsmFencedWritebacks");
-    r.rehomes = sum("node*.kernel.dsm.dsmRehomes");
-    return r;
+    m["stale_epoch_rejects"] = sum("node*.kernel.health.staleEpochRejects");
+    m["ni_stale_drops"] = sum("node*.ni.staleEpochDrops");
+    m["fenced_writebacks"] = sum("node*.kernel.dsm.dsmFencedWritebacks");
+    m["dsm_rehomes"] = sum("node*.kernel.dsm.dsmRehomes");
 }
 
 } // namespace
@@ -193,18 +181,9 @@ experiments::partition(claims::Rows &rows)
 {
     // Isolate one node of a 2x2 mesh behind a full cut-set, re-home
     // its page, heal, reintegrate.
-    for (unsigned ms : {3u, 6u, 12u}) {
-        PartitionResult r = runPartition(ms * ONE_MS);
-        rows.push_back({"Partition/" + std::to_string(ms),
-                        {{"partition_ms", static_cast<double>(ms)},
-                         {"time_to_detect_us", r.detectUs},
-                         {"time_to_heal_us", r.healUs},
-                         {"stale_epoch_rejects", r.staleEpochRejects},
-                         {"ni_stale_drops", r.niStaleDrops},
-                         {"fenced_writebacks", r.fencedWritebacks},
-                         {"dsm_rehomes", r.rehomes},
-                         {"all_ok", r.allOk}}});
-    }
+    for (unsigned ms : {3u, 6u, 12u})
+        runPartition(claims::newRow(rows, "Partition/" + std::to_string(ms)),
+                     ms);
 }
 
 } // namespace shrimp

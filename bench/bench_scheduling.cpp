@@ -40,8 +40,11 @@ enum class Policy
     GANG,
 };
 
-double
-runPingPongUnder(Policy policy, int rounds, Tick quantum)
+/** Run @p rounds ping-pong rounds under @p policy: sim_us_total until
+ *  the job ends (-1 if it never does) and sim_us_per_round. */
+void
+runPingPongUnder(claims::Metrics &m, Policy policy, int rounds,
+                 Tick quantum)
 {
     SystemConfig cfg;
     cfg.meshWidth = 2;
@@ -60,11 +63,6 @@ runPingPongUnder(Policy policy, int rounds, Tick quantum)
     sys.kernel(1).mapDirect(*pong, flag1, 1, sys.kernel(0), *ping,
                             flag0, UpdateMode::AUTO_SINGLE);
 
-    auto load = [&](Kernel &k, Process &p, Program &&prog) {
-        prog.finalize();
-        k.loadAndReady(p, std::make_shared<Program>(std::move(prog)));
-    };
-
     Program pa("ping");
     pa.movi(R6, flag0);
     pa.movi(R5, 0);
@@ -78,7 +76,7 @@ runPingPongUnder(Policy policy, int rounds, Tick quantum)
     pa.cmpi(R5, rounds);
     pa.jl("round");
     pa.halt();
-    load(sys.kernel(0), *ping, std::move(pa));
+    bench_util::load(sys.kernel(0), *ping, std::move(pa));
 
     Program pb("pong");
     pb.movi(R6, flag1);
@@ -93,7 +91,7 @@ runPingPongUnder(Policy policy, int rounds, Tick quantum)
     pb.cmpi(R5, rounds);
     pb.jl("round");
     pb.halt();
-    load(sys.kernel(1), *pong, std::move(pb));
+    bench_util::load(sys.kernel(1), *pong, std::move(pb));
 
     // Background job: one spinner per node (gang 2), long-running.
     std::vector<Process *> spinners;
@@ -109,7 +107,7 @@ runPingPongUnder(Policy policy, int rounds, Tick quantum)
             sp.cmp(R1, R2);
             sp.jl("work");
             sp.halt();
-            load(sys.kernel(n), *s, std::move(sp));
+            bench_util::load(sys.kernel(n), *s, std::move(sp));
             spinners.push_back(s);
         }
     }
@@ -123,20 +121,16 @@ runPingPongUnder(Policy policy, int rounds, Tick quantum)
     sys.startAll();
 
     // Run until the ping-pong job (not the background job) finishes.
-    while (!(ping->state == ProcState::EXITED &&
-             pong->state == ProcState::EXITED)) {
-        if (sys.eventQueue().empty() || sys.curTick() > 30 * ONE_SEC)
-            return -1.0;
+    auto done = [&] {
+        return ping->state == ProcState::EXITED &&
+               pong->state == ProcState::EXITED;
+    };
+    while (!done() && !sys.eventQueue().empty() &&
+           sys.curTick() <= 30 * ONE_SEC)
         sys.eventQueue().runOne();
-    }
-    return static_cast<double>(sys.curTick()) / ONE_US;
-}
-
-void
-addRow(claims::Rows &rows, std::string name, double us)
-{
-    rows.push_back({std::move(name),
-                    {{"sim_us_total", us}, {"sim_us_per_round", us / 50}}});
+    double us = done() ? static_cast<double>(sys.curTick()) / ONE_US : -1.0;
+    m["sim_us_total"] = us;
+    m["sim_us_per_round"] = us / rounds;
 }
 
 } // namespace
@@ -145,17 +139,20 @@ void
 experiments::scheduling(claims::Rows &rows)
 {
     // Reference: no competing job.
-    addRow(rows, "PingPong_Alone",
-           runPingPongUnder(Policy::ALONE, 50, 50 * ONE_US));
+    runPingPongUnder(claims::newRow(rows, "PingPong_Alone"), Policy::ALONE,
+                     50, 50 * ONE_US);
     // Uncoordinated timesharing: rounds wait for the peer's quantum.
     for (Tick us : {20, 50, 100}) {
-        addRow(rows, "PingPong_RoundRobinCompetition/" + std::to_string(us),
-               runPingPongUnder(Policy::ROUND_ROBIN, 50, us * ONE_US));
+        std::string name =
+            "PingPong_RoundRobinCompetition/" + std::to_string(us);
+        runPingPongUnder(claims::newRow(rows, name), Policy::ROUND_ROBIN,
+                         50, us * ONE_US);
     }
     // Coordinated epochs: the peers run simultaneously.
     for (Tick us : {20, 50, 100}) {
-        addRow(rows, "PingPong_GangScheduled/" + std::to_string(us),
-               runPingPongUnder(Policy::GANG, 50, us * ONE_US));
+        std::string name = "PingPong_GangScheduled/" + std::to_string(us);
+        runPingPongUnder(claims::newRow(rows, name), Policy::GANG, 50,
+                         us * ONE_US);
     }
 }
 

@@ -4,7 +4,8 @@
  * reproduction's numbers.
  *
  * Every experiment (bench/bench_*.cpp) appends named rows, each a
- * metric -> value map of simulated results. A claim is one line of a
+ * metric -> value map of simulated results that the experiment fills
+ * where it measures them. A claim is one line of a
  * data table: the rows it covers, one metric, a comparison and the
  * paper text or earlier gate it encodes. check() evaluates a table
  * against a row set and returns one verdict per covered row, so a
@@ -22,6 +23,7 @@
 #include <ostream>
 #include <string>
 #include <string_view>
+#include <utility>
 #include <vector>
 
 namespace shrimp
@@ -29,14 +31,25 @@ namespace shrimp
 namespace claims
 {
 
+/** One experiment point's results, metric name -> value. */
+using Metrics = std::map<std::string, double>;
+
 /** One experiment point: a name such as `Incast/400` and its metrics. */
 struct Row
 {
     std::string name;
-    std::map<std::string, double> metrics;
+    Metrics metrics;
 };
 
 using Rows = std::vector<Row>;
+
+/** Append an empty row named @p name and return its metrics to fill;
+ *  the reference lasts until the next row is appended. */
+inline Metrics &
+newRow(Rows &rows, std::string name)
+{
+    return rows.emplace_back(Row{std::move(name), {}}).metrics;
+}
 
 enum class Op
 {

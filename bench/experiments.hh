@@ -3,18 +3,31 @@
  * The experiments behind the claims table. Each bench/bench_<name>.cpp
  * runs its deterministic simulations once and appends one row per
  * experiment point (named `Experiment/arg`, e.g. `Incast/400`) to
- * @p rows. shrimp_claims runs them all in this order.
+ * @p rows, writing each metric into the row where it measures it.
+ * shrimp_claims runs them all in this order.
  */
 
 #ifndef SHRIMP_BENCH_EXPERIMENTS_HH
 #define SHRIMP_BENCH_EXPERIMENTS_HH
 
+#include <string>
+
 #include "claims.hh"
 
 namespace shrimp
 {
+namespace table1
+{
+struct PrimitiveCost;
+} // namespace table1
+
 namespace experiments
 {
+
+/** Append the row of one Table 1 primitive's measured @p cost: its
+ *  user and kernel instructions per message, and data_ok. */
+void costRow(claims::Rows &rows, std::string name,
+             const table1::PrimitiveCost &cost);
 
 void table1Overheads(claims::Rows &rows);   //!< T1.1-T1.7
 void nx2Comparison(claims::Rows &rows);     //!< T1.7, C1

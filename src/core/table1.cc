@@ -94,8 +94,6 @@ finishMeasurement(Pair &pair, std::uint64_t messages,
     pair.sys.runFor(5 * ONE_MS);
 
     PrimitiveCost cost;
-    cost.messages = messages;
-    cost.simTicks = pair.sys.curTick();
     const ExecContext &sc = pair.sender->ctx;
     const ExecContext &rc = pair.receiver->ctx;
     cost.sendPerMsg = static_cast<double>(

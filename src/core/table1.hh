@@ -33,8 +33,6 @@ struct PrimitiveCost
     std::uint64_t kernelSendPerMsg = 0;  //!< kernel instrs (baseline)
     std::uint64_t kernelRecvPerMsg = 0;
     bool dataOk = false;        //!< payload verified at the receiver
-    std::uint64_t messages = 0;
-    Tick simTicks = 0;
 };
 
 /** T1.1 / T1.2: single buffering, optionally with receive-side copy. */

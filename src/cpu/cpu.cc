@@ -212,14 +212,12 @@ Cpu::executeOne(ExecContext &ctx, const Instruction &instr, Tick now)
       }
 
       case Opcode::RET: {
-        Instruction ld_ret{Opcode::LD, R6, SP, 0, 4, 0, 0};
         // Read the return address functionally; charge load timing.
         Translation t = ctx.space->translate(r[SP], false);
         if (!t.ok()) {
             takeFault(ctx, t.fault, r[SP], false, now);
             return MAX_TICK;
         }
-        (void)ld_ret;
         std::uint64_t ret_pc = _bus.functionalRead(t.paddr, 4);
         next = _cache.load(t.paddr, 4, t.policy, now);
         r[SP] += 4;

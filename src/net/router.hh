@@ -284,7 +284,7 @@ class Router : public SimObject
     stats::Counter _faultReorders{_stats, "faultReorders",
                                   "packets delayed past successors"};
     stats::Counter _linkDownDrops{_stats, "linkDownDrops",
-                                  "packets lost to link outage windows"};
+                                  "transmissions lost on cut links"};
     stats::Counter _misroutes{_stats, "misroutes",
                               "detours taken around dead links"};
     stats::Counter _routeAroundDrops{

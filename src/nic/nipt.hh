@@ -68,9 +68,6 @@ struct NiptEntry
 
     bool mappedIn = false;          //!< remote senders may write here
     bool interruptOnArrival = false;
-    /** Source nodes with mappings into this page (used by the
-     *  NIPT-consistency shootdown protocol, Section 4.4). */
-    std::vector<NodeId> inSources;
 
     bool
     anyOut() const

@@ -49,7 +49,13 @@ ShrimpNi::ShrimpNi(EventQueue &eq, std::string name, NodeId node,
                [this] { _dmaWaitingForFifo = true; }}),
       _injectEvent([this] { tryInject(); }, "ni inject"),
       _drainEvent([this] { drainIncoming(); }, "ni drain"),
-      _mergeTimerEvent([this] { flushMergeBuffer(); }, "merge timeout"),
+      _mergeTimerEvent(
+          [this] {
+              if (_merge.valid)
+                  ++_mergeFlushTimeout;
+              flushMergeBuffer();
+          },
+          "merge timeout"),
       _ackEvent([this] { flushPendingAcks(); }, "delayed ack"),
       _watchdogEvent([this] { watchdogTick(); }, "progress watchdog"),
       _stats(this->name())

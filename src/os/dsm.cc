@@ -348,7 +348,7 @@ Dsm::runHead(std::uint32_t page)
     }
 
     if (!h.write) {
-        grantRead(page);
+        grant(page);
         return;
     }
 
@@ -381,11 +381,11 @@ Dsm::runHead(std::uint32_t page)
     }
     if (d.pendingAcks > 0)
         return;
-    grantWrite(page);
+    grant(page);
 }
 
 void
-Dsm::grantRead(std::uint32_t page)
+Dsm::grant(std::uint32_t page)
 {
     DirEntry &d = _dir[page];
     HomeReq h = d.waiters.front();
@@ -394,62 +394,43 @@ Dsm::grantRead(std::uint32_t page)
         finishHead(page, err::HOSTDOWN);
         return;
     }
-    if (!contains(d.sharers, h.requester))
+    // A write skips the data transfer only when both sides agree the
+    // requester still holds a READ_SHARED copy to upgrade in place.
+    bool with_data =
+        !(h.write && h.haveCopy && contains(d.sharers, h.requester));
+    if (h.write) {
+        d.sharers.clear();
+        d.owner = h.requester;
+        // Bind the grant to the requester's current life: only that
+        // life's writeback may land in the home frame.
+        d.granteeIncarnation = h.requester == self
+                                   ? _kernel.selfIncarnation()
+                                   : _kernel.peerIncarnation(h.requester);
+    } else if (!contains(d.sharers, h.requester)) {
         d.sharers.push_back(h.requester);
-    if (h.requester == self) {
-        installLocal(page, d.homeFrame, false);
-        finishHead(page, err::OK);
-        return;
     }
-    DsmMsg m;
-    m.type = channel::DSM_PUT;
-    m.payload[0] = page;
-    m.payload[1] = 0;
-    m.payload[2] = 1;
-    m.payload[3] = rc(err::OK);
-    m.withData = true;
-    m.data = readFrame(d.homeFrame);
-    sendMsg(h.requester, std::move(m));
+    if (h.requester == self)
+        installLocal(page, d.homeFrame, h.write);
+    else
+        sendPut(h.requester, page, h.write, with_data, err::OK);
     finishHead(page, err::OK);
 }
 
 void
-Dsm::grantWrite(std::uint32_t page)
+Dsm::sendPut(NodeId dst, std::uint32_t page, bool write, bool with_data,
+             std::uint64_t status)
 {
-    DirEntry &d = _dir[page];
-    HomeReq h = d.waiters.front();
-    const NodeId self = _kernel.nodeId();
-    if (h.requester != self && _kernel.peerFailed(h.requester)) {
-        finishHead(page, err::HOSTDOWN);
-        return;
-    }
-    // Skip the data transfer only when both sides agree the requester
-    // still holds a READ_SHARED copy to upgrade in place.
-    bool upgrade = h.haveCopy && contains(d.sharers, h.requester);
-    d.sharers.clear();
-    d.owner = h.requester;
-    // Bind the grant to the requester's current life: only that
-    // life's writeback may land in the home frame.
-    d.granteeIncarnation = h.requester == self
-                               ? _kernel.selfIncarnation()
-                               : _kernel.peerIncarnation(h.requester);
-    if (h.requester == self) {
-        installLocal(page, d.homeFrame, true);
-        finishHead(page, err::OK);
-        return;
-    }
     DsmMsg m;
     m.type = channel::DSM_PUT;
     m.payload[0] = page;
-    m.payload[1] = 1;
-    m.payload[2] = upgrade ? 0 : 1;
-    m.payload[3] = rc(err::OK);
-    if (!upgrade) {
+    m.payload[1] = write ? 1 : 0;
+    m.payload[2] = with_data ? 1 : 0;
+    m.payload[3] = rc(status);
+    if (with_data) {
         m.withData = true;
-        m.data = readFrame(d.homeFrame);
+        m.data = readFrame(_dir[page].homeFrame);
     }
-    sendMsg(h.requester, std::move(m));
-    finishHead(page, err::OK);
+    sendMsg(dst, std::move(m));
 }
 
 void
@@ -468,13 +449,7 @@ Dsm::finishHead(std::uint32_t page, std::uint64_t status)
     if (h.requester == _kernel.nodeId()) {
         completeLocal(page, status);
     } else if (status != err::OK && !_kernel.peerFailed(h.requester)) {
-        DsmMsg m;
-        m.type = channel::DSM_PUT;
-        m.payload[0] = page;
-        m.payload[1] = h.write ? 1 : 0;
-        m.payload[2] = 0;
-        m.payload[3] = rc(status);
-        sendMsg(h.requester, std::move(m));
+        sendPut(h.requester, page, h.write, false, status);
     }
     pump(page);
 }

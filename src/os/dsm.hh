@@ -277,8 +277,14 @@ class Dsm
      *  after each writeback / invalidation ack until it grants. */
     void runHead(std::uint32_t page);
 
-    void grantRead(std::uint32_t page);
-    void grantWrite(std::uint32_t page);
+    /** Grant the head waiter its copy: a read joins the sharers, a
+     *  write takes exclusive ownership. */
+    void grant(std::uint32_t page);
+
+    /** Send @p dst the DSM_PUT that answers its request for @p page,
+     *  with the home frame's image when @p with_data. */
+    void sendPut(NodeId dst, std::uint32_t page, bool write,
+                 bool with_data, std::uint64_t status);
 
     /** Pop the head waiter with @p status (error PUT to remote
      *  requesters), then pump the next. */

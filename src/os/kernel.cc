@@ -292,7 +292,6 @@ Kernel::arrivalHandler(PageNum page, Tick now)
         if (it != _arrivalWaiters.end()) {
             for (Process *proc : it->second) {
                 proc->ctx.regs[R0] = count;
-                proc->waitFrame = INVALID_PAGE;
                 makeReady(*proc);
             }
             it->second.clear();
@@ -368,7 +367,6 @@ Kernel::openLink(NodeId peer, UpdateMode mode, const char *what,
     NiptEntry &e = _ni.nipt().entry(link.in);
     e.mappedIn = true;
     e.interruptOnArrival = on_arrival != nullptr;
-    e.inSources.push_back(peer);
     if (on_arrival)
         _linkRoutes.emplace(link.in, LinkRoute{on_arrival, peer});
     _unwired[peer].push_back(UnwiredLink{link, mode, what});
@@ -996,7 +994,6 @@ Kernel::doWaitArrival(ExecContext &ctx, Tick now)
         return now;
     }
     Process &proc = processOf(ctx);
-    proc.waitFrame = frame;
     blockCurrent(ctx);
     _arrivalWaiters[frame].push_back(&proc);
     return scheduleNext(now);

@@ -393,11 +393,6 @@ MapManager::recordInDirect(const InRecord &rec, PageNum frame,
     e.mappedIn = true;
     if (arrival_interrupt)
         e.interruptOnArrival = true;
-    bool have_src = false;
-    for (NodeId n : e.inSources)
-        have_src = have_src || n == rec.srcNode;
-    if (!have_src)
-        e.inSources.push_back(rec.srcNode);
     _inByFrame[frame].push_back(rec);
 }
 
@@ -755,17 +750,13 @@ MapManager::releaseInMappings(PageNum frame)
 void
 MapManager::syncNiptIn(PageNum frame)
 {
-    NiptEntry &e = _kernel.ni().nipt().entry(frame);
-    e.inSources.clear();
     auto it = _inByFrame.find(frame);
     if (it == _inByFrame.end() || it->second.empty()) {
         // Last incoming mapping gone: close the page.
+        NiptEntry &e = _kernel.ni().nipt().entry(frame);
         e.mappedIn = false;
         e.interruptOnArrival = false;
-        return;
     }
-    for (const InRecord &r : it->second)
-        e.inSources.push_back(r.srcNode);
 }
 
 // ---------------------------------------------------------------------

@@ -301,8 +301,7 @@ class MapManager : public LinkHandler
     /** Clear one out-mapping half from the local NIPT. */
     void clearOutHalf(PageNum frame, const OutRecord &rec);
 
-    /** Bring @p frame's NIPT in-side up to date with its incoming
-     *  records: rebuild inSources, or close the page once none are
+    /** Close @p frame's NIPT in-side once it has no incoming records
      *  left. */
     void syncNiptIn(PageNum frame);
 

@@ -75,9 +75,6 @@ class Process
      *  Kernel::reapProcess); remote maps to it are refused. */
     bool reaped = false;
 
-    /** While blocked in WAIT_ARRIVAL: the frame being waited on. */
-    PageNum waitFrame = INVALID_PAGE;
-
   private:
     AddressSpace _space;
 };

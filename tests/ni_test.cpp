@@ -139,9 +139,11 @@ TEST_F(NiFixture, BlockedWriteMergesConsecutiveStores)
     sys->kernel(0).mapDirect(*procA, src, 1, sys->kernel(1), *procB,
                              dst, UpdateMode::AUTO_BLOCK);
 
+    // 160 stores: the first 128 fill a 512-byte packet, which leaves
+    // at once; the merge timer flushes the trailing 32.
     Program pa("a");
     pa.movi(R1, src);
-    for (int i = 0; i < 16; ++i)
+    for (int i = 0; i < 160; ++i)
         pa.sti(R1, 4 * i, 0x100 + i, 4);
     pa.halt();
     loadProgram(sys->kernel(0), *procA, std::move(pa));
@@ -150,14 +152,15 @@ TEST_F(NiFixture, BlockedWriteMergesConsecutiveStores)
     loadProgram(sys->kernel(1), *procB, std::move(pb));
 
     runAll(ONE_MS);
-    for (int i = 0; i < 16; ++i) {
+    for (int i = 0; i < 160; ++i) {
         EXPECT_EQ(peek32(*sys, 1, *procB, dst + 4 * i),
                   static_cast<std::uint32_t>(0x100 + i));
     }
-    // 16 stores merged into far fewer packets.
     stats::Snapshot snap = sys->snapshot();
-    EXPECT_LT(snap.at("node0.ni.pktsSent"), 4u);
-    EXPECT_GT(snap.at("node0.ni.mergedWrites"), 10u);
+    EXPECT_EQ(snap.at("node0.ni.pktsSent"), 2u);
+    EXPECT_EQ(snap.at("node0.ni.mergedWrites"), 158u);
+    // Only the trailing buffer is a timer flush; the full one is not.
+    EXPECT_EQ(snap.at("node0.ni.mergeFlushTimeout"), 1u);
 }
 
 TEST_F(NiFixture, BlockedWriteNonConsecutiveSplitsPackets)
@@ -183,7 +186,10 @@ TEST_F(NiFixture, BlockedWriteNonConsecutiveSplitsPackets)
     EXPECT_EQ(peek32(*sys, 1, *procB, dst + 0), 1u);
     EXPECT_EQ(peek32(*sys, 1, *procB, dst + 0x100), 2u);
     EXPECT_EQ(peek32(*sys, 1, *procB, dst + 0x104), 3u);
-    EXPECT_EQ(sys->snapshot().at("node0.ni.pktsSent"), 2u);
+    stats::Snapshot snap = sys->snapshot();
+    EXPECT_EQ(snap.at("node0.ni.pktsSent"), 2u);
+    // The gap's flush is not a timer flush; the trailing one is.
+    EXPECT_EQ(snap.at("node0.ni.mergeFlushTimeout"), 1u);
 }
 
 TEST_F(NiFixture, DeliberateUpdateViaCommandPage)

@@ -97,7 +97,6 @@ TEST(Nipt, MappedInAndSources)
     Nipt nipt(16);
     NiptEntry &e = nipt.entry(9);
     e.mappedIn = true;
-    e.inSources = {2, 5};
     EXPECT_TRUE(nipt.mappedIn(9));
     EXPECT_TRUE(e.interruptOnArrival == false);
     EXPECT_FALSE(nipt.mappedIn(10));

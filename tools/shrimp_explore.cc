@@ -173,15 +173,16 @@ cmdLatency(int argc, char **argv)
                {"--stats-json", Option::PATH}});
     bool next_gen = o.has("--nextgen");
     long hops = o.num("--hops", 3);
-    double us = bench_util::measureSingleWriteLatencyUs(
-        next_gen, static_cast<unsigned>(hops), o.path("--trace-out"),
+    claims::Metrics m;
+    bench_util::measureSingleWriteLatency(
+        m, next_gen, static_cast<unsigned>(hops), o.path("--trace-out"),
         o.path("--stats-json"));
     std::printf("single-write automatic-update latency\n");
     std::printf("  datapath : %s\n",
                 next_gen ? "next-gen (Xpress-direct)"
                          : "EISA prototype");
     std::printf("  hops     : %ld\n", hops);
-    std::printf("  latency  : %.3f us (paper: %s)\n", us,
+    std::printf("  latency  : %.3f us (paper: %s)\n", m.at("sim_latency_us"),
                 next_gen ? "< 1 us" : "slightly < 2 us");
     return 0;
 }
@@ -200,16 +201,17 @@ cmdBandwidth(int argc, char **argv)
     if (kb % 4 != 0)
         usageError("'--kb' must be a multiple of 4, got " +
                    std::to_string(kb));
-    auto r = bench_util::measureDeliberateBandwidth(
-        next_gen, static_cast<Addr>(kb) * 1024, o.path("--trace-out"),
+    claims::Metrics m;
+    bench_util::measureDeliberateBandwidth(
+        m, next_gen, static_cast<Addr>(kb) * 1024, o.path("--trace-out"),
         o.path("--stats-json"));
     std::printf("deliberate-update streaming bandwidth\n");
     std::printf("  datapath  : %s\n",
                 next_gen ? "next-gen (Xpress-direct)"
                          : "EISA prototype");
     std::printf("  transfer  : %ld KB in %zu packets\n", kb,
-                static_cast<std::size_t>(r.packets));
-    std::printf("  bandwidth : %.1f MB/s (paper: %s)\n", r.mbps,
+                static_cast<std::size_t>(m.at("packets")));
+    std::printf("  bandwidth : %.1f MB/s (paper: %s)\n", m.at("sim_MBps"),
                 next_gen ? "~70 MB/s" : "33 MB/s");
     return 0;
 }
@@ -230,42 +232,17 @@ cmdStats(int argc, char **argv)
     // What-if: a lossy fabric healed by the NI reliability layer.
     cfg.ni.reliability.enabled = o.has("--reliable");
     cfg.linkFaults.dropProb = o.num("--drop", 0) / 1000.0;
-    const char *trace_out = o.path("--trace-out");
-    const char *stats_json = o.path("--stats-json");
-    cfg.traceEnabled = trace_out != nullptr;
-    ShrimpSystem sys(cfg);
-
-    Process *a = sys.kernel(0).createProcess("a");
-    Process *b = sys.kernel(1).createProcess("b");
-    Addr src = a->allocate(1);
-    Addr dst = b->allocate(1);
-    sys.kernel(0).mapDirect(*a, src, 1, sys.kernel(1), *b, dst,
-                            UpdateMode::AUTO_SINGLE);
+    cfg.traceEnabled = o.has("--trace-out");
+    bench_util::StoreScenario s(cfg, 1, 1, UpdateMode::AUTO_SINGLE);
 
     Program pa("a");
-    pa.movi(R1, src);
+    pa.movi(R1, s.src);
     for (int i = 0; i < 32; ++i)
         pa.sti(R1, 4 * i, i, 4);
     pa.halt();
-    pa.finalize();
-    sys.kernel(0).loadAndReady(*a,
-                               std::make_shared<Program>(std::move(pa)));
-    Program pb("b");
-    pb.halt();
-    pb.finalize();
-    sys.kernel(1).loadAndReady(*b,
-                               std::make_shared<Program>(std::move(pb)));
-
-    sys.startAll();
-    sys.runUntilAllExited();
-    sys.runFor(cfg.ni.reliability.enabled ? 50 * ONE_MS : ONE_MS);
-    sys.dumpStats(std::cout);
-    if (trace_out)
-        sys.tracer()->writeFile(trace_out);
-    if (stats_json) {
-        std::ofstream out(stats_json);
-        sys.dumpStatsJson(out);
-    }
+    s.run(std::move(pa), cfg.ni.reliability.enabled ? 50 * ONE_MS : ONE_MS);
+    s.sys.dumpStats(std::cout);
+    s.writeFiles(o.path("--trace-out"), o.path("--stats-json"));
     return 0;
 }
 
