@@ -17,6 +17,7 @@
 
 #include "core/table1.hh"
 #include "experiments.hh"
+#include "sim/logging.hh"
 
 namespace shrimp
 {
@@ -24,11 +25,21 @@ namespace shrimp
 void
 experiments::nx2Comparison(claims::Rows &rows)
 {
-    // User level; overheads exclude the per-byte copy.
-    for (unsigned words : {16u, 64u}) {
-        costRow(rows, "UserLevelNx2/" + std::to_string(words),
-                table1::runUserNx2(4, words));
-    }
+    // The metrics of a row appended earlier in this run.
+    auto row = [&rows](std::string_view name) -> const claims::Metrics & {
+        auto it = std::find_if(
+            rows.begin(), rows.end(),
+            [name](const claims::Row &r) { return r.name == name; });
+        SHRIMP_ASSERT(it != rows.end(), "no row ", name, " to compare");
+        return it->metrics;
+    };
+
+    // User level; overheads exclude the per-byte copy. The 16-word
+    // run is Table 1's csend/crecv (runUserNx2's defaults), which
+    // table1Overheads measured already: copy its row, not the run.
+    claims::Metrics user16 = row("UserLevelCsendCrecv");
+    claims::newRow(rows, "UserLevelNx2/16") = std::move(user16);
+    costRow(rows, "UserLevelNx2/64", table1::runUserNx2(4, 64));
     // Kernel-level baseline: 222/261 fast paths + syscall + copies +
     // DMA interrupts.
     for (unsigned words : {16u, 64u}) {
@@ -36,16 +47,9 @@ experiments::nx2Comparison(claims::Rows &rows)
                 table1::runKernelNx2(4, words));
     }
     // The ratio compares the two 16-word rows above.
-    auto metric = [&rows](std::string_view row, const char *name) {
-        return std::find_if(rows.begin(), rows.end(),
-                            [row](const claims::Row &r) {
-                                return r.name == row;
-                            })
-            ->metrics.at(name);
-    };
-    double user = metric("UserLevelNx2/16", "total_instr");
-    double kernel = metric("KernelNx2Baseline/16", "kernel_send_instr") +
-                    metric("KernelNx2Baseline/16", "kernel_recv_instr");
+    double user = row("UserLevelNx2/16").at("total_instr");
+    double kernel = row("KernelNx2Baseline/16").at("kernel_send_instr") +
+                    row("KernelNx2Baseline/16").at("kernel_recv_instr");
     claims::Metrics &m = claims::newRow(rows, "OverheadRatio");
     m["user_instr"] = user;
     m["kernel_instr"] = kernel;

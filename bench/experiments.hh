@@ -30,7 +30,8 @@ void costRow(claims::Rows &rows, std::string name,
              const table1::PrimitiveCost &cost);
 
 void table1Overheads(claims::Rows &rows);   //!< T1.1-T1.7
-void nx2Comparison(claims::Rows &rows);     //!< T1.7, C1
+/** T1.7, C1; reads table1Overheads' UserLevelCsendCrecv row. */
+void nx2Comparison(claims::Rows &rows);
 void latency(claims::Rows &rows);           //!< H1, H2
 void bandwidth(claims::Rows &rows);         //!< H3, H4
 void autoupdateModes(claims::Rows &rows);   //!< A1

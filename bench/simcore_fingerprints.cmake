@@ -10,11 +10,11 @@
 #         -P bench/simcore_fingerprints.cmake
 
 set(pinned
-    incast_burst 0x41ff3cc74e38e2df
-    uniform_8x8 0xfe3016e5943db5cc
-    a2a_deliberate 0x4ea398428968fdf3
-    dsm_stencil 0x7248c5e0e31b65cb
-    dsm_migratory 0xade4c5f48af64d89)
+    incast_burst 0xaa11e607a4837b69
+    uniform_8x8 0x8c3d2964cc6fc05b
+    a2a_deliberate 0x29ef0e1ef88cab90
+    dsm_stencil 0x04dabb3bb6312bdc
+    dsm_migratory 0xa963c39df16aed68)
 
 execute_process(
     COMMAND ${BENCH} --scale 0.02 --reps 1 --seed 7 --json ${OUT}

@@ -90,7 +90,9 @@ struct NetPacket
 
     // ---- simulation bookkeeping (not on the wire) ----
     Tick injectedAt = 0;        //!< when the source NIC injected it
-    std::uint64_t seq = 0;      //!< per-source sequence, for order checks
+    /** A tag for order checks on packets a test builds itself; the
+     *  NI leaves it 0. */
+    std::uint64_t seq = 0;
     /** Lifecycle-trace flow id (trace::Tracer); 0 = not traced. */
     std::uint64_t traceId = 0;
 

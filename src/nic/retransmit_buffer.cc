@@ -42,12 +42,11 @@ RetransmitBuffer::hasRoom(NodeId dst) const
 unsigned
 RetransmitBuffer::windowLimit(const TxState &st) const
 {
-    const CongestionParams &cc = _params.congestion;
-    if (!cc.enabled)
+    if (!_params.congestion.enabled)
         return _params.windowPackets;
-    unsigned w = st.cwnd != 0 ? st.cwnd : cc.initialWindowPackets;
-    if (w < minWindowPackets)
-        w = minWindowPackets;
+    // A set cwnd never falls below minWindowPackets: cutWindow floors
+    // every cut there.
+    unsigned w = st.cwnd != 0 ? st.cwnd : initialWindowPackets;
     if (w > _params.windowPackets)
         w = _params.windowPackets;
     return w;

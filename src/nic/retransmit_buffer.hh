@@ -52,7 +52,6 @@ struct CongestionParams
      *  window: clean-ACK progress grows it by one packet per window,
      *  timeouts / NACK losses / ECN echoes halve it. */
     bool enabled = false;
-    unsigned initialWindowPackets = 4;  //!< cwnd after (re)boot
 
     /**
      * Retry-storm suppression: a per-NI token bucket paces how many
@@ -102,6 +101,9 @@ class RetransmitBuffer : public SimObject
   public:
     /** AIMD multiplicative-decrease floor (congestion control). */
     static constexpr unsigned minWindowPackets = 1;
+    /** Congestion window after (re)boot, before any ACK or loss. */
+    static constexpr unsigned initialWindowPackets = 4;
+    static_assert(initialWindowPackets >= minWindowPackets);
 
     struct Hooks
     {

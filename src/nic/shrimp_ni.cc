@@ -272,7 +272,6 @@ ShrimpNi::emitPacket(NodeId dst, Addr dst_addr,
     if (!pkt.reliable)
         pkt.sealCrc();
     pkt.injectedAt = curTick();
-    pkt.seq = _nextSeq++;
 
     if (auto *t = eventQueue().tracer()) {
         pkt.traceId = t->newFlowId();
@@ -741,7 +740,6 @@ ShrimpNi::makeControl(NetPacket::Kind kind, NodeId dst,
     pkt.srcEpoch = _chanEpoch;
     pkt.sealCrc();
     pkt.injectedAt = curTick();
-    pkt.seq = _nextSeq++;
     return pkt;
 }
 
@@ -854,7 +852,7 @@ ShrimpNi::handleChannelFailure(NodeId dst)
             _dma.abort("peerDead");
     }
     if (onMappingError)
-        onMappingError(dst, halves);
+        onMappingError(dst);
     // Queued FIFO traffic toward dst is discarded lazily in
     // tryInject(); make sure it gets the chance.
     if (!_injectEvent.scheduled())
@@ -880,7 +878,7 @@ ShrimpNi::startNewEpoch(std::uint32_t epoch)
     // life can interleave with the new streams.
     for (NodeId peer = 0; peer < _rx.size(); ++peer) {
         if (peer != _node)
-            _retx->resetChannel(peer);
+            resetChannel(peer);
     }
 }
 
@@ -913,7 +911,7 @@ ShrimpNi::resetAllChannels()
     // correct, since the first packet carrying any srcEpoch > 0
     // resynchronizes it. _rx is empty when reliability is off.
     for (NodeId peer = 0; peer < _rx.size(); ++peer) {
-        _retx->resetChannel(peer);
+        resetChannel(peer);
         _rx[peer] = RxState{};
     }
 }
@@ -1059,9 +1057,7 @@ ShrimpNi::commitArrival(NetPacket &&pkt)
     ++_pktsDelivered;
     _bytesDelivered += pkt.payload.size();
     noteProgress();
-    _deliveryLatency.sample(
-        static_cast<double>(curTick() - pkt.injectedAt));
-    _deliveryLatencyHist.sample(curTick() - pkt.injectedAt);
+    _deliveryLatency.sample(curTick() - pkt.injectedAt);
     if (auto *t = eventQueue().tracer(); t && pkt.traceId) {
         t->flowStep(curTick(), name(), "packet", "commit", pkt.traceId,
                     {trace::arg("paddr", pkt.dstPaddr)});

@@ -165,11 +165,12 @@ class ShrimpNi : public SimObject,
     std::function<void(const NetPacket &pkt, Tick when)> onDelivered;
 
     /**
-     * The reliability layer exhausted its retry budget toward a
-     * destination: @p halves outgoing mapping halves were marked
-     * errored. The kernel records the failure for processes to see.
+     * The reliability layer exhausted its retry budget toward @p dst
+     * and marked every outgoing mapping half toward it errored
+     * (counted in relMappingsErrored). The kernel records the failure
+     * for processes to see.
      */
-    std::function<void(NodeId dst, unsigned halves)> onMappingError;
+    std::function<void(NodeId dst)> onMappingError;
 
     /** A HEARTBEAT keepalive arrived carrying the sender's packed
      *  (incarnation, view) stamp (fed to the health service). */
@@ -211,7 +212,8 @@ class ShrimpNi : public SimObject,
     void declarePeerDead(NodeId dst);
 
     /** Restart the outgoing reliability stream toward @p peer at
-     *  sequence 0 (used when a peer starts a new life). */
+     *  sequence 0: the one TX restart, used by startNewEpoch,
+     *  resetAllChannels and the kernel when a peer starts a new life. */
     void resetChannel(NodeId peer);
 
     /** Set (@p error true) or clear the error flag on every valid
@@ -365,7 +367,6 @@ class ShrimpNi : public SimObject,
      *  0 until the kernel's health service sets it. */
     std::uint32_t _chanEpoch = 0;
     Tick _nextInjectOk = 0;
-    std::uint64_t _nextSeq = 0;
 
     // ---- progress watchdog (params.watchdogPeriod > 0) ----
     Tick _lastProgressAt = 0;
@@ -443,10 +444,8 @@ class ShrimpNi : public SimObject,
     stats::Counter _staleEpochDrops{
         _stats, "staleEpochDrops",
         "reliable packets fenced: stale sender channel epoch"};
-    stats::Distribution _deliveryLatency{
-        _stats, "deliveryLatency", "injection-to-memory latency (ticks)"};
-    stats::Histogram _deliveryLatencyHist{
-        _stats, "deliveryLatencyHist",
+    stats::Histogram _deliveryLatency{
+        _stats, "deliveryLatency",
         "injection-to-memory latency distribution (ticks, log2 buckets)"};
 };
 

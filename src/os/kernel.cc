@@ -45,11 +45,10 @@ Kernel::Kernel(EventQueue &eq, std::string name, NodeId node,
     };
     _ni.onOutFifoAboveThreshold = [this] { outFifoFull(); };
     _ni.onOutFifoDrained = [this] { outFifoDrained(); };
-    _ni.onMappingError = [this](NodeId dst, unsigned halves) {
+    _ni.onMappingError = [this](NodeId dst) {
         // The NI's reliability layer gave up on dst (and warned): record
-        // it so user-visible state (mappingErrors / peerFailed) reflects
-        // the degradation instead of data silently vanishing.
-        _mappingErrors += halves;
+        // it so user-visible state (peerFailed) reflects the degradation
+        // instead of data silently vanishing.
         _failedPeers.insert(dst);
         // Retry-cap exhaustion is hard failure evidence: feed it to
         // the detector so full teardown runs via the peerDead hook.
@@ -497,10 +496,8 @@ Kernel::sendAdmissible(NodeId peer) const
         return true;
     // A SUSPECT peer usually becomes DEAD; admitting sends toward it
     // just grows queues that peerDied() will have to error out.
-    if (_admission.rejectSuspectPeers && _health &&
-        _health->peerState(peer) != PeerHealth::ALIVE) {
+    if (_health && _health->peerState(peer) != PeerHealth::ALIVE)
         return false;
-    }
     if (_admission.windowFullAfter > 0 && _ni.reliabilityEnabled()) {
         Tick full_since =
             _ni.retransmitBuffer().windowFullSince(peer);

@@ -105,14 +105,13 @@ enum class SchedPolicy : std::uint8_t
  * admission on, sends toward an overloaded or unhealthy peer fail
  * fast with err::WOULDBLOCK instead of queueing without bound: the
  * caller sheds load at the source, which is what keeps an incast from
- * collapsing into unbounded kernel queues.
+ * collapsing into unbounded kernel queues. Sends toward a peer the
+ * failure detector calls SUSPECT (or worse) are always refused rather
+ * than racing the death timeout.
  */
 struct AdmissionParams
 {
     bool enabled = false;
-    /** Refuse sends toward peers the failure detector calls SUSPECT
-     *  (or worse) instead of racing the death timeout. */
-    bool rejectSuspectPeers = true;
     /** Refuse sends once the reliability window toward the peer has
      *  been continuously full this long; 0 = ignore window fullness. */
     Tick windowFullAfter = 0;
@@ -161,7 +160,6 @@ class Kernel : public SimObject, public TrapHandler
     ShrimpNi &ni() { return _ni; }
     FrameAllocator &frames() { return _frames; }
     MapManager &mapManager() { return *_mapManager; }
-    NxService &nxService() { return *_nxService; }
 
     /** Create the DSM service; boot calls it before wireLinks. */
     void enableDsm(const DsmConfig &cfg);
@@ -522,10 +520,6 @@ class Kernel : public SimObject, public TrapHandler
                                    "ticks stalled on outgoing FIFO"};
     stats::Counter _pageEvictions{_stats, "pageEvictions", "pages evicted"};
     stats::Counter _pageIns{_stats, "pageIns", "pages brought back from swap"};
-    /** Retry-cap exhaustion toward an unreachable peer. */
-    stats::Counter _mappingErrors{
-        _stats, "mappingErrors",
-        "mapping halves errored by the reliability layer"};
     stats::Counter _crashes{_stats, "crashes", "node crash events"};
     stats::Counter _restarts{_stats, "restarts", "node restart events"};
     /** Refused with err::WOULDBLOCK rather than queued. */

@@ -13,7 +13,8 @@ namespace shrimp
 MapManager::MapManager(Kernel &kernel)
     : _kernel(kernel),
       _channels(kernel.numNodes()),
-      _peers(kernel.numNodes())
+      _peers(kernel.numNodes()),
+      _stats("map", &kernel.statGroup())
 {
     for (NodeId peer = 0; peer < _channels.size(); ++peer) {
         if (peer != kernel.nodeId()) {

@@ -38,6 +38,7 @@
 #include "nic/nipt.hh"
 #include "os/kernel.hh"
 #include "os/syscalls.hh"
+#include "sim/stats.hh"
 #include "sim/types.hh"
 
 namespace shrimp
@@ -245,13 +246,6 @@ class MapManager : public LinkHandler
 
     const std::vector<OutRecord> &outRecords() const { return _out; }
 
-    std::uint64_t rpcsSent() const { return _rpcsSent; }
-    std::uint64_t invalidationsReceived() const
-    {
-        return _invalidationsReceived;
-    }
-    std::uint64_t remapsCompleted() const { return _remaps; }
-
   private:
     struct PeerState
     {
@@ -333,9 +327,15 @@ class MapManager : public LinkHandler
     std::map<PageNum, std::vector<InRecord>> _inByFrame;
 
     std::uint64_t _workAccum = 0;
-    std::uint64_t _rpcsSent = 0;
-    std::uint64_t _invalidationsReceived = 0;
-    std::uint64_t _remaps = 0;
+
+    stats::Group _stats;
+    stats::Counter _rpcsSent{_stats, "rpcsSent",
+                             "kernel RPC requests sent on the channel"};
+    stats::Counter _invalidationsReceived{
+        _stats, "invalidationsReceived",
+        "INVALIDATE requests applied to local NIPT entries"};
+    stats::Counter _remaps{_stats, "remapsCompleted",
+                           "invalidated pages re-mapped after a store fault"};
 };
 
 } // namespace shrimp

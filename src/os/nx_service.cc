@@ -9,7 +9,9 @@ namespace shrimp
 {
 
 NxService::NxService(Kernel &kernel)
-    : _kernel(kernel), _peers(kernel.numNodes())
+    : _kernel(kernel),
+      _peers(kernel.numNodes()),
+      _stats("nx", &kernel.statGroup())
 {
     for (NodeId peer = 0; peer < _peers.size(); ++peer) {
         if (peer == kernel.nodeId())

@@ -33,6 +33,7 @@
 
 #include "os/kernel.hh"
 #include "os/syscalls.hh"
+#include "sim/stats.hh"
 #include "sim/types.hh"
 
 namespace shrimp
@@ -79,9 +80,6 @@ class NxService : public LinkHandler
      *  and stays queued for a later crecv with room. */
     std::optional<Tick> crecv(ExecContext &ctx, const NxArgs &args,
                               Tick now);
-
-    std::uint64_t messagesSent() const { return _sent; }
-    std::uint64_t messagesDelivered() const { return _delivered; }
 
   private:
     struct PendingMessage
@@ -168,8 +166,11 @@ class NxService : public LinkHandler
     std::vector<PeerState> _peers;
     std::vector<BlockedReceiver> _blockedReceivers;
 
-    std::uint64_t _sent = 0;
-    std::uint64_t _delivered = 0;
+    stats::Group _stats;
+    stats::Counter _sent{_stats, "messagesSent",
+                         "messages sent (doorbell rung)"};
+    stats::Counter _delivered{_stats, "messagesDelivered",
+                              "messages copied to a receiver"};
 };
 
 } // namespace shrimp

@@ -101,54 +101,6 @@ Peak::dumpJson(std::ostream &os, const std::string &prefix,
     jsonNumber(os, _value);
 }
 
-double
-Distribution::stddev() const
-{
-    if (_count < 2)
-        return 0.0;
-    // Population variance; _m2 is non-negative by construction, so no
-    // cancellation guard is needed (the sum-of-squares formula needed
-    // one, and still lost every significant digit for mean >> stddev).
-    return std::sqrt(_m2 / static_cast<double>(_count));
-}
-
-void
-Distribution::dump(std::ostream &os, const std::string &prefix) const
-{
-    printLine(os, prefix, name() + ".count",
-              static_cast<double>(_count), desc());
-    printLine(os, prefix, name() + ".mean", mean(), desc());
-    printLine(os, prefix, name() + ".min", minValue(), desc());
-    printLine(os, prefix, name() + ".max", maxValue(), desc());
-    printLine(os, prefix, name() + ".stddev", stddev(), desc());
-}
-
-void
-Distribution::dumpJson(std::ostream &os, const std::string &prefix,
-                       bool &first) const
-{
-    jsonKey(os, first, prefix + name());
-    os << "{\"count\": " << _count << ", \"mean\": ";
-    jsonNumber(os, mean());
-    os << ", \"min\": ";
-    jsonNumber(os, minValue());
-    os << ", \"max\": ";
-    jsonNumber(os, maxValue());
-    os << ", \"stddev\": ";
-    jsonNumber(os, stddev());
-    os << "}";
-}
-
-void
-Distribution::reset()
-{
-    _count = 0;
-    _mean = 0.0;
-    _m2 = 0.0;
-    _min = std::numeric_limits<double>::infinity();
-    _max = -std::numeric_limits<double>::infinity();
-}
-
 void
 Histogram::dump(std::ostream &os, const std::string &prefix) const
 {

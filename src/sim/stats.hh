@@ -1,7 +1,7 @@
 /**
  * @file
- * A small statistics package: scalar counters, gauges, distributions,
- * log-2 histograms, and hierarchical stat groups with text and JSON
+ * A small statistics package: scalar counters, peaks, log-2
+ * histograms, and hierarchical stat groups with text and JSON
  * dumping. Modeled loosely on the gem5 stats package, sized for this
  * simulator.
  */
@@ -51,8 +51,8 @@ class Stat
 
     /**
      * Emit one JSON member `"prefix.name": <value>` (a bare number for
-     * scalars, an object for distributions/histograms). @p first is
-     * the enclosing object's comma state, updated in place.
+     * scalars, an object for histograms). @p first is the enclosing
+     * object's comma state, updated in place.
      */
     virtual void dumpJson(std::ostream &os, const std::string &prefix,
                           bool &first) const = 0;
@@ -114,52 +114,10 @@ class Peak : public Stat
 };
 
 /**
- * A sampled distribution tracking count, min, max, mean and standard
- * deviation. Uses Welford's online algorithm: the naive sum-of-squares
- * formula cancels catastrophically when mean >> stddev (tick-valued
- * latencies are ~1e6 and worse), which this package once got wrong.
- */
-class Distribution : public Stat
-{
-  public:
-    using Stat::Stat;
-
-    void
-    sample(double v)
-    {
-        ++_count;
-        double delta = v - _mean;
-        _mean += delta / static_cast<double>(_count);
-        _m2 += delta * (v - _mean);
-        _min = std::min(_min, v);
-        _max = std::max(_max, v);
-    }
-
-    std::uint64_t count() const { return _count; }
-    double sum() const { return _mean * static_cast<double>(_count); }
-    double mean() const { return _count ? _mean : 0.0; }
-    double minValue() const { return _count ? _min : 0.0; }
-    double maxValue() const { return _count ? _max : 0.0; }
-    double stddev() const;
-
-    void dump(std::ostream &os, const std::string &prefix) const override;
-    void dumpJson(std::ostream &os, const std::string &prefix,
-                  bool &first) const override;
-    void reset() override;
-
-  private:
-    std::uint64_t _count = 0;
-    double _mean = 0.0;
-    double _m2 = 0.0;   //!< sum of squared deviations from the mean
-    double _min = std::numeric_limits<double>::infinity();
-    double _max = -std::numeric_limits<double>::infinity();
-};
-
-/**
  * A log-2 bucketed histogram of non-negative integer samples (ticks,
  * queue depths). Bucket 0 holds zeros; bucket b >= 1 holds samples in
- * [2^(b-1), 2^b). Also tracks count/min/max/mean so a histogram can
- * stand in for a Distribution in machine-readable output.
+ * [2^(b-1), 2^b). Also tracks count/min/max/mean, so one histogram
+ * is the whole record of a sampled quantity.
  */
 class Histogram : public Stat
 {

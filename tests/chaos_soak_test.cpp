@@ -136,16 +136,16 @@ struct PinnedRun
 };
 
 const PinnedRun kPinnedRuns[] = {
-    {1, 0, 0x931cdf7ded6a0092ULL,
+    {1, 0, 0x0105b8aafe9596dbULL,
      {668, 1, 3, 6288, 3, 3, 203, 0, 18, 2, 0, 12, 12, 0, 0, 4, 23, 4,
       2, 0, 0, 0, 9, 0, 0, 58000000000}},
-    {2, 0, 0x229b3df8ec43f4afULL,
+    {2, 0, 0xa8c53119dfd6a34dULL,
      {647, 1, 3, 6294, 3, 3, 430, 0, 20, 2, 0, 11, 11, 0, 0, 4, 21, 1,
       2, 0, 0, 0, 9, 0, 0, 58000000000}},
-    {3, 0, 0x2f4aecc715bce7ebULL,
+    {3, 0, 0x05c600670ecadec0ULL,
      {653, 1, 3, 6273, 3, 3, 242, 0, 18, 2, 0, 1, 1, 0, 0, 4, 22, 1, 0,
       0, 0, 0, 9, 0, 0, 58000000000}},
-    {1, 2, 0x6d63179024e74ee3ULL,
+    {1, 2, 0x9e478d4288d9fe94ULL,
      {668, 1, 3, 6288, 6, 6, 3778, 1002, 60, 2, 0, 25, 25, 0, 0, 0, 23,
       5, 3, 2, 2, 13, 38, 0, 0, 58000000000}},
 };

@@ -92,8 +92,9 @@ TEST(ConsistencyStress, PagingStormUnderLiveTraffic)
 
     // The machinery really fired: shootdowns reached the writer and
     // at least one store faulted into a remap.
-    EXPECT_GT(sys.kernel(0).mapManager().invalidationsReceived(), 0u);
-    EXPECT_GT(sys.kernel(0).mapManager().remapsCompleted(), 0u);
+    stats::Snapshot snap = sys.snapshot();
+    EXPECT_GT(snap.at("node0.kernel.map.invalidationsReceived"), 0u);
+    EXPECT_GT(snap.at("node0.kernel.map.remapsCompleted"), 0u);
 
     // Every offset holds the last value written to it. Pages may
     // currently be in swap on the destination; page them in first.
@@ -154,7 +155,7 @@ TEST(ConsistencyStress, RepeatedEvictRemapCycles)
     ASSERT_TRUE(sys.runUntilAllExited(30 * ONE_SEC));
     sys.runFor(20 * ONE_MS);
 
-    EXPECT_GE(sys.kernel(0).mapManager().remapsCompleted(), 3u);
+    EXPECT_GE(sys.snapshot().at("node0.kernel.map.remapsCompleted"), 3u);
 
     if (sys.kernel(1).inSwap(b->pid(), pageOf(dst))) {
         ASSERT_EQ(sys.kernel(1).pageIn(*b, pageOf(dst)), err::OK);

@@ -161,8 +161,9 @@ TEST_F(ConsistencyFixture, InvalidateShootdownAndFaultDrivenRemap)
     sys->runFor(5 * ONE_MS);
 
     EXPECT_TRUE(evicted);
-    EXPECT_EQ(sys->kernel(0).mapManager().invalidationsReceived(), 1u);
-    EXPECT_EQ(sys->kernel(0).mapManager().remapsCompleted(), 1u);
+    stats::Snapshot snap = sys->snapshot();
+    EXPECT_EQ(snap.at("node0.kernel.map.invalidationsReceived"), 1u);
+    EXPECT_EQ(snap.at("node0.kernel.map.remapsCompleted"), 1u);
     EXPECT_EQ(procA->ctx.faults, 1u);
 
     // The destination page came back (REMAP forced a page-in) with
@@ -269,8 +270,9 @@ TEST_F(ConsistencyFixture, ShootdownReachesMultipleSources)
     sys->runFor(5 * ONE_MS);
 
     EXPECT_TRUE(evicted);
-    EXPECT_EQ(sys->kernel(0).mapManager().invalidationsReceived(), 1u);
-    EXPECT_EQ(sys->kernel(1).mapManager().invalidationsReceived(), 1u);
+    stats::Snapshot snap = sys->snapshot();
+    EXPECT_EQ(snap.at("node0.kernel.map.invalidationsReceived"), 1u);
+    EXPECT_EQ(snap.at("node1.kernel.map.invalidationsReceived"), 1u);
     // Both source pages are now read-only.
     EXPECT_EQ(a->space().translate(src_a, true).fault,
               FaultKind::PROTECTION);

@@ -260,6 +260,44 @@ TEST(Dsm, CrashedHomeFailsFastAndRecovers)
     EXPECT_EQ(sys.kernel(1).dsm()->ownerOf(page), 0u);
 }
 
+TEST(Dsm, FailedFaultKillsOnlyTheFaultingProcess)
+{
+    // A program's store into a page whose home is dead fails the DSM
+    // fault with HOSTDOWN; the kernel kills that process, and every
+    // other process on the node runs on.
+    SystemConfig cfg = dsmConfig(3, true);
+    ShrimpSystem sys(cfg);
+    sys.crashNode(1);
+    sys.runFor(cfg.health.deadTimeout + 10 * cfg.health.heartbeatPeriod);
+    ASSERT_TRUE(sys.kernel(0).peerFailed(1));
+
+    Process *faulter = sys.kernel(0).createProcess("dsm-faulter");
+    sys.kernel(0).dsm()->attach(*faulter);
+    Addr faulter_marker = faulter->allocate(1);
+    Program pf("dsm-faulter");
+    pf.movi(R1, Dsm::baseVaddr);
+    pf.sti(R1, PAGE_SIZE, 0xBAD);       // page 1, homed at dead node 1
+    pf.movi(R2, faulter_marker);
+    pf.sti(R2, 0, 0xF1);                // never reached
+    pf.halt();
+    test::loadProgram(sys.kernel(0), *faulter, std::move(pf));
+
+    Process *bystander = sys.kernel(0).createProcess("bystander");
+    Addr bystander_marker = bystander->allocate(1);
+    Program pb("bystander");
+    pb.movi(R1, bystander_marker);
+    pb.sti(R1, 0, 0xB2);
+    pb.halt();
+    test::loadProgram(sys.kernel(0), *bystander, std::move(pb));
+
+    sys.kernel(0).start();
+    ASSERT_TRUE(sys.runUntilAllExited(200 * ONE_MS));
+    EXPECT_EQ(faulter->state, ProcState::EXITED);
+    EXPECT_EQ(test::peek32(sys, 0, *faulter, faulter_marker), 0u);
+    EXPECT_EQ(test::peek32(sys, 0, *bystander, bystander_marker), 0xB2u);
+    EXPECT_EQ(sys.snapshot().at("node0.kernel.dsm.dsmHostdownFaults"), 1u);
+}
+
 TEST(Dsm, WritebackFenceRejectsNonOwnerAndSupersededLife)
 {
     // Dsm::handleWb's split-brain fence, driven directly: a DSM_WB

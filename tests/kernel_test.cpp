@@ -166,7 +166,7 @@ TEST_F(KernelFixture, MapSyscallEstablishesWorkingMapping)
               0x11110002u);
 
     // The protocol really went over the wire.
-    EXPECT_GE(sys->kernel(0).mapManager().rpcsSent(), 2u);
+    EXPECT_GE(sys->snapshot().at("node0.kernel.map.rpcsSent"), 2u);
     // Mapped-out pages became write-through.
     EXPECT_EQ(a->space().translate(src, false).policy,
               CachePolicy::WRITE_THROUGH);

@@ -1,6 +1,6 @@
-// NetPacket ref-counting outside src/nic/ and src/net/: the packet
-// arena refactor (ROADMAP item 1) owns this type's lifetime, and
-// stray shared_ptr handles elsewhere would pin pooled packets.
+// NetPacket ref-counting outside src/nic/ and src/net/: a packet
+// moves by value, one owner at a time, and a stray shared_ptr handle
+// elsewhere would keep a packet alive after its owner passed it on.
 #include <memory>
 
 struct NetPacket

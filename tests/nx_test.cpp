@@ -88,8 +88,9 @@ TEST_F(NxFixture, KernelCsendCrecvRoundtrip)
     for (std::uint32_t i = 0; i < kBytes / 4; ++i)
         ASSERT_EQ(peek32(*sys, 1, *procB, rbuf + 4 * i),
                   0xAB000000 + i);
-    EXPECT_EQ(sys->kernel(0).nxService().messagesSent(), 1u);
-    EXPECT_EQ(sys->kernel(1).nxService().messagesDelivered(), 1u);
+    stats::Snapshot snap = sys->snapshot();
+    EXPECT_EQ(snap.at("node0.kernel.nx.messagesSent"), 1u);
+    EXPECT_EQ(snap.at("node1.kernel.nx.messagesDelivered"), 1u);
 }
 
 TEST_F(NxFixture, KernelCrecvBlocksUntilMessage)
@@ -180,7 +181,7 @@ TEST_F(NxFixture, KernelBackToBackSendsRespectSlotCredit)
     for (int i = 0; i < kMsgs; ++i)
         EXPECT_EQ(peek32(*sys, 1, *procB, rout + 4 * i),
                   static_cast<std::uint32_t>(i + 1));
-    EXPECT_EQ(sys->kernel(0).nxService().messagesSent(),
+    EXPECT_EQ(sys->snapshot().at("node0.kernel.nx.messagesSent"),
               static_cast<std::uint64_t>(kMsgs));
 }
 
@@ -270,7 +271,7 @@ TEST_F(NxFixture, KernelCsendFromUnmappedBufferFailsAndProgramRunsOn)
     ASSERT_TRUE(sys->runUntilAllExited(ONE_SEC));
     EXPECT_EQ(peek32(*sys, 0, *procA, sout), err::INVAL);
     EXPECT_EQ(peek32(*sys, 0, *procA, sout + 4), 0xD0Eu);
-    EXPECT_EQ(sys->kernel(0).nxService().messagesSent(), 0u);
+    EXPECT_EQ(sys->snapshot().at("node0.kernel.nx.messagesSent"), 0u);
 }
 
 TEST_F(NxFixture, KernelCrecvIntoUnmappedBufferFailsAndProgramRunsOn)
@@ -351,7 +352,8 @@ TEST_F(NxFixture, KernelCrecvTooSmallFailsAndMessageWaitsForRoom)
         EXPECT_EQ(peek32(*sys, 1, *procB, big + 4 * i), 0xAB000000 + i)
             << "big buffer word " << i;
     }
-    EXPECT_EQ(sys->kernel(1).nxService().messagesDelivered(), 1u);
+    EXPECT_EQ(sys->snapshot().at("node1.kernel.nx.messagesDelivered"),
+              1u);
 }
 
 TEST_F(NxFixture, KernelUnalignedMessageSpansPages)

@@ -122,7 +122,7 @@ TEST(OsEdge, ConcurrentMapSyscallsQueueOnTheChannel)
                   static_cast<std::uint32_t>(0xE0 + i));
     }
     // Both operations (2 pages each) went over one serialized channel.
-    EXPECT_GE(sys.kernel(0).mapManager().rpcsSent(), 4u);
+    EXPECT_GE(sys.snapshot().at("node0.kernel.map.rpcsSent"), 4u);
 }
 
 TEST(OsEdge, UnmapOfNonexistentMappingFails)

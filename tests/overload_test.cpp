@@ -161,7 +161,6 @@ TEST(Overload, AdmissionFailsFastWhenWindowStaysFull)
     cfg.ni.reliability.maxRetries = 50;     // outlive the test window
     cfg.linkFaults = faults;
     cfg.admission.enabled = true;
-    cfg.admission.rejectSuspectPeers = false;   // isolate this path
     cfg.admission.windowFullAfter = 500 * ONE_US;
     ShrimpSystem sys(cfg);
 

@@ -219,8 +219,7 @@ TEST(Trace, StatsJsonParsesAndHasHistograms)
     json::Value root = json::parse(r.statsJson);
     ASSERT_TRUE(root.isObject());
 
-    const json::Value *hist =
-        root.find("node1.ni.deliveryLatencyHist");
+    const json::Value *hist = root.find("node1.ni.deliveryLatency");
     ASSERT_TRUE(hist && hist->isObject());
     EXPECT_DOUBLE_EQ(hist->find("count")->number,
                      static_cast<double>(r.delivered));

@@ -11,13 +11,15 @@
 #            claims table (`claims`), the trace/stats/chaos artifact
 #            validators, the chaos soaks (with and without partitions)
 #            and every same-seed determinism probe
-#   --tsan   ThreadSan build (groundwork for the PDES scale-out):
-#            retransmit + chaos soak, and every same-seed determinism
-#            probe (ctest label `determinism`)
+#   --tsan   ThreadSan build: retransmit + chaos soak, and every
+#            same-seed determinism probe (ctest label `determinism`)
+#            under TSan instrumentation. The simulator runs on one
+#            thread, so today this holds those runs deterministic and
+#            clean under TSan; it finds races only once something
+#            threads them (parallel simulation, ROADMAP's Parked list)
 #
-# With no stage flags, all three run.
-# A trailing positional argument overrides the ASan build dir
-# (back-compat).
+# With no stage flags, all three run. Any other argument is a usage
+# error (exit 2), so a misspelt stage never runs the whole gate.
 set -eu
 
 repo=$(CDPATH= cd -- "$(dirname -- "$0")/.." && pwd)
@@ -26,17 +28,21 @@ jobs=$(nproc)
 run_lint=0
 run_asan=0
 run_tsan=0
-asan_build="$repo/build-asan"
+usage="usage: tools/check.sh [--lint] [--asan] [--tsan]"
 for arg in "$@"; do
     case "$arg" in
       --lint) run_lint=1 ;;
       --asan) run_asan=1 ;;
       --tsan) run_tsan=1 ;;
       -h|--help)
-        echo "usage: tools/check.sh [--lint] [--asan] [--tsan] [asan-build-dir]"
+        echo "$usage"
         exit 0
         ;;
-      *) asan_build="$arg" ;;
+      *)
+        echo "check.sh: unknown argument '$arg'" >&2
+        echo "$usage" >&2
+        exit 2
+        ;;
     esac
 done
 if [ "$run_lint$run_asan$run_tsan" = "000" ]; then
@@ -74,6 +80,7 @@ fi
 
 # ---------------------------------------------------------------- asan
 if [ "$run_asan" = 1 ]; then
+    asan_build="$repo/build-asan"
     cmake -B "$asan_build" -S "$repo" \
         -DCMAKE_BUILD_TYPE=RelWithDebInfo \
         -DSHRIMP_SANITIZE=address,undefined
@@ -98,9 +105,9 @@ if [ "$run_tsan" = 1 ]; then
     cd "$tsan_build"
     export TSAN_OPTIONS=halt_on_error=1
 
-    # The reliability layer and the chaos soak are the workloads the
-    # PDES scale-out will thread first; gate them under TSan now so
-    # data races surface the day threading lands, not a release later.
+    # The reliability layer and the chaos soak are the workloads a
+    # parallel simulator (ROADMAP, Parked) would thread first; they
+    # stay gated under TSan so a race shows the day threading lands.
     ctest --output-on-failure -j "$jobs" \
         -R '^Retransmit\.|^ChaosSoak\.|^cli_chaos_seed'
 

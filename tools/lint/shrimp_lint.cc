@@ -3,8 +3,8 @@
  * shrimp_lint: project-invariant static analysis for the SHRIMP
  * simulator tree. Complements clang-tidy (generic C++ hygiene, see
  * .clang-tidy) with rules that encode *this* project's invariants --
- * the ones the chaos harness's same-seed determinism gate and the
- * upcoming packet-arena / PDES work depend on:
+ * same-seed determinism (the chaos harness's gate), packet and object
+ * ownership, tick width and stat hygiene:
  *
  *   shrimp-determinism-random   all randomness via sim/random.hh (Rng)
  *   shrimp-determinism-clock    no wall-clock reads in simulation code
@@ -457,7 +457,7 @@ Linter::rules()
          "std::unique_ptr/std::make_unique or a pool"},
         {"shrimp-ownership-packet-shared",
          "shared_ptr<NetPacket> creation is fenced to src/nic/ and "
-         "src/net/ pending the packet-arena refactor"},
+         "src/net/: packets move by value, one owner at a time"},
         {"shrimp-ownership-weak-backedge",
          "shared_ptr member named like a back-edge (parent/owner/...) "
          "creates a reference cycle; use weak_ptr or a raw observer"},
@@ -697,8 +697,8 @@ Linter::checkPacketShared(const SourceFile &f)
                       code.find("make_shared<") != std::string::npos;
         if (owning && !findWord(code, "NetPacket").empty())
             add(f, i + 1, "shrimp-ownership-packet-shared",
-                "NetPacket ref-counting outside nic/+net/; the packet "
-                "arena refactor owns this type's lifetime");
+                "NetPacket ref-counting outside nic/+net/; a packet "
+                "moves by value, one owner at a time");
     }
 }
 
@@ -834,8 +834,7 @@ Linter::checkTickNarrowing(const SourceFile &f)
 void
 Linter::checkStatsDesc(const SourceFile &f)
 {
-    static const char *statTypes[] = {"Counter", "Peak", "Distribution",
-                                      "Histogram"};
+    static const char *statTypes[] = {"Counter", "Peak", "Histogram"};
     const std::string &s = f.joined;
     for (const char *ty : statTypes) {
         std::string token = std::string("stats::") + ty;
