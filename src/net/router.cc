@@ -12,9 +12,19 @@ Router::Router(EventQueue &eq, std::string name, unsigned x, unsigned y,
       _x(x),
       _y(y),
       _params(params),
-      _advanceEvent([this] { advance(); }, "router advance"),
+      _advanceEvent(eq, [this] { advance(); }, "router advance"),
       _stats(this->name())
-{}
+{
+    for (unsigned p = 0; p < NUM_PORTS; ++p) {
+        InputPort &port = _inputs[p];
+        port.queue.init(params.inputBufferPackets);
+        port.releases.reserve(params.inputBufferPackets);
+        port.wake.router = this;
+        port.wake.in = static_cast<Port>(p);
+    }
+    // Each ejecting packet holds a slot of its input port.
+    _ejecting.init(NUM_PORTS * params.inputBufferPackets);
+}
 
 void
 Router::setLinkDead(Port out, bool dead)
@@ -76,14 +86,17 @@ Router::connect(Port out, Router *nbr, Port nbr_in)
 }
 
 bool
-Router::hasCredit(Port in) const
+Router::hasCredit(Port in)
 {
-    return _inputs[in].reserved < _params.inputBufferPackets;
+    InputPort &port = _inputs[in];
+    freeReleased(port);
+    return port.reserved < _params.inputBufferPackets;
 }
 
 void
 Router::reserveCredit(Port in)
 {
+    // Callers check hasCredit() first, which frees reached releases.
     InputPort &port = _inputs[in];
     SHRIMP_ASSERT(port.reserved < _params.inputBufferPackets,
                   "credit overrun on port ", in);
@@ -187,6 +200,81 @@ routingFunction(unsigned x, unsigned y, unsigned present, unsigned usable,
 }
 
 void
+Router::releaseAt(Port in, Tick when)
+{
+    if (in == LOCAL) {
+        // The inject waiter kicks the NI on every LOCAL release, so
+        // that release stays an event.
+        eventQueue().scheduleFn([this] { releaseCredit(LOCAL); }, when,
+                                EventPriority::DEFAULT, "tail departure");
+        return;
+    }
+    // A link port's release matters only to its upstream, which reads
+    // it through hasCredit() or is woken by it: reserve the position
+    // a tail-departure event would take, so both see it there. Each
+    // held slot counts in `reserved`, so at most inputBufferPackets
+    // releases are pending.
+    InputPort &port = _inputs[in];
+    port.releases.push_back(eventQueue().reserve(when));
+    if (port.upstreamBlocked)
+        armWake(port, port.releases.back());
+}
+
+void
+Router::freeReleased(InputPort &port)
+{
+    auto &rel = port.releases;
+    for (std::size_t i = 0; i < rel.size();) {
+        if (eventQueue().reached(rel[i])) {
+            rel[i] = rel.back();
+            rel.pop_back();
+            --port.reserved;
+        } else {
+            ++i;
+        }
+    }
+}
+
+void
+Router::parkUpstream(Port in)
+{
+    InputPort &port = _inputs[in];
+    port.upstreamBlocked = true;
+    // The first release the queue reaches from here on wakes it.
+    freeReleased(port);
+    const EventQueue::Slot *first = nullptr;
+    for (const EventQueue::Slot &s : port.releases) {
+        if (!first || s < *first)
+            first = &s;
+    }
+    if (first)
+        armWake(port, *first);
+}
+
+void
+Router::armWake(InputPort &port, const EventQueue::Slot &s)
+{
+    if (port.wake.scheduled()) {
+        if (!(s < port.wake.at))
+            return;
+        eventQueue().deschedule(&port.wake);
+    }
+    port.wake.at = s;
+    eventQueue().scheduleAt(&port.wake, s);
+}
+
+void
+Router::wakeUpstream(Port in)
+{
+    // An ejection's releaseCredit may have woken the upstream first.
+    InputPort &port = _inputs[in];
+    if (!port.upstreamBlocked)
+        return;
+    port.upstreamBlocked = false;
+    _neighbor[in]->scheduleAdvance(curTick());
+}
+
+void
 Router::releaseCredit(Port in)
 {
     InputPort &port = _inputs[in];
@@ -261,17 +349,20 @@ Router::advance()
                 continue;
             }
             _outBusyUntil[out] = now + ser;
-            NetPacket pkt = std::move(head.pkt);
-            in.queue.pop_front();
-            ++_ejected;
-            if (auto *t = eventQueue().tracer(); t && pkt.traceId) {
-                t->flowStep(now, name(), "packet", "eject", pkt.traceId,
+            if (auto *t = eventQueue().tracer(); t && head.pkt.traceId) {
+                t->flowStep(now, name(), "packet", "eject",
+                            head.pkt.traceId,
                             {trace::arg("x", _x), trace::arg("y", _y)});
             }
+            _ejecting.push_back(std::move(head.pkt));
+            in.queue.pop_front();
+            ++_ejected;
             // The whole packet has crossed into the NIC when its tail
             // clears the ejection channel.
             eventQueue().scheduleFn(
-                [this, p, pkt = std::move(pkt)]() mutable {
+                [this, p] {
+                    NetPacket pkt = std::move(_ejecting.front());
+                    _ejecting.pop_front();
                     _sink->sinkDeliver(std::move(pkt));
                     releaseCredit(static_cast<Port>(p));
                     scheduleAdvance(curTick());
@@ -290,7 +381,7 @@ Router::advance()
             // re-runs this loop. Blocking again while parked is a
             // no-op, so one credit never wakes us twice.
             ++_blockedOnCredit;
-            nbr->_inputs[nbr_in].upstreamBlocked = true;
+            nbr->parkUpstream(nbr_in);
             continue;
         }
 
@@ -330,9 +421,7 @@ Router::advance()
             }
             _outBusyUntil[out] = now + ser;
             in.queue.pop_front();
-            eventQueue().scheduleFn(
-                [this, p]() { releaseCredit(static_cast<Port>(p)); },
-                now + ser, EventPriority::DEFAULT, "tail departure");
+            releaseAt(static_cast<Port>(p), now + ser);
             scheduleAdvance(now + ser);
             continue;
         }
@@ -403,9 +492,7 @@ Router::advance()
         }
 
         // Our input buffer slot is held until the tail leaves.
-        eventQueue().scheduleFn(
-            [this, p]() { releaseCredit(static_cast<Port>(p)); },
-            now + ser, EventPriority::DEFAULT, "tail departure");
+        releaseAt(static_cast<Port>(p), now + ser);
 
         scheduleAdvance(now + ser);
     }
@@ -416,12 +503,11 @@ Router::scheduleAdvance(Tick when)
 {
     if (when < curTick())
         when = curTick();
-    if (_advanceEvent.scheduled()) {
-        if (_advanceEvent.when() <= when)
-            return;
-        deschedule(_advanceEvent);
-    }
-    schedule(_advanceEvent, when);
+    if (_advanceEvent.pending() && _advanceEvent.pendingAt() > when)
+        _advanceEvent.cancel();
+    // With every input queue empty an advance does nothing. Only
+    // headerArrive adds a packet, and it requests an advance after.
+    _advanceEvent.request(when, queuedPackets() == 0);
 }
 
 } // namespace shrimp

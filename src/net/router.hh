@@ -25,13 +25,13 @@
 
 #include <array>
 #include <cstdint>
-#include <deque>
 #include <functional>
 #include <memory>
 #include <vector>
 
 #include "net/fault_model.hh"
 #include "net/packet.hh"
+#include "sim/logging.hh"
 #include "sim/sim_object.hh"
 #include "sim/stats.hh"
 
@@ -142,7 +142,11 @@ class Router : public SimObject
     }
 
     /** Is there an injection buffer slot free? */
-    bool injectReady() const { return hasCredit(LOCAL); }
+    bool
+    injectReady() const
+    {
+        return _inputs[LOCAL].reserved < _params.inputBufferPackets;
+    }
 
     /**
      * Inject a packet from the local NIC. The caller must have checked
@@ -196,7 +200,7 @@ class Router : public SimObject
     }
 
     // ---- used by the upstream router ----
-    bool hasCredit(Port in) const;
+    bool hasCredit(Port in);
     void reserveCredit(Port in);
     void headerArrive(Port in, NetPacket &&pkt, Tick ready);
 
@@ -230,11 +234,72 @@ class Router : public SimObject
         Tick ready;     //!< header decoded; eligible to forward
     };
 
+    /** A FIFO of fixed capacity: credits bound every router queue. */
+    template <typename T>
+    class Ring
+    {
+      public:
+        void init(std::size_t capacity) { _buf.resize(capacity); }
+        bool empty() const { return _size == 0; }
+        std::size_t size() const { return _size; }
+        T &front() { return _buf[_head]; }
+        T &back() { return _buf[index(_size - 1)]; }
+
+        void
+        push_back(T &&v)
+        {
+            SHRIMP_ASSERT(_size < _buf.size(), "router ring overflow");
+            _buf[index(_size)] = std::move(v);
+            ++_size;
+        }
+
+        /** The popped entry stays in its slot until a push
+         *  overwrites it. */
+        void
+        pop_front()
+        {
+            _head = index(1);
+            --_size;
+        }
+
+      private:
+        std::size_t
+        index(std::size_t i) const
+        {
+            std::size_t at = _head + i;
+            return at < _buf.size() ? at : at - _buf.size();
+        }
+
+        std::vector<T> _buf;
+        std::size_t _head = 0;
+        std::size_t _size = 0;
+    };
+
+    /** Wakes the upstream parked on a link input port's credit. */
+    struct CreditWake : Event
+    {
+        Router *router = nullptr;
+        Port in = LOCAL;
+        EventQueue::Slot at;    //!< the release slot it fires at
+
+        void process() override { router->wakeUpstream(in); }
+        const char *description() const override { return "credit wake"; }
+    };
+
     struct InputPort
     {
-        std::deque<Entry> queue;
-        unsigned reserved = 0;  //!< slots claimed (queued or in flight)
+        Ring<Entry> queue;
+        /** Slots claimed: queued, in flight toward us, or held until
+         *  a packet's tail leaves. */
+        unsigned reserved = 0;
+        /** Link ports: where each held slot is released, reserved at
+         *  the position its tail-departure event would take. A
+         *  release counts as freed once the queue has reached it. */
+        std::vector<EventQueue::Slot> releases;
         bool upstreamBlocked = false;   //!< upstream waits on a credit
+        /** Fires at the earliest pending release while the upstream
+         *  is parked, doing what that release's event would. */
+        CreditWake wake;
     };
 
     /** routingFunction() over this router's link state at @p now. */
@@ -249,6 +314,21 @@ class Router : public SimObject
     /** Release one buffer slot of @p in and wake a blocked upstream. */
     void releaseCredit(Port in);
 
+    /** Release @p in's slot of a packet whose tail leaves at @p when. */
+    void releaseAt(Port in, Tick when);
+
+    /** Free the slots of @p port whose release the queue has reached. */
+    void freeReleased(InputPort &port);
+
+    /** Park the upstream behind input port @p in on its next credit. */
+    void parkUpstream(Port in);
+
+    /** Fire @p port's wake at @p s if that is earlier than it is set. */
+    void armWake(InputPort &port, const EventQueue::Slot &s);
+
+    /** A release of @p in was reached: re-run a parked upstream. */
+    void wakeUpstream(Port in);
+
     unsigned _x, _y;
     Params _params;
     std::array<InputPort, NUM_PORTS> _inputs;
@@ -256,8 +336,11 @@ class Router : public SimObject
     std::array<Port, NUM_PORTS> _neighborIn{};
     std::array<Tick, NUM_PORTS> _outBusyUntil{};
     NetworkSink *_sink = nullptr;
+    /** Packets crossing the ejection channel, in start order (which is
+     *  completion order: the channel is busy until each finishes). */
+    Ring<NetPacket> _ejecting;
     std::function<void()> _injectWaiter;
-    EventFunctionWrapper _advanceEvent;
+    ElidableEvent _advanceEvent;
     std::array<std::unique_ptr<FaultModel>, NUM_PORTS> _faults;
     /** Link state, as sets of portBit: the ports wired to a
      *  neighbour, those advertised dead (setLinkDead) and those cut

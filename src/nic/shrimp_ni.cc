@@ -47,7 +47,7 @@ ShrimpNi::ShrimpNi(EventQueue &eq, std::string name, NodeId node,
                               curTick() + packetizeLatency);
                },
                [this] { _dmaWaitingForFifo = true; }}),
-      _injectEvent([this] { tryInject(); }, "ni inject"),
+      _injectEvent(eq, [this] { tryInject(); }, "ni inject"),
       _drainEvent([this] { drainIncoming(); }, "ni drain"),
       _mergeTimerEvent(
           [this] {
@@ -75,10 +75,7 @@ ShrimpNi::ShrimpNi(EventQueue &eq, std::string name, NodeId node,
             RetransmitBuffer::Hooks{
                 [this](NetPacket &&pkt) { queueControl(std::move(pkt)); },
                 [this](NodeId dst) { handleChannelFailure(dst); },
-                [this] {
-                    if (!_injectEvent.scheduled())
-                        reschedule(_injectEvent, curTick());
-                }},
+                [this] { kickInject(); }},
             &_stats);
     }
 
@@ -86,10 +83,7 @@ ShrimpNi::ShrimpNi(EventQueue &eq, std::string name, NodeId node,
     bus.addSnooper(this);
     bus.addTarget(cmdBase, mem.size(), this);
     _router.setSink(this);
-    _router.setInjectWaiter([this] {
-        if (!_injectEvent.scheduled())
-            reschedule(_injectEvent, curTick());
-    });
+    _router.setInjectWaiter([this] { kickInject(); });
 
     // FIFO threshold plumbing.
     _outFifo.onAboveThreshold = [this] {
@@ -289,9 +283,17 @@ ShrimpNi::emitPacket(NodeId dst, Addr dst_addr,
 
     _bytesSent += pkt.payload.size();
     _outFifo.push(std::move(pkt), ready);
+    kickInject();
+}
 
-    if (!_injectEvent.scheduled())
-        reschedule(_injectEvent, curTick());
+void
+ShrimpNi::kickInject()
+{
+    // With nothing queued, tryInject() returns at once. Only
+    // queueControl() and emitPacket() queue a packet, and both kick.
+    // A crashed NI returns at once too, but a restart ends that
+    // without a kick, so a crash alone does not count as idle.
+    _injectEvent.request(curTick(), _ctrl.empty() && _outFifo.empty());
 }
 
 void
@@ -307,7 +309,7 @@ ShrimpNi::tryInject()
     // retransmissions close delivery gaps; both are latency-critical.
     if (!_ctrl.empty()) {
         if (_nextInjectOk > now) {
-            reschedule(_injectEvent, _nextInjectOk);
+            _injectEvent.reschedule(_nextInjectOk);
             return;
         }
         if (!_router.injectReady())
@@ -330,7 +332,7 @@ ShrimpNi::tryInject()
         noteProgress();
 
         if (!_ctrl.empty() || !_outFifo.empty())
-            reschedule(_injectEvent, _nextInjectOk);
+            _injectEvent.reschedule(_nextInjectOk);
         return;
     }
 
@@ -340,7 +342,7 @@ ShrimpNi::tryInject()
     const PacketFifo::Item &head = _outFifo.front();
     Tick ready = head.ready > _nextInjectOk ? head.ready : _nextInjectOk;
     if (ready > now) {
-        reschedule(_injectEvent, ready);
+        _injectEvent.reschedule(ready);
         return;
     }
 
@@ -361,7 +363,7 @@ ShrimpNi::tryInject()
                            {trace::arg("reason", "failedChannel")});
             }
             if (!_outFifo.empty())
-                reschedule(_injectEvent, now);
+                _injectEvent.reschedule(now);
             return;
         }
         if (!_retx->hasRoom(dst))
@@ -398,7 +400,7 @@ ShrimpNi::tryInject()
     noteProgress();
 
     if (!_outFifo.empty())
-        reschedule(_injectEvent, _nextInjectOk);
+        _injectEvent.reschedule(_nextInjectOk);
 }
 
 // ---------------------------------------------------------------------
@@ -440,8 +442,7 @@ ShrimpNi::watchdogTick()
         }
         // Recovery: kick both engines in case a lost wakeup (rather
         // than genuine backpressure) wedged the pipeline.
-        if (!_injectEvent.scheduled())
-            reschedule(_injectEvent, curTick());
+        kickInject();
         if (!_draining && !_inFifo.empty() && !_drainEvent.scheduled())
             reschedule(_drainEvent, curTick());
     }
@@ -747,8 +748,7 @@ void
 ShrimpNi::queueControl(NetPacket &&pkt)
 {
     _ctrl.push_back(std::move(pkt));
-    if (!_injectEvent.scheduled())
-        reschedule(_injectEvent, curTick());
+    kickInject();
 }
 
 void
@@ -855,8 +855,7 @@ ShrimpNi::handleChannelFailure(NodeId dst)
         onMappingError(dst);
     // Queued FIFO traffic toward dst is discarded lazily in
     // tryInject(); make sure it gets the chance.
-    if (!_injectEvent.scheduled())
-        reschedule(_injectEvent, curTick());
+    kickInject();
 }
 
 void
@@ -948,8 +947,7 @@ ShrimpNi::setCrashed(bool crashed)
             deschedule(_mergeTimerEvent);
         if (_ackEvent.scheduled())
             deschedule(_ackEvent);
-        if (_injectEvent.scheduled())
-            deschedule(_injectEvent);
+        _injectEvent.cancel();
         if (_drainEvent.scheduled())
             deschedule(_drainEvent);
         return;
@@ -1035,12 +1033,13 @@ ShrimpNi::drainIncoming()
                                             ? "xpress"
                                             : "eisa")});
     }
+    _drainPackets = count;
     eventQueue().scheduleFn(
-        [this, count, epoch = _epoch]() {
+        [this, epoch = _epoch]() {
             if (epoch != _epoch)
                 return;     // the node crashed mid-burst
             _draining = false;
-            for (std::size_t i = 0; i < count; ++i)
+            for (std::size_t i = 0; i < _drainPackets; ++i)
                 commitArrival(_inFifo.pop());
             if (!_inFifo.empty() && !_drainEvent.scheduled())
                 reschedule(_drainEvent, curTick());

@@ -284,6 +284,9 @@ class ShrimpNi : public SimObject,
     /** Injection engine: Outgoing FIFO head -> mesh router. */
     void tryInject();
 
+    /** Ask the injection engine to run now, unless it is pending. */
+    void kickInject();
+
     /** Drain engine: Incoming FIFO -> main memory (EISA or Xpress). */
     void drainIncoming();
 
@@ -357,6 +360,7 @@ class ShrimpNi : public SimObject,
 
     bool _accepting = true;     //!< incoming flow-control state
     bool _draining = false;     //!< a drain burst is in flight
+    std::size_t _drainPackets = 0;  //!< packets in that burst
     bool _outAboveThreshold = false;
     bool _corruptNext = false;
     bool _dmaWaitingForFifo = false;
@@ -383,7 +387,7 @@ class ShrimpNi : public SimObject,
     std::vector<RxState> _rx;
     std::unique_ptr<RetransmitBuffer> _retx;
 
-    EventFunctionWrapper _injectEvent;
+    ElidableEvent _injectEvent;
     EventFunctionWrapper _drainEvent;
     EventFunctionWrapper _mergeTimerEvent;
     EventFunctionWrapper _ackEvent;

@@ -1,11 +1,21 @@
 #include "sim/event_queue.hh"
 
-#include <memory>
+#include <limits>
 
 #include "sim/logging.hh"
 
 namespace shrimp
 {
+
+/** A scheduleFn() callback; the queue owns it and reuses it. */
+struct EventQueue::OneShot : Event
+{
+    std::function<void()> fn;
+    const char *desc = "one-shot";
+
+    void process() override { fn(); }
+    const char *description() const override { return desc; }
+};
 
 Event::~Event()
 {
@@ -21,20 +31,16 @@ Event::~Event()
     }
 }
 
+EventQueue::EventQueue() = default;
+
 EventQueue::~EventQueue()
 {
-    // Reclaim one-shot events that never fired; their heap entries own
-    // them. Entries of embedded events may dangle (the event has fired,
-    // been cancelled or destroyed), so only owned entries are followed.
-    while (!_queue.empty()) {
-        const QueueEntry &top = _queue.top();
-        if (top.owned) {
-            top.ev->_scheduled = false;     // bypass the dtor's queue access
-            // NOLINTNEXTLINE(shrimp-ownership-raw-new): queue-owned event
-            delete top.ev;
-        }
-        _queue.pop();
-    }
+    // One-shots that never fired die here, captures and all. Heap
+    // entries are not followed: those of embedded events may dangle
+    // (the event has fired, been cancelled or destroyed).
+    for (auto &shot : _oneShots)
+        shot->_scheduled = false;   // bypass the dtor's queue access
+    _oneShots.clear();
 }
 
 void
@@ -46,20 +52,58 @@ EventQueue::schedule(Event *ev, Tick when, int priority)
     SHRIMP_ASSERT(when >= _curTick, "schedule in the past: ", when,
                   " < ", _curTick, " for '", ev->description(), "'");
 
-    push(ev, when, priority, false);
+    push(ev, Slot{when, priority, _nextSeq++});
+}
+
+EventQueue::Slot
+EventQueue::reserve(Tick when, int priority)
+{
+    SHRIMP_ASSERT(when >= _curTick, "reserve in the past: ", when, " < ",
+                  _curTick);
+    return Slot{when, priority, _nextSeq++};
+}
+
+bool
+EventQueue::reached(const Slot &s) const
+{
+    // The oldest passed position taken after s was reserved orders
+    // after every newer one, so it alone decides.
+    for (const Passed &p : _passed) {
+        if (p.before > s.seq)
+            return !(p.at < s);
+    }
+    return false;
 }
 
 void
-EventQueue::push(Event *ev, Tick when, int priority, bool owned)
+EventQueue::scheduleAt(Event *ev, const Slot &s)
 {
-    ev->_when = when;
-    ev->_priority = priority;
+    SHRIMP_ASSERT(ev != nullptr, "null event");
+    SHRIMP_ASSERT(!ev->_scheduled,
+                  "double-schedule of '", ev->description(), "'");
+    SHRIMP_ASSERT(!reached(s), "scheduleAt a reached slot for '",
+                  ev->description(), "'");
+    push(ev, s);
+}
+
+void
+EventQueue::push(Event *ev, const Slot &at)
+{
+    ev->_when = at.when;
+    ev->_priority = at.priority;
     ev->_stamp = _nextStamp++;
     ev->_scheduled = true;
     ev->_queue = this;
-    _queue.push(
-        QueueEntry{when, priority, owned, _nextSeq++, ev->_stamp, ev});
+    _queue.push(QueueEntry{at, ev->_stamp, ev});
     ++_liveCount;
+}
+
+void
+EventQueue::pass(const Slot &at)
+{
+    while (!_passed.empty() && !(at < _passed.back().at))
+        _passed.pop_back();
+    _passed.push_back(Passed{at, _nextSeq});
 }
 
 void
@@ -90,12 +134,17 @@ void
 EventQueue::scheduleFn(std::function<void()> fn, Tick when, int priority,
                        const char *desc)
 {
-    // Ownership passes to the event's heap entry; runOne() or
-    // ~EventQueue reclaims it.
-    // NOLINTNEXTLINE(shrimp-ownership-raw-new): queue-owned event
-    auto *ev = new EventFunctionWrapper(std::move(fn), desc);
-    ev->_oneShot = true;
-    push(ev, when, priority, true);
+    if (_freeOneShots.empty()) {
+        _oneShots.push_back(std::make_unique<OneShot>());
+        _oneShots.back()->_oneShot = true;
+        _freeOneShots.reserve(_oneShots.size());
+        _freeOneShots.push_back(_oneShots.back().get());
+    }
+    OneShot *shot = _freeOneShots.back();
+    _freeOneShots.pop_back();
+    shot->fn = std::move(fn);
+    shot->desc = desc;
+    push(shot, Slot{when, priority, _nextSeq++});
 }
 
 void
@@ -120,18 +169,35 @@ EventQueue::runOne()
     _queue.pop();
 
     Event *ev = entry.ev;
-    SHRIMP_ASSERT(entry.when >= _curTick, "time went backwards");
-    _curTick = entry.when;
+    SHRIMP_ASSERT(entry.at.when >= _curTick, "time went backwards");
+    _curTick = entry.at.when;
+    pass(entry.at);
 
     ev->_scheduled = false;
     --_liveCount;
     ++_numProcessed;
 
-    // A fired one-shot is reclaimed here, even if its callback throws.
-    // Embedded events may reschedule themselves inside process(); a
-    // one-shot cannot, since no caller holds a pointer to it.
-    std::unique_ptr<Event> owner(entry.owned ? ev : nullptr);
-    ev->process();
+    if (!ev->_oneShot) {
+        // Embedded events may reschedule themselves inside process().
+        ev->process();
+        return true;
+    }
+
+    // A fired one-shot goes back to the pool with its callback
+    // destroyed, even if the callback throws. It cannot reschedule
+    // itself, since no caller holds a pointer to it.
+    auto *shot = static_cast<OneShot *>(ev);
+    auto recycle = [this, shot] {
+        shot->fn = nullptr;
+        _freeOneShots.push_back(shot);
+    };
+    try {
+        shot->process();
+    } catch (...) {
+        recycle();
+        throw;
+    }
+    recycle();
     return true;
 }
 
@@ -139,8 +205,15 @@ std::uint64_t
 EventQueue::run(std::uint64_t max_events)
 {
     std::uint64_t n = 0;
-    while (n < max_events && runOne())
+    while (n < max_events) {
+        if (!runOne()) {
+            // Drained: every slot reserved so far has been passed.
+            pass(Slot{MAX_TICK, std::numeric_limits<int>::max(),
+                      std::numeric_limits<std::uint64_t>::max()});
+            break;
+        }
         ++n;
+    }
     return n;
 }
 
@@ -149,12 +222,14 @@ EventQueue::runUntil(Tick when)
 {
     for (;;) {
         skipDead();
-        if (_queue.empty() || _queue.top().when > when)
+        if (_queue.empty() || _queue.top().at.when > when)
             break;
         runOne();
     }
     if (when > _curTick)
         _curTick = when;
+    pass(Slot{when, std::numeric_limits<int>::max(),
+              std::numeric_limits<std::uint64_t>::max()});
 }
 
 } // namespace shrimp

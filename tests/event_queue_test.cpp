@@ -1,7 +1,8 @@
 /**
  * @file
  * Unit tests for the discrete-event kernel: ordering, priorities,
- * cancellation, time-bounded runs.
+ * cancellation, time-bounded runs, reserved slots and recycled
+ * one-shots.
  */
 
 #include <gtest/gtest.h>
@@ -202,6 +203,180 @@ TEST(EventQueue, ThrowingOneShotIsReclaimed)
     EXPECT_THROW(eq.run(), std::runtime_error);
     EXPECT_EQ(token.use_count(), 1);
     EXPECT_TRUE(eq.empty());
+}
+
+TEST(EventQueue, RecycledOneShotDropsCapturesWhenFiredOrThrown)
+{
+    auto token = std::make_shared<int>(0);
+    EventQueue eq;
+    for (int round = 0; round < 3; ++round) {
+        eq.scheduleFn([token] { ++*token; }, eq.curTick() + 10);
+        // The next event sees the capture gone: the callback died as
+        // soon as it had run, and its wrapper went back to the pool.
+        eq.scheduleFn([&token] { EXPECT_EQ(token.use_count(), 1); },
+                      eq.curTick() + 20);
+        EXPECT_EQ(token.use_count(), 2);
+        eq.run();
+        EXPECT_EQ(token.use_count(), 1);
+    }
+    eq.scheduleFn([token] { throw std::runtime_error("callback failed"); },
+                  eq.curTick() + 10);
+    EXPECT_THROW(eq.run(), std::runtime_error);
+    EXPECT_EQ(token.use_count(), 1);
+
+    // The thrown one-shot's wrapper is reused like any other.
+    eq.scheduleFn([token] { ++*token; }, eq.curTick() + 10);
+    eq.run();
+    EXPECT_EQ(*token, 4);
+    EXPECT_EQ(token.use_count(), 1);
+}
+
+TEST(EventQueue, ScheduleAtFiresWhereScheduleWouldHave)
+{
+    // The same history twice: once scheduling `ev` outright, once
+    // reserving its slot and pushing it there from a later event.
+    // Same-tick events pushed before and after the reservation, at
+    // its priority and at others, see it in the same place.
+    auto order = [](bool deferred) {
+        std::vector<int> seen;
+        EventQueue eq;
+        EventFunctionWrapper ev([&seen] { seen.push_back(0); }, "slotted");
+        eq.scheduleFn([&seen] { seen.push_back(1); }, 50);
+        eq.scheduleFn([&seen] { seen.push_back(2); }, 50,
+                      EventPriority::CPU);
+        EventQueue::Slot slot;
+        if (deferred)
+            slot = eq.reserve(50);
+        else
+            eq.schedule(&ev, 50);
+        eq.scheduleFn([&seen] { seen.push_back(3); }, 50);
+        eq.scheduleFn([&seen] { seen.push_back(4); }, 50,
+                      EventPriority::CLOCK);
+        eq.scheduleFn(
+            [&] {
+                if (deferred)
+                    eq.scheduleAt(&ev, slot);
+                seen.push_back(5);
+            },
+            20);
+        eq.run();
+        return seen;
+    };
+    EXPECT_EQ(order(false), (std::vector<int>{5, 4, 1, 0, 3, 2}));
+    EXPECT_EQ(order(true), order(false));
+}
+
+TEST(EventQueue, ReachedInsideAnEvent)
+{
+    EventQueue eq;
+    EventQueue::Slot early = eq.reserve(100);
+    EventQueue::Slot late = eq.reserve(100, EventPriority::STAT);
+    EventQueue::Slot inside;
+    int checks = 0;
+    eq.scheduleFn(
+        [&] {
+            // `early` orders before this CPU-priority event, `late`
+            // after it.
+            EXPECT_TRUE(eq.reached(early));
+            EXPECT_FALSE(eq.reached(late));
+            // A priority-0 slot at this tick, reserved now, orders
+            // before this event but would fire after it.
+            inside = eq.reserve(100);
+            EXPECT_FALSE(eq.reached(inside));
+            // A clock-priority event pushed now runs next, ahead of
+            // `inside`; `early` stays passed.
+            eq.scheduleFn(
+                [&] {
+                    EXPECT_TRUE(eq.reached(early));
+                    EXPECT_FALSE(eq.reached(inside));
+                    ++checks;
+                },
+                100, EventPriority::CLOCK);
+            // A priority-0 event pushed after `inside` runs after it.
+            eq.scheduleFn(
+                [&] {
+                    EXPECT_TRUE(eq.reached(inside));
+                    EXPECT_FALSE(eq.reached(late));
+                    ++checks;
+                },
+                100);
+            ++checks;
+        },
+        100, EventPriority::CPU);
+    // Before the first run nothing is reached.
+    EXPECT_FALSE(eq.reached(early));
+    eq.run();
+    EXPECT_EQ(checks, 3);
+    // A drained run() has passed every slot reserved so far.
+    EXPECT_TRUE(eq.reached(late));
+    EXPECT_FALSE(eq.reached(eq.reserve(100)));
+}
+
+TEST(EventQueue, ReachedAfterRunUntil)
+{
+    EventQueue eq;
+    EventQueue::Slot atT = eq.reserve(200, EventPriority::STAT);
+    EventQueue::Slot pastT = eq.reserve(201, EventPriority::CLOCK);
+    eq.scheduleFn([] {}, 100);
+    eq.runUntil(200);
+    EXPECT_TRUE(eq.reached(atT));
+    EXPECT_FALSE(eq.reached(pastT));
+
+    // Reserved after the call: not reached, even at tick 200 and at
+    // a priority that orders before `atT`.
+    EventQueue::Slot clock = eq.reserve(200, EventPriority::CLOCK);
+    EventQueue::Slot cpu = eq.reserve(200, EventPriority::CPU);
+    EXPECT_FALSE(eq.reached(clock));
+    EXPECT_FALSE(eq.reached(cpu));
+    // An event the caller then runs at tick 200 passes `clock`, not
+    // `cpu`; `atT` orders after it too, but stays passed.
+    bool ran = false;
+    eq.scheduleFn(
+        [&] {
+            EXPECT_TRUE(eq.reached(atT));
+            EXPECT_TRUE(eq.reached(clock));
+            EXPECT_FALSE(eq.reached(cpu));
+            ran = true;
+        },
+        200);
+    eq.runUntil(200);
+    EXPECT_TRUE(ran);
+    EXPECT_TRUE(eq.reached(cpu));
+    EXPECT_FALSE(eq.reached(pastT));
+    eq.runUntil(201);
+    EXPECT_TRUE(eq.reached(pastT));
+}
+
+TEST(ElidableEvent, IdleRequestOnlyReservesItsSlot)
+{
+    EventQueue eq;
+    std::vector<int> order;
+    ElidableEvent ev(eq, [&order] { order.push_back(0); }, "elidable");
+    eq.scheduleFn([&order] { order.push_back(1); }, 50);
+    ev.request(50, true);
+    EXPECT_TRUE(ev.pending());
+    EXPECT_FALSE(ev.scheduled());
+    EXPECT_EQ(ev.pendingAt(), 50u);
+    eq.scheduleFn([&order] { order.push_back(2); }, 50);
+
+    // Still idle: the slot stays reserved. Needed: pushed at it.
+    ev.request(50, true);
+    EXPECT_FALSE(ev.scheduled());
+    ev.request(50, false);
+    EXPECT_TRUE(ev.scheduled());
+    eq.run();
+    EXPECT_EQ(order, (std::vector<int>{1, 0, 2}));
+
+    // A slot reached unused stands for a firing that did nothing.
+    ev.request(100, true);
+    eq.runUntil(100);
+    EXPECT_FALSE(ev.pending());
+    EXPECT_EQ(eq.numProcessed(), 3u);
+
+    // Cancelling drops a reserved slot.
+    ev.request(150, true);
+    ev.cancel();
+    EXPECT_FALSE(ev.pending());
 }
 
 TEST(ClockedObject, EdgeAlignment)

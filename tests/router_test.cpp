@@ -3,7 +3,7 @@
  * Unit tests for the mesh backplane: dimension-order routing,
  * latency structure, in-order delivery, credit backpressure,
  * deadlock-free operation under load, the routing function on its
- * own, and a link cut at the wire.
+ * own, a link cut at the wire, and a same-tick race on one credit.
  */
 
 #include <gtest/gtest.h>
@@ -298,6 +298,61 @@ TEST_F(MeshFixture, BlockedUpstreamWokenOncePerReleasedCredit)
     Tick ser = r1.serializationTime(sinks[1].got[1]);
     EXPECT_EQ(sinks[1].when[1] - sinks[1].when[0],
               Router::linkLatency + Router::routingLatency + ser);
+}
+
+/**
+ * A same-tick race on one credit. Router 1 forwards A east out of its
+ * one-slot WEST input at tick 0, and A's tail frees that slot at tick
+ * `freed`; at that very tick router 0 tries to forward B into it. The
+ * test plays the upstream of both WEST ports (router 0's is unwired),
+ * so it decides when router 0's advance takes its place in the queue:
+ * before router 1 reserves the release, or after. Returns router 0's
+ * blockedOnCredit.
+ */
+struct CreditRaceFixture : MeshFixture
+{
+    std::uint64_t
+    race(bool advance_first)
+    {
+        params.inputBufferPackets = 1;
+        build(3, 1);
+        Router &r0 = mesh->router(0);
+        Router &r1 = mesh->router(1);
+
+        NetPacket a = makePkt(0, 2, 0);
+        Tick freed = r1.serializationTime(a);
+        r1.reserveCredit(Router::WEST);
+        r1.headerArrive(Router::WEST, std::move(a), 0);
+        if (!advance_first)
+            eq.runUntil(0);     // router 1 forwards A: release reserved
+        NetPacket b = makePkt(0, 1, 1);
+        Tick b_ser = r1.serializationTime(b);
+        r0.reserveCredit(Router::WEST);
+        r0.headerArrive(Router::WEST, std::move(b), freed);
+        eq.run();
+
+        EXPECT_EQ(sinks[2].got.size(), 1u);
+        EXPECT_FALSE(r1.upstreamBlocked(Router::WEST));
+        // Either way router 0 forwards B at tick `freed`.
+        EXPECT_EQ(sinks[1].when, (std::vector<Tick>{
+                                     freed + Router::linkLatency +
+                                     Router::routingLatency + b_ser}));
+        stats::Snapshot snap;
+        r0.statGroup().snapshotInto(snap);
+        return snap.at("mesh.router0.blockedOnCredit");
+    }
+};
+
+TEST_F(CreditRaceFixture, AdvanceQueuedBeforeTheReleaseBlocksOnce)
+{
+    // Router 0's advance runs first and finds no credit; it parks,
+    // and the release wakes it at its own position, in the same tick.
+    EXPECT_EQ(race(true), 1u);
+}
+
+TEST_F(CreditRaceFixture, AdvanceQueuedAfterTheReleaseForwardsAtOnce)
+{
+    EXPECT_EQ(race(false), 0u);
 }
 
 TEST_F(MeshFixture, CutLinkDropsOneWayThenRoutesAroundUntilForcedUp)
